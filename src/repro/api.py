@@ -136,8 +136,8 @@ class Cluster:
     def topology(self) -> Topology:
         """An immutable snapshot of shards, groups, placement and pool.
 
-        This (plus :meth:`scale` and :meth:`migrate`) replaces reaching
-        into service internals like ``ShardedKvService.group_for``.
+        This (plus :meth:`scale` and :meth:`migrate`) is the public
+        surface; service internals are not.
         """
         return Topology.of(self.inner, at_us=self.sim.now)
 

@@ -2,33 +2,32 @@
 
 Everything else in :mod:`repro.bench` measures *simulated* time, which
 is deterministic and host-independent.  This module measures the other
-axis — how fast the host chews through simulated events — so engine
-changes can be justified (or caught regressing) with numbers:
+axis — how fast the host chews through simulated work:
 
-* **Engine microbenchmarks** (events/sec) run the same workload on the
-  current engine and on :mod:`repro.sim.reference` (the verbatim
-  pre-fast-path engine): pure heap churn, zero-delay callback cascades
-  (the ready-deque path), and cancelled-timer churn (the lazy
-  cancellation path that heartbeat/election/RPC-guard timers hit).
 * **RDMA loopback** drives read/write verbs through a queue pair
   between two hosts and reports verbs/sec.
-* **fig5 smoke driver** times one (sift, read-heavy) Figure 5 point at
-  ``--smoke`` scale on both engines via
-  :data:`repro.bench.runner.SIMULATOR_FACTORY`, checks the simulated
-  numbers are identical, and reports the engine speedup.
+* **Coalesced fig5 driver** times one write-only Figure 5 point at
+  ``--smoke`` scale on the plain stack and on the batching stack
+  (doorbell verb flushes + WAL-append coalescing) and reports the
+  simulated and the driven speedup.
+* **Open-loop generator** times vectorized arrival generation against
+  the scalar per-client loop drawing the identical columns.
 * **Parallel sweep scaling** times a two-point sweep at ``--jobs 1``
   and ``--jobs 2``; the ratio only exceeds ~1.0 on multi-core hosts,
   which is why the artifact records ``host.cpu_count``.
 
+End-to-end host time per workload and per layer is the job of
+``benchmarks/e2e``; this harness keeps the ratios that gate.
+
 Results go to ``PERF_perfbench.json`` (:func:`repro.obs.artifact.
 write_perf_artifact`).  Absolute rates are host properties and never
-strictly compared, but the fast-vs-reference *ratios* are host
-independent enough to gate on: ``--gate`` loads the committed floors
+strictly compared, but the *ratios* are host independent enough to gate
+on: ``--gate`` loads the committed floors
 (``benchmarks/perf/perf_floors.json``), checks every floored metric,
 and exits non-zero if any ratio regressed below its floor.  Floors are
 set well under the measured ratios to absorb CI-host noise; a genuine
-engine regression (e.g. losing lazy cancellation) undershoots them by
-integer factors.
+regression (e.g. losing append coalescing or the vectorized generator)
+undershoots them by a wide margin.
 
 Example::
 
@@ -46,7 +45,6 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from repro.bench import runner
 from repro.bench.calibration import SMOKE_SCALE
 from repro.bench.parallel import Point, run_points
 from repro.bench.points import throughput_point
@@ -59,13 +57,11 @@ from repro.rdma.listener import RdmaListener
 from repro.rdma.memory import MemoryRegion
 from repro.rdma.nic import Rnic
 from repro.rdma.qp import QueuePair
-from repro.sim import engine, reference
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.workloads import WORKLOADS
 
 __all__ = ["main", "run_perfbench", "load_floors", "check_floors"]
-
-ENGINES = {"fast": engine.Simulator, "reference": reference.Simulator}
 
 
 def _timed(fn: Callable[[], int], repeat: int) -> Dict[str, float]:
@@ -81,149 +77,12 @@ def _timed(fn: Callable[[], int], repeat: int) -> Dict[str, float]:
     return {"count": count, "wall_s": best, "per_s": count / best}
 
 
-# -- engine microbenchmarks --------------------------------------------------
-
-
-def _noop():
-    return None
-
-
-def _heap_churn(sim_factory: Callable, n: int) -> int:
-    """Pure timestamped scheduling: n events through the heap."""
-    sim = sim_factory()
-    fired = [0]
-
-    def tick():
-        fired[0] += 1
-
-    for i in range(n):
-        sim.schedule(1.0 + (i * 7919) % 997, tick)
-    sim.run()
-    assert fired[0] == n
-    return n
-
-
-def _cascade(sim_factory: Callable, n: int) -> int:
-    """Zero-delay callback chains: the ready-deque fast path.
-
-    The heap is preloaded with pending far-future timers first — a
-    steady-state run keeps thousands queued (heartbeats, retransmit
-    guards), and that depth is what a zero-delay heappush/heappop pays
-    on the all-heap engine.  The run stops before the background timers
-    fire, so both engines do identical non-cascade work.
-    """
-    sim = sim_factory()
-    noop = _noop
-    for i in range(10_000):
-        sim.schedule(1e9 + i, noop)
-    left = [n]
-
-    def tick():
-        if left[0]:
-            left[0] -= 1
-            sim.schedule(0.0, tick)
-
-    sim.schedule(0.0, tick)
-    sim.run(until=1_000_000.0)
-    assert left[0] == 0
-    return n
-
-
-def _timer_churn(sim_factory: Callable, n: int) -> int:
-    """Guard-timer traffic: most timeouts are cancelled before firing.
-
-    This is the shape RPC guards, heartbeats and election timers
-    produce.  The reference engine cannot cancel (``cancel`` is a
-    no-op there, as pre-fast-path code never removed entries), so it
-    pays full heap churn for every dead timer — exactly the cost the
-    lazy-cancellation path removes.
-    """
-    sim = sim_factory()
-    fired = [0]
-    for i in range(n):
-        timer = sim.timeout(50.0 + (i % 13))
-        timer.add_callback(lambda _ev: fired.__setitem__(0, fired[0] + 1))
-        if i % 10:
-            timer.cancel()
-    sim.run()
-    # The reference engine cannot cancel, so every timer fires there;
-    # the fast engine fires only the kept 10%.
-    assert fired[0] >= (n + 9) // 10
-    return n
-
-
-def _wheel_churn(sim_factory: Callable, n: int) -> int:
-    """Cross-level wheel traffic.
-
-    Delays span level-0, level-1 and level-2 slots (~1.7 simulated
-    seconds); a quarter of the timers are cancelled and replaced by
-    refires past the 2^24us horizon, so the overflow heap cascades back
-    down through every level.  On the fast engine this exercises slot
-    appends, cascades, lazy cancellation inside buckets and overflow
-    refills; the reference engine pays plain heap churn for the same
-    schedule.  The fired count is engine-independent: cancelled timers
-    never carried a callback.
-    """
-    sim = sim_factory()
-    fired = [0]
-
-    def tick(_ev):
-        fired[0] += 1
-
-    doomed = []
-    for i in range(n):
-        delay = 1.0 + (i % 509) * 3301.0
-        timer = sim.timeout(delay)
-        if i % 4:
-            timer.add_callback(tick)
-        else:
-            doomed.append(timer)
-            refire = sim.timeout(delay + 16_777_216.0)
-            refire.add_callback(tick)
-    for timer in doomed:
-        timer.cancel()
-    sim.run()
-    assert fired[0] == n
-    return n
-
-
-ENGINE_BENCHES = {
-    "heap_churn": _heap_churn,
-    "cascade": _cascade,
-    "timer_churn": _timer_churn,
-    "wheel_churn": _wheel_churn,
-}
-
-
-def _engine_section(n: int, repeat: int, log) -> Dict[str, Dict[str, float]]:
-    section: Dict[str, Dict[str, float]] = {}
-    for name, bench in ENGINE_BENCHES.items():
-        # Interleave the engines within each repetition (A/B/A/B...)
-        # so slow drift in host load biases neither side.
-        best = {label: float("inf") for label in ENGINES}
-        for _ in range(repeat):
-            for label, factory in ENGINES.items():
-                gc.collect()
-                started = time.perf_counter()
-                bench(factory, n)
-                best[label] = min(best[label], time.perf_counter() - started)
-        row: Dict[str, float] = {"events": n}
-        for label in ENGINES:
-            row[f"{label}_wall_s"] = best[label]
-            row[f"{label}_events_per_s"] = n / best[label]
-        row["speedup"] = row["reference_wall_s"] / row["fast_wall_s"]
-        section[name] = row
-        log(f"engine/{name}: {row['fast_events_per_s']:,.0f} ev/s "
-            f"({row['speedup']:.2f}x vs reference)")
-    return section
-
-
 # -- RDMA loopback -----------------------------------------------------------
 
 
 def _rdma_loopback(n: int) -> int:
     """n write+read verb pairs across a queue pair; returns verb count."""
-    sim = engine.Simulator()
+    sim = Simulator()
     fabric = Fabric(sim, rng=RngStreams(seed=1))
     target = fabric.add_host("target", cores=1)
     requester = fabric.add_host("requester", cores=2)
@@ -245,119 +104,49 @@ def _rdma_loopback(n: int) -> int:
     return 2 * n
 
 
-# -- fig5 smoke driver A/B ---------------------------------------------------
-
-
-def _fig5_smoke(engine_name: str):
-    """One (sift, read-heavy) Figure 5 point on the given engine."""
-    previous = runner.SIMULATOR_FACTORY
-    runner.SIMULATOR_FACTORY = ENGINES[engine_name]
-    try:
-        return run_throughput(
-            sift_spec(cores=12, scale=SMOKE_SCALE),
-            WORKLOADS["read-heavy"],
-            n_clients=SMOKE_SCALE.clients,
-            scale=SMOKE_SCALE,
-            seed=1,
-        )
-    finally:
-        runner.SIMULATOR_FACTORY = previous
-
-
-def _fig5_section(repeat: int, log) -> Dict[str, object]:
-    results = {}
-    walls = {name: float("inf") for name in ENGINES}
-    for _ in range(repeat):  # engines interleaved per repetition
-        for name in ENGINES:
-            gc.collect()
-            started = time.perf_counter()
-            results[name] = _fig5_smoke(name)
-            walls[name] = min(walls[name], time.perf_counter() - started)
-    fast, ref = results["fast"], results["reference"]
-    identical = (fast.ops_per_sec, fast.completed, fast.errors) == (
-        ref.ops_per_sec, ref.completed, ref.errors
-    )
-    if not identical:
-        raise AssertionError(
-            f"engines disagree on simulated numbers: fast={fast} reference={ref}"
-        )
-    section = {
-        "system": "sift",
-        "workload": "read-heavy",
-        "simulated_ops_per_sec": fast.ops_per_sec,
-        "completed": fast.completed,
-        "fast_wall_s": walls["fast"],
-        "reference_wall_s": walls["reference"],
-        "fast_driver_ops_per_s": fast.completed / walls["fast"],
-        "reference_driver_ops_per_s": fast.completed / walls["reference"],
-        "speedup": walls["reference"] / walls["fast"],
-        "simulated_identical": identical,
-    }
-    log(f"fig5-smoke: {section['fast_driver_ops_per_s']:,.0f} ops/s driven "
-        f"({section['speedup']:.2f}x vs reference engine)")
-    return section
-
-
 # -- coalesced fig5 driver (the doorbell/coalescing payoff) ------------------
 
 COALESCED_WORKLOAD = "write-only"
 COALESCED_CLIENTS = 24
 
 
-def _coalesced_point(engine_name: str, coalesced: bool):
+def _coalesced_point(coalesced: bool):
     """One write-only Figure 5 point; *coalesced* turns on the batching
     stack (doorbell verb flushes + WAL-append coalescing)."""
-    previous = runner.SIMULATOR_FACTORY
-    runner.SIMULATOR_FACTORY = ENGINES[engine_name]
-    try:
-        spec = sift_spec(
-            cores=12,
-            scale=SMOKE_SCALE,
-            kv_overrides={"coalesce_appends": True} if coalesced else None,
-            sift_overrides={"doorbell_batching": True} if coalesced else None,
-        )
-        return run_throughput(
-            spec,
-            WORKLOADS[COALESCED_WORKLOAD],
-            n_clients=COALESCED_CLIENTS,
-            scale=SMOKE_SCALE,
-            seed=1,
-        )
-    finally:
-        runner.SIMULATOR_FACTORY = previous
+    spec = sift_spec(
+        cores=12,
+        scale=SMOKE_SCALE,
+        kv_overrides={"coalesce_appends": True} if coalesced else None,
+        sift_overrides={"doorbell_batching": True} if coalesced else None,
+    )
+    return run_throughput(
+        spec,
+        WORKLOADS[COALESCED_WORKLOAD],
+        n_clients=COALESCED_CLIENTS,
+        scale=SMOKE_SCALE,
+        seed=1,
+    )
 
 
 def _coalesced_fig5_section(repeat: int, log) -> Dict[str, object]:
-    """Four-way grid: {fast, reference} engine x {plain, coalesced} stack.
+    """Plain stack vs batching stack on the same workload.
 
-    Within each stack the two engines must agree on the simulated
-    numbers bit-for-bit (the A/B guarantee); across stacks the simulated
-    numbers legitimately differ — that is the modelled amortization.
-    ``driven_speedup`` is the headline: the pre-batching stack
-    (reference engine, per-record appends, per-verb doorbells) against
-    the full stack (timer wheel + doorbell batching + append coalescing)
-    driving the same workload.
+    The simulated numbers legitimately differ — that is the modelled
+    amortization (``simulated_speedup``, deterministic).
+    ``driven_speedup`` is the host side of it: wall time of the plain
+    stack (per-record appends, per-verb doorbells) over wall time of
+    the batching stack driving the same workload.
     """
-    grid = [(name, mode) for name in ENGINES for mode in (False, True)]
-    results: Dict[tuple, object] = {}
-    walls = {key: float("inf") for key in grid}
-    for _ in range(repeat):  # engines and stacks interleaved per repetition
-        for key in grid:
+    stacks = {"plain": False, "coalesced": True}
+    results: Dict[str, object] = {}
+    walls = {name: float("inf") for name in stacks}
+    for _ in range(repeat):  # stacks interleaved per repetition
+        for name, coalesced in stacks.items():
             gc.collect()
             started = time.perf_counter()
-            results[key] = _coalesced_point(*key)
-            walls[key] = min(walls[key], time.perf_counter() - started)
-    for mode in (False, True):
-        fast, ref = results[("fast", mode)], results[("reference", mode)]
-        if (fast.ops_per_sec, fast.completed, fast.errors) != (
-            ref.ops_per_sec, ref.completed, ref.errors
-        ):
-            raise AssertionError(
-                f"engines disagree on simulated numbers (coalesced={mode}): "
-                f"fast={fast} reference={ref}"
-            )
-    plain = results[("fast", False)]
-    coal = results[("fast", True)]
+            results[name] = _coalesced_point(coalesced)
+            walls[name] = min(walls[name], time.perf_counter() - started)
+    plain, coal = results["plain"], results["coalesced"]
     section = {
         "system": "sift",
         "workload": COALESCED_WORKLOAD,
@@ -365,19 +154,14 @@ def _coalesced_fig5_section(repeat: int, log) -> Dict[str, object]:
         "plain_ops_per_sec": plain.ops_per_sec,
         "coalesced_ops_per_sec": coal.ops_per_sec,
         "simulated_speedup": coal.ops_per_sec / plain.ops_per_sec,
-        "fast_plain_wall_s": walls[("fast", False)],
-        "fast_coalesced_wall_s": walls[("fast", True)],
-        "reference_plain_wall_s": walls[("reference", False)],
-        "reference_coalesced_wall_s": walls[("reference", True)],
-        "engine_speedup": walls[("reference", False)] / walls[("fast", False)],
-        "amortization_speedup": walls[("fast", False)] / walls[("fast", True)],
-        "driven_speedup": walls[("reference", False)] / walls[("fast", True)],
-        "simulated_identical": True,
+        "plain_wall_s": walls["plain"],
+        "coalesced_wall_s": walls["coalesced"],
+        "driven_speedup": walls["plain"] / walls["coalesced"],
     }
     log(
         f"coalesced-fig5: {section['coalesced_ops_per_sec']:,.0f} ops/s simulated "
         f"({section['simulated_speedup']:.2f}x vs plain), driven "
-        f"{section['driven_speedup']:.2f}x vs pre-batching stack"
+        f"{section['driven_speedup']:.2f}x vs plain stack"
     )
     return section
 
@@ -403,7 +187,7 @@ def _openloop_generators():
     from repro.workloads.openloop import ArrivalGenerator
 
     def build():
-        sim = engine.Simulator()
+        sim = Simulator()
         fabric = Fabric(sim, rng=RngStreams(seed=1))
         ring = HashRing([f"shard{i}" for i in range(OPENLOOP_SHARDS)])
         sampler = StripedZipfSampler(SMOKE_SCALE.keys, ring)
@@ -545,7 +329,7 @@ def check_floors(
     """Check every floored metric; returns human-readable violations.
 
     Keys are dotted paths into the results dict
-    (``engine.heap_churn.speedup``).  A missing path is itself a
+    (``coalesced_fig5.driven_speedup``).  A missing path is itself a
     violation — a renamed or dropped scenario must not silently pass.
     """
     violations: List[str] = []
@@ -569,7 +353,6 @@ def check_floors(
 
 
 def run_perfbench(
-    events: int = 200_000,
     rdma_verbs: int = 5_000,
     repeat: int = 3,
     arrivals: int = 100_000,
@@ -577,7 +360,6 @@ def run_perfbench(
 ) -> Dict[str, object]:
     """Run every section; returns the artifact's results dict."""
     results: Dict[str, object] = {}
-    results["engine"] = _engine_section(events, repeat, log)
     timing = _timed(lambda: _rdma_loopback(rdma_verbs), repeat)
     results["rdma_loopback"] = {
         "verbs": timing["count"],
@@ -585,7 +367,6 @@ def run_perfbench(
         "verbs_per_s": timing["per_s"],
     }
     log(f"rdma loopback: {timing['per_s']:,.0f} verbs/s")
-    results["fig5_smoke"] = _fig5_section(repeat, log)
     results["coalesced_fig5"] = _coalesced_fig5_section(repeat, log)
     results["openloop_generator"] = _openloop_generator_section(
         arrivals, repeat, log
@@ -597,12 +378,10 @@ def run_perfbench(
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.perfbench",
-        description="Measure host events/sec, verbs/sec and engine speedups.",
+        description="Measure host verbs/sec, arrivals/sec and stack speedups.",
     )
     parser.add_argument("--out-dir", default="bench_artifacts",
                         help="directory for the PERF_perfbench.json artifact")
-    parser.add_argument("--events", type=int, default=200_000,
-                        help="events per engine microbenchmark")
     parser.add_argument("--rdma-verbs", type=int, default=5_000,
                         help="verb pairs for the RDMA loopback benchmark")
     parser.add_argument("--repeat", type=int, default=3,
@@ -610,46 +389,36 @@ def main(argv=None) -> int:
     parser.add_argument("--arrivals", type=int, default=100_000,
                         help="arrivals for the open-loop generator benchmark")
     parser.add_argument("--quick", action="store_true",
-                        help="CI sizing: fewer events, single repetition")
+                        help="CI sizing: fewer verbs and arrivals, single "
+                             "repetition")
     parser.add_argument("--gate", action="store_true",
-                        help="check fast-vs-reference ratios against the "
-                             "committed floors and exit non-zero on any miss")
+                        help="check the gated ratios against the committed "
+                             "floors and exit non-zero on any miss")
     parser.add_argument("--floors", default=None,
                         help="override the floors file "
                              f"(default: {FLOORS_PATH})")
     args = parser.parse_args(argv)
     if args.quick:
-        args.events = min(args.events, 50_000)
         args.rdma_verbs = min(args.rdma_verbs, 2_000)
         args.arrivals = min(args.arrivals, 32_768)
         args.repeat = 1
     if args.gate:
         # Ratios from a single repetition are too noisy to gate on
-        # (best-of-1 conflates engine speed with scheduler jitter).
+        # (best-of-1 conflates stack speed with scheduler jitter).
         args.repeat = max(args.repeat, 2)
         floors = load_floors(Path(args.floors) if args.floors else None)
 
     results = run_perfbench(
-        events=args.events, rdma_verbs=args.rdma_verbs, repeat=args.repeat,
-        arrivals=args.arrivals,
+        rdma_verbs=args.rdma_verbs, repeat=args.repeat, arrivals=args.arrivals,
     )
-    engine_rows = [
-        (f"engine/{name}",
-         f"{row['fast_events_per_s']:,.0f} ev/s, {row['speedup']:.2f}x")
-        for name, row in results["engine"].items()
-    ]
-    fig5 = results["fig5_smoke"]
     coalesced = results["coalesced_fig5"]
     openloop = results["openloop_generator"]
     sweep = results["parallel_sweep"]
     print(kv_table(
-        "perfbench: wall-clock rates (fast engine, speedup vs reference)",
-        engine_rows + [
+        "perfbench: wall-clock rates",
+        [
             ("rdma loopback",
              f"{results['rdma_loopback']['verbs_per_s']:,.0f} verbs/s"),
-            ("fig5 smoke point",
-             f"{fig5['fast_driver_ops_per_s']:,.0f} ops/s, "
-             f"{fig5['speedup']:.2f}x"),
             ("coalesced fig5 point",
              f"{coalesced['simulated_speedup']:.2f}x simulated, "
              f"{coalesced['driven_speedup']:.2f}x driven"),
@@ -664,7 +433,6 @@ def main(argv=None) -> int:
         "perfbench",
         results,
         params={
-            "events": args.events,
             "rdma_verbs": args.rdma_verbs,
             "repeat": args.repeat,
             "arrivals": args.arrivals,

@@ -47,13 +47,7 @@ __all__ = [
     "run_latency",
     "run_timeline",
     "run_openloop",
-    "SIMULATOR_FACTORY",
 ]
-
-#: Constructor used for every experiment's event loop.  Perfbench swaps
-#: in :class:`repro.sim.reference.Simulator` to measure the same driver
-#: on the pre-fast-path engine; everything else should leave this alone.
-SIMULATOR_FACTORY: Callable[[], Simulator] = Simulator
 
 
 class ThroughputResult(NamedTuple):
@@ -106,7 +100,7 @@ class TimelineResult(NamedTuple):
 
 
 def _setup(spec: SystemSpec, scale: BenchScale, seed: int):
-    sim = SIMULATOR_FACTORY()
+    sim = Simulator()
     fabric = Fabric(sim, rng=RngStreams(seed=seed))
     cluster = spec.build(fabric)
     return sim, fabric, cluster

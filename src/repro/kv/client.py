@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Any, Optional, Tuple
 
-from repro.compat import resolve_us_kwargs
 from repro.core.group import SiftGroup
 from repro.errors import ReproError
 from repro.net.fabric import Fabric
@@ -30,13 +29,6 @@ class KvRequestFailed(ReproError):
     retryable = True
 
 
-#: Legacy duration kwargs accepted with a one-time DeprecationWarning.
-_LEGACY_DURATIONS = {
-    "request_timeout": "request_timeout_us",
-    "retry_backoff": "retry_backoff_us",
-}
-
-
 class KvClient:
     """A closed-loop client bound to one Sift group."""
 
@@ -48,20 +40,7 @@ class KvClient:
         request_timeout_us: float = 10 * MS,
         max_rounds: int = 2_000,
         retry_backoff_us: float = 5 * MS,
-        **deprecated,
     ):
-        if deprecated:
-            durations = resolve_us_kwargs(
-                "KvClient",
-                deprecated,
-                _LEGACY_DURATIONS,
-                {
-                    "request_timeout_us": request_timeout_us,
-                    "retry_backoff_us": retry_backoff_us,
-                },
-            )
-            request_timeout_us = durations["request_timeout_us"]
-            retry_backoff_us = durations["retry_backoff_us"]
         self.host = host
         self.group = group
         self.rpc = RpcClient(host, fabric)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import inspect
 from typing import Any, Callable, Dict, NamedTuple, Optional
 
-from repro.compat import resolve_us_kwargs
 from repro.net.errors import RpcTimeout, Unreachable
 from repro.net.fabric import Fabric
 from repro.net.host import Host
@@ -159,7 +158,6 @@ class RpcClient:
         payload: Any = None,
         payload_bytes: int = 0,
         timeout_us: Optional[float] = None,
-        **deprecated,
     ) -> Event:
         """Invoke *method* on *endpoint*; the event carries the reply value.
 
@@ -167,13 +165,6 @@ class RpcClient:
         send time, with :class:`RpcTimeout` when no reply arrives within
         *timeout_us*, or with the handler's own exception.
         """
-        if deprecated:
-            timeout_us = resolve_us_kwargs(
-                "RpcClient.call",
-                deprecated,
-                {"timeout": "timeout_us"},
-                {"timeout_us": timeout_us},
-            )["timeout_us"]
         done = Event(self.host.sim)
         server = endpoint.host
         sim = self.host.sim

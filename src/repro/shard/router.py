@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.compat import resolve_us_kwargs
 from repro.kv.client import KvClient
 from repro.net.fabric import Fabric
 from repro.net.host import Host
@@ -36,23 +35,7 @@ class ShardRouter:
         request_timeout_us: float = 10 * MS,
         max_rounds: int = 2_000,
         retry_backoff_us: float = 5 * MS,
-        **deprecated,
     ):
-        if deprecated:
-            durations = resolve_us_kwargs(
-                "ShardRouter",
-                deprecated,
-                {
-                    "request_timeout": "request_timeout_us",
-                    "retry_backoff": "retry_backoff_us",
-                },
-                {
-                    "request_timeout_us": request_timeout_us,
-                    "retry_backoff_us": retry_backoff_us,
-                },
-            )
-            request_timeout_us = durations["request_timeout_us"]
-            retry_backoff_us = durations["retry_backoff_us"]
         self.host = host
         self.service = service
         self._fabric = fabric

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.compat import warn_deprecated
 from repro.core.backups import BackupPool
 from repro.core.group import SiftGroup
 from repro.kv import KvConfig, kv_app_factory
@@ -122,18 +121,6 @@ class ShardedKvService:
     def shard_for(self, key: bytes) -> str:
         """The shard name owning *key* (under the current ring)."""
         return self.ring.shard_for(key)
-
-    def group_for(self, key: bytes) -> SiftGroup:
-        """Deprecated: reach through ``Cluster.topology()`` instead."""
-        warn_deprecated(
-            "ShardedKvService", "group_for", "Cluster.topology() / ShardRouter"
-        )
-        return self._group_for(key)
-
-    def group(self, name: str) -> SiftGroup:
-        """Deprecated: reach through ``Cluster.topology()`` instead."""
-        warn_deprecated("ShardedKvService", "group", "Cluster.topology()")
-        return self._group(name)
 
     def _group_for(self, key: bytes) -> SiftGroup:
         """Internal: the group owning *key*."""

@@ -7,8 +7,8 @@ monotonically increasing sequence number used as a tie-breaker, plus the
 seeded RNG streams in :mod:`repro.sim.rng` — two runs with the same seed
 replay the same schedule exactly.
 
-Fast paths (all preserve the schedule bit-for-bit; the reference
-implementation lives in :mod:`repro.sim.reference` and the equivalence
+Fast paths (all preserve the ``(time, seq)`` dispatch order bit-for-bit;
+the all-heap oracle lives in ``tests/sim_oracle.py`` and the equivalence
 is pinned by ``tests/test_sim_fastpath.py``):
 
 * zero-delay entries go to a FIFO *ready deque* instead of the heap —
@@ -20,16 +20,11 @@ is pinned by ``tests/test_sim_fastpath.py``):
   waiter: a process resuming, or a combinator child);
 * settling dispatches inline rather than through a
   ``try_trigger -> trigger -> _dispatch`` call chain;
-* delayed entries live in a hierarchical *timer wheel* (three levels of
-  256 one-microsecond/256-microsecond/65536-microsecond slots plus an
-  overflow heap) instead of a single heap: scheduling is an O(1) bucket
-  append, and the run loop drains one slot at a time as a sorted batch
-  in a tight loop — one C-level sort per slot instead of one
-  heappush/heappop pair per event;
-* a :class:`Timeout` can be *lazily cancelled*: its wheel entry is
-  nulled in place and skipped on dispatch, and all containers are
-  compacted when dead entries pile up — heartbeat/election timers that
-  lost their race no longer churn the dispatch machinery;
+* a :class:`Timeout` can be *lazily cancelled*: its queue entry is
+  nulled in place and skipped when popped, and the heap and deque are
+  compacted in place when dead entries outnumber live ones —
+  heartbeat/election timers that lost their race no longer churn the
+  heap;
 * ``AnyOf``/``AllOf``/``QuorumEvent`` drop their child-event references
   once settled, so a long-lived combinator does not pin every child
   (and its buffers) for the rest of the run.
@@ -38,7 +33,6 @@ is pinned by ``tests/test_sim_fastpath.py``):
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
@@ -529,28 +523,14 @@ class QuorumEvent(Event):
 
 
 class Simulator:
-    """The event loop: a hierarchical timer wheel of timestamped callbacks.
+    """The event loop: a priority queue of timestamped callbacks.
 
-    Three pools back the queue, all holding ``[time, seq, fn, args]``
-    entries and all drawing sequence numbers from one counter:
-
-    * a FIFO *ready deque* for zero-delay work;
-    * a three-level *timer wheel* for delayed work: level 0 has 256
-      one-microsecond slots, level 1 has 256 slots of 256 us, level 2
-      has 256 slots of 65536 us (2^24 us ~ 16.7 s of simulated horizon),
-      each level carrying a bitmask of non-empty slots so the next slot
-      is found with bit tricks rather than a scan.  Scheduling is an
-      O(1) append to the slot bucket keyed by ``int(time)``;
-    * an *overflow heap* for entries beyond the wheel horizon.
-
-    The run loop drains one slot at a time: the bucket is sorted (one
-    C-level sort amortised over its entries) into the current *batch*
-    and consumed through an index, merging with the ready deque by
-    ``(time, seq)``.  When a level-0 page empties, the next level-1
-    bucket cascades down (and so on), and callbacks that schedule work
-    at or behind the loaded batch's slot are insorted into the batch —
-    so the observable execution order is exactly that of a single heap
-    (the reference implementation in :mod:`repro.sim.reference`).
+    Two pools back the queue: a heap of ``[time, seq, fn, args]`` entries
+    for delayed work and a FIFO deque for zero-delay work.  Both draw
+    sequence numbers from the same counter and the run loop merges them
+    by ``(time, seq)``, so the observable execution order is exactly that
+    of a single heap (``tests/sim_oracle.py`` is that heap, and
+    ``tests/test_sim_fastpath.py`` checks this engine against it).
     """
 
     #: Compact the containers when at least this many cancelled entries
@@ -560,26 +540,8 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
+        self._queue: List[list] = []
         self._ready: "deque[list]" = deque()
-        # Timer wheel state.  _pageN is the absolute page (time >> shift)
-        # the level currently covers; entries are classified against the
-        # pages at schedule time and re-classified on cascade.
-        self._wheel0: List[list] = [[] for _ in range(256)]
-        self._wheel1: List[list] = [[] for _ in range(256)]
-        self._wheel2: List[list] = [[] for _ in range(256)]
-        self._m0 = 0
-        self._m1 = 0
-        self._m2 = 0
-        self._page0 = 0
-        self._page1 = 0
-        self._page2 = 0
-        self._overflow: List[list] = []
-        # The batch is the sorted contents of the most recently drained
-        # slot; _bi is the consume pointer, _batch_slot the slot's
-        # integer time (-1 until the first slot loads).
-        self._batch: List[list] = []
-        self._bi = 0
-        self._batch_slot = -1
         self._cancelled = 0
         self._unhandled: List[Tuple[Process, BaseException]] = []
 
@@ -594,44 +556,17 @@ class Simulator:
         """Run ``fn(*args)`` after *delay* microseconds of virtual time.
 
         Returns the (mutable) queue entry; :class:`Timeout` keeps it for
-        lazy cancellation.  Zero-delay entries bypass the wheel entirely.
+        lazy cancellation.  Zero-delay entries bypass the heap entirely.
         """
         self._seq = seq = self._seq + 1
         if delay == 0.0:
             entry = [self._now, seq, fn, args]
             self._ready.append(entry)
-            return entry
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        time = self._now + delay
-        entry = [time, seq, fn, args]
-        try:
-            ti = int(time)
-        except (OverflowError, ValueError):  # inf: beyond any horizon
-            heapq.heappush(self._overflow, entry)
-            return entry
-        if ti <= self._batch_slot:
-            # At or behind the loaded batch's slot (the wheel may have
-            # been refilled ahead of the clock): insort into the batch.
-            # time >= now puts the insertion point at or after the
-            # consume pointer, so the entry still dispatches in order.
-            insort(self._batch, entry)
-            return entry
-        page = ti >> 8
-        if page == self._page0:
-            slot = ti & 255
-            self._wheel0[slot].append(entry)
-            self._m0 |= 1 << slot
-        elif (page >> 8) == self._page1:
-            slot = page & 255
-            self._wheel1[slot].append(entry)
-            self._m1 |= 1 << slot
-        elif (page >> 16) == self._page2:
-            slot = (page >> 8) & 255
-            self._wheel2[slot].append(entry)
-            self._m2 |= 1 << slot
         else:
-            heapq.heappush(self._overflow, entry)
+            if delay < 0:
+                raise SimulationError(f"cannot schedule in the past (delay={delay})")
+            entry = [self._now + delay, seq, fn, args]
+            heapq.heappush(self._queue, entry)
         return entry
 
     def cancel(self, entry: Optional[list]) -> bool:
@@ -639,168 +574,36 @@ class Simulator:
 
         For guard timers (RPC / verb timeouts) that lost their race: the
         callback must already be a provable no-op.  O(1); the entry is
-        skipped when dispatched, and the containers compact when dead
-        entries dominate.  Accepts ``None`` (the reference engine's
-        schedule returns nothing) so callers can stay engine-agnostic.
+        skipped when popped, and the containers compact when dead
+        entries dominate.  ``None`` (no handle) is refused like an
+        already-dead entry.
         """
         if entry is None or entry[2] is None:
             return False
         entry[2] = None
         entry[3] = ()
-        self._note_cancelled()
-        return True
-
-    def _note_cancelled(self) -> None:
-        """Count one lazily-cancelled entry; compact when dead entries
-        dominate (dispatch order of live entries is unaffected — every
-        container keeps its ``(time, seq)`` order through compaction).
-
-        The pending-entry census walks every container, so it only runs
-        on every 256th cancellation past the threshold — keeping both
-        the cancel path and the dispatch loops free of bookkeeping."""
         self._cancelled = cancelled = self._cancelled + 1
-        if (
-            cancelled >= self._COMPACT_MIN
-            and not (cancelled & 255)
-            and cancelled * 2 > self._pending_timers()
+        if cancelled >= self._COMPACT_MIN and cancelled * 2 > len(self._queue) + len(
+            self._ready
         ):
             self._compact()
-
-    def _pending_timers(self) -> int:
-        """Entries (live + dead) across the batch tail, wheels and
-        overflow heap — the denominator for the compaction trigger."""
-        total = len(self._batch) - self._bi + len(self._overflow)
-        for wheel in (self._wheel0, self._wheel1, self._wheel2):
-            for bucket in wheel:
-                total += len(bucket)
-        return total
+        return True
 
     def _compact(self) -> None:
-        """Drop dead entries from every container, in place.
+        """Drop dead entries from both containers, in place.
 
-        ``run()`` holds local references to the ready deque and the
-        current batch (including its consumed prefix, which the consume
-        pointer indexes into), so both must keep their identity and the
-        batch its prefix length; wheel buckets and the overflow heap are
-        only ever reached through ``self`` and may be rebuilt."""
-        bi = self._bi
-        batch = self._batch
-        batch[bi:] = [e for e in batch[bi:] if e[2] is not None]
-        for wheel, mask_name in (
-            (self._wheel0, "_m0"),
-            (self._wheel1, "_m1"),
-            (self._wheel2, "_m2"),
-        ):
-            old = getattr(self, mask_name)
-            mask = 0
-            while old:
-                low = old & -old
-                slot = low.bit_length() - 1
-                old ^= low
-                bucket = [e for e in wheel[slot] if e[2] is not None]
-                wheel[slot] = bucket
-                if bucket:
-                    mask |= low
-            setattr(self, mask_name, mask)
-        overflow = self._overflow
-        overflow[:] = [e for e in overflow if e[2] is not None]
-        heapq.heapify(overflow)
+        ``run()`` holds local references to the heap and the ready
+        deque, so both must keep their identity.  Dispatch order of the
+        live entries is unaffected: heapify re-establishes the same
+        ``(time, seq)`` order.
+        """
+        queue = self._queue
+        queue[:] = [e for e in queue if e[2] is not None]
+        heapq.heapify(queue)
         live = [e for e in self._ready if e[2] is not None]
         self._ready.clear()
         self._ready.extend(live)
         self._cancelled = 0
-
-    def _refill(self) -> bool:
-        """Load the next non-empty slot into the batch; False when idle.
-
-        Cascades level 1 / level 2 buckets (and the overflow heap) down
-        as pages roll over.  Pure container motion: the clock does not
-        move and no callback runs, so there is no observable effect
-        until the batch entries dispatch in ``(time, seq)`` order.
-        """
-        heappop = heapq.heappop
-        while True:
-            m0 = self._m0
-            if m0:
-                low = m0 & -m0
-                slot = low.bit_length() - 1
-                m0 ^= low
-                wheel0 = self._wheel0
-                bucket = wheel0[slot]
-                wheel0[slot] = []
-                # Sparse-page amortization: µs-spaced singleton timers
-                # (verb guards, serialise completions) would otherwise
-                # pay one refill each, so keep absorbing slots while the
-                # batch stays small.  Dense slots skip this entirely,
-                # and correctness is unchanged: the batch is sorted and
-                # later arrivals at or behind ``_batch_slot`` insort.
-                while m0 and len(bucket) < 16:
-                    low = m0 & -m0
-                    slot = low.bit_length() - 1
-                    m0 ^= low
-                    bucket.extend(wheel0[slot])
-                    wheel0[slot] = []
-                self._m0 = m0
-                bucket.sort()
-                self._batch = bucket
-                self._bi = 0
-                self._batch_slot = (self._page0 << 8) | slot
-                return True
-            m1 = self._m1
-            if m1:
-                low = m1 & -m1
-                slot = low.bit_length() - 1
-                self._m1 = m1 ^ low
-                bucket = self._wheel1[slot]
-                self._wheel1[slot] = []
-                self._page0 = (self._page1 << 8) | slot
-                wheel0 = self._wheel0
-                m0 = 0
-                for entry in bucket:
-                    s = int(entry[0]) & 255
-                    wheel0[s].append(entry)
-                    m0 |= 1 << s
-                self._m0 = m0
-                continue
-            m2 = self._m2
-            if m2:
-                low = m2 & -m2
-                slot = low.bit_length() - 1
-                self._m2 = m2 ^ low
-                bucket = self._wheel2[slot]
-                self._wheel2[slot] = []
-                self._page1 = (self._page2 << 8) | slot
-                wheel1 = self._wheel1
-                m1 = 0
-                for entry in bucket:
-                    s = (int(entry[0]) >> 8) & 255
-                    wheel1[s].append(entry)
-                    m1 |= 1 << s
-                self._m1 = m1
-                continue
-            overflow = self._overflow
-            while overflow and overflow[0][2] is None:
-                heappop(overflow)
-                self._cancelled -= 1
-            if not overflow:
-                return False
-            head = overflow[0][0]
-            try:
-                self._page2 = page2 = int(head) >> 24
-            except (OverflowError, ValueError):
-                return False  # only inf entries remain: nothing can fire
-            horizon = float((page2 + 1) << 24)
-            wheel2 = self._wheel2
-            m2 = 0
-            while overflow and overflow[0][0] < horizon:
-                entry = heappop(overflow)
-                if entry[2] is None:
-                    self._cancelled -= 1
-                    continue
-                s = (int(entry[0]) >> 16) & 255
-                wheel2[s].append(entry)
-                m2 |= 1 << s
-            self._m2 = m2
 
     def event(self) -> Event:
         """Create a fresh pending event."""
@@ -824,50 +627,20 @@ class Simulator:
     def next_event_time(self) -> Optional[float]:
         """Virtual time of the earliest pending entry, or None when idle.
 
-        Lazily-cancelled entries at the ready/overflow heads are
-        discarded on the way; wheel buckets are scanned without moving.
+        Lazily-cancelled entries at either head are discarded on the way.
         """
+        queue = self._queue
+        while queue and queue[0][2] is None:
+            heapq.heappop(queue)
+            self._cancelled -= 1
         ready = self._ready
         while ready and ready[0][2] is None:
             ready.popleft()
             self._cancelled -= 1
-        timer = self._next_timer_time()
-        if ready:
-            if timer is None or ready[0][0] <= timer:
-                return ready[0][0]
-        return timer
-
-    def _next_timer_time(self) -> Optional[float]:
-        """Earliest live delayed entry across batch, wheel and overflow.
-
-        The containers are ordered (batch <= level-0 slots <= level-1
-        slots <= level-2 slots <= overflow), so the first live entry
-        found walking them in that order is the earliest.
-        """
-        batch = self._batch
-        for i in range(self._bi, len(batch)):
-            if batch[i][2] is not None:
-                return batch[i][0]
-        for wheel, mask in (
-            (self._wheel0, self._m0),
-            (self._wheel1, self._m1),
-            (self._wheel2, self._m2),
-        ):
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                best = None
-                for entry in wheel[low.bit_length() - 1]:
-                    if entry[2] is not None and (best is None or entry[0] < best):
-                        best = entry[0]
-                if best is not None:
-                    return best
-        overflow = self._overflow
-        while overflow and overflow[0][2] is None:
-            heapq.heappop(overflow)
-            self._cancelled -= 1
-        if overflow:
-            return overflow[0][0]
+        if ready and (not queue or ready[0][0] <= queue[0][0]):
+            return ready[0][0]
+        if queue:
+            return queue[0][0]
         return None
 
     # -- running -----------------------------------------------------------
@@ -878,113 +651,55 @@ class Simulator:
         Returns the clock value at exit.  Raises :class:`SimulationError`
         if any process died of an unobserved exception.
         """
+        queue = self._queue
         ready = self._ready
+        heappop = heapq.heappop
         unhandled = self._unhandled  # only ever appended to, never rebound
         limit = float("inf") if until is None else until
-        # Local aliases are safe across callbacks: compaction mutates the
-        # ready deque and the batch in place (preserving the consumed
-        # prefix), insort grows the batch at or after the consume pointer
-        # (len() is re-read), and only _refill() rebinds self._batch —
-        # which happens nowhere but right here.
-        batch = self._batch
-        bi = self._bi
         while True:
-            if bi >= len(batch):
-                if self._refill():
-                    batch = self._batch
-                    bi = 0
-                    continue
-                # No delayed work anywhere: drain the ready deque alone.
-                if not ready:
-                    break
+            # Pick the earlier of the deque head and the heap head by
+            # (time, seq).  The deque is FIFO-sorted by construction:
+            # zero-delay entries carry the (non-decreasing) clock value
+            # at their scheduling instant plus an increasing seq.
+            if ready:
                 entry = ready[0]
-                time = entry[0]
-                if time > limit:
-                    self._now = until
-                    return until
-                ready.popleft()
-                fn = entry[2]
-                if fn is None:  # lazily cancelled
-                    self._cancelled -= 1
-                    continue
-                entry[2] = None  # consumed: a late cancel() no-ops
-                self._now = time
-                fn(*entry[3])
-                if unhandled:
-                    self._raise_unhandled()
-                continue
-            if not ready:
-                # Vectorized slot dispatch: consume the sorted batch in a
-                # tight loop.  Callbacks may append zero-delay work (break
-                # to the merge path), insort earlier-than-slot work into
-                # the batch, or trigger compaction, so the consume pointer
-                # is published before every callback.
-                while bi < len(batch):
-                    entry = batch[bi]
-                    time = entry[0]
-                    if time > limit:
-                        self._bi = bi
-                        self._now = until
-                        return until
-                    bi += 1
-                    self._bi = bi
-                    fn = entry[2]
-                    if fn is None:  # lazily cancelled
-                        self._cancelled -= 1
-                        continue
-                    entry[2] = None
-                    self._now = time
-                    fn(*entry[3])
-                    if unhandled:
-                        self._raise_unhandled()
-                    if ready:
-                        break
-                continue
-            # Merge path: pick the earlier of the deque head and the
-            # batch head by (time, seq).  The deque is FIFO-sorted by
-            # construction: zero-delay entries carry the (non-decreasing)
-            # clock value at their scheduling instant plus an increasing
-            # seq; the batch is kept sorted.
-            entry = batch[bi]
-            head = ready[0]
-            if head[0] < entry[0] or (head[0] == entry[0] and head[1] < entry[1]):
-                time = head[0]
-                if time > limit:
-                    self._now = until
-                    return until
-                ready.popleft()
-                fn = head[2]
-                if fn is None:  # lazily cancelled
-                    self._cancelled -= 1
-                    continue
-                head[2] = None
-                self._now = time
-                fn(*head[3])
+                if queue:
+                    head = queue[0]
+                    from_heap = head[0] < entry[0] or (
+                        head[0] == entry[0] and head[1] < entry[1]
+                    )
+                    if from_heap:
+                        entry = head
+                else:
+                    from_heap = False
+            elif queue:
+                entry = queue[0]
+                from_heap = True
             else:
-                time = entry[0]
-                if time > limit:
-                    self._now = until
-                    return until
-                bi += 1
-                self._bi = bi
-                fn = entry[2]
-                if fn is None:  # lazily cancelled
-                    self._cancelled -= 1
-                    continue
-                entry[2] = None
-                self._now = time
-                fn(*entry[3])
+                break
+            time = entry[0]
+            if time > limit:
+                self._now = until
+                return until
+            if from_heap:
+                heappop(queue)
+            else:
+                ready.popleft()
+            fn = entry[2]
+            if fn is None:  # lazily cancelled
+                self._cancelled -= 1
+                continue
+            entry[2] = None  # consumed: a late cancel() of this entry no-ops
+            self._now = time
+            fn(*entry[3])
             if unhandled:
-                self._raise_unhandled()
+                process, exc = unhandled[0]
+                raise SimulationError(
+                    f"process {process.name!r} died of an unhandled exception"
+                ) from exc
         if until is not None and until > self._now:
             self._now = until
         return self._now
-
-    def _raise_unhandled(self) -> None:
-        process, exc = self._unhandled[0]
-        raise SimulationError(
-            f"process {process.name!r} died of an unhandled exception"
-        ) from exc
 
     def run_until_settled(
         self, event: Event, deadline: float, step: float = 1_000.0

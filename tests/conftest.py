@@ -1,6 +1,17 @@
 """Shared test configuration (see :mod:`repro.testing` for the helpers
 this suite and the benchmark suite both use)."""
 
+import pytest
+
 from repro.testing import register_hypothesis_profile
 
 register_hypothesis_profile()
+
+
+@pytest.fixture(autouse=True)
+def postmortem_dir(tmp_path, monkeypatch):
+    """Send flight-recorder dumps to the test's tmpdir: tests that
+    provoke a ``ChaosError`` on purpose must not write into the working
+    tree's ``postmortems/``."""
+    monkeypatch.setenv("REPRO_POSTMORTEM_DIR", str(tmp_path))
+    return tmp_path

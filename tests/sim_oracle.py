@@ -1,16 +1,14 @@
-"""Reference (pre-fast-path) engine, kept verbatim for A/B validation.
+"""The schedule oracle: the all-heap engine the shipped one is checked against.
 
-This is the straightforward all-heap implementation of the simulator
-that :mod:`repro.sim.engine` optimises: one ``(time, seq, fn, args)``
-heap, list-of-callbacks events, recursive process stepping, and a
-1 ms-stepped ``run_until_settled``.  It is retained for two reasons:
-
-* **equivalence tests** (``tests/test_sim_fastpath.py``) drive identical
-  schedules through both engines and assert the traces match exactly —
-  this is the executable definition of "the fast paths are
-  byte-identical";
-* **perfbench** (:mod:`repro.bench.perfbench`) uses it as the wall-clock
-  baseline when recording the engine speedup.
+This is the straightforward implementation of the simulator that
+:mod:`repro.sim.engine` optimises: one ``(time, seq, fn, args)`` heap,
+list-of-callbacks events, recursive process stepping, no cancellation
+(``schedule`` returns nothing and ``cancel`` refuses, so a guard timer
+fires later as a no-op) and a 1 ms-stepped ``run_until_settled``.  It
+is the executable specification of the dispatch order: the tests in
+``tests/test_sim_fastpath.py`` drive identical schedules, and a whole
+Sift cluster, through both engines and require identical traces.  It
+lives with the tests because the package ships one engine.
 
 Do not optimise this module; its value is being obviously correct.
 """
@@ -252,8 +250,8 @@ class Process(Event):
             self._on_crash(exc)
             return
         # Model code builds events via `from repro.sim.engine import Event`,
-        # so when this reference loop drives it the yielded objects are
-        # fast-engine events (they are self-contained and engine-agnostic).
+        # so when this oracle loop drives it the yielded objects are
+        # shipped-engine events (they are self-contained and engine-agnostic).
         if not isinstance(target, (Event, _fast.Event)):
             self._on_crash(
                 SimulationError(
@@ -268,7 +266,7 @@ class Process(Event):
     def _step_ctx(self, send_value: Any, throw_exc: Optional[BaseException]) -> None:
         """Step the generator under this process's span context.
 
-        Mirrors the fast engine: on traced runs the tracer's ambient
+        Mirrors the shipped engine: on traced runs the tracer's ambient
         :attr:`Tracer.current` is swapped to :attr:`span` around the
         step and restored afterwards; with tracing off this is a single
         ``is None`` check in front of :meth:`_step`.

@@ -14,6 +14,8 @@ A :class:`~repro.chaos.runner.ChaosError` prints the seed and injection
 trace, so any red cell reproduces from this file alone.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.chaos import ChaosRunner, FaultSchedule, LEADER, UnsupportedFault
@@ -258,8 +260,9 @@ def test_explorer_covers_memory_node_faults_and_shrinks():
     assert [a.kind for a in minimal] == ["crash_memory_node"]
 
 
-def test_failing_cell_reports_replay_seed():
-    """A violated invariant names the seed and the injected trace."""
+def test_failing_cell_reports_replay_seed(postmortem_dir):
+    """A violated invariant names the seed, the injected trace and a
+    postmortem file that exists under the redirected directory."""
     from repro.chaos import ChaosError
 
     # Demand the impossible: both CPU nodes die and nothing restarts
@@ -270,5 +273,9 @@ def test_failing_cell_reports_replay_seed():
     )
     with pytest.raises(ChaosError) as excinfo:
         runner.run()
-    assert "seed=5" in str(excinfo.value)
-    assert "crash_node" in str(excinfo.value)
+    message = str(excinfo.value)
+    assert "seed=5" in message
+    assert "crash_node" in message
+    dumped = Path(message.split("postmortem: ", 1)[1].splitlines()[0])
+    assert dumped.is_file()
+    assert dumped.parent == postmortem_dir

@@ -4,12 +4,10 @@ Covers the ISSUE's required cases: ring-version monotonicity as a
 property suite over random split/merge sequences, linearizability under
 live key migration (concurrent recorded clients across a split and a
 merge), coordinator-failover and source-crash cells mid-migration, the
-redesigned ``Cluster.topology()/scale()/migrate()`` surface with its
-warn-once deprecation shims, the unified :class:`StatsSnapshot`
-protocol, and ring-version-aware chaos targeting.
+redesigned ``Cluster.topology()/scale()/migrate()`` surface, the
+unified :class:`StatsSnapshot` protocol, and ring-version-aware chaos
+targeting.
 """
-
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -221,21 +219,6 @@ class TestTopologyApi:
         cluster = Cluster.build("sift", seed=3, scale=SMOKE_SCALE)
         with pytest.raises(ReproError):
             cluster.scale(shards=2)
-
-    def test_deprecated_reach_ins_warn_once(self):
-        sim, fabric, service = make_service()
-        serve(sim, service)
-        import repro.compat as compat
-
-        compat._WARNED.discard(("ShardedKvService", "group"))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            service.group(service.ring.shards[0])
-            service.group(service.ring.shards[1])
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "Cluster.topology()" in str(deprecations[0].message)
 
 
 # ---------------------------------------------------------------------------

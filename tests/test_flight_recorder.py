@@ -31,12 +31,6 @@ from repro.obs.flight import (
 from repro.obs.trace import tracing
 
 
-@pytest.fixture
-def postmortem_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_POSTMORTEM_DIR", str(tmp_path))
-    return tmp_path
-
-
 def _read(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)

@@ -15,20 +15,10 @@ from repro.bench import perfbench
 from repro.bench.perfbench import check_floors, load_floors
 
 CANNED_RESULTS = {
-    "engine": {
-        "heap_churn": {"speedup": 2.1, "fast_events_per_s": 900_000.0},
-        "cascade": {"speedup": 2.4, "fast_events_per_s": 1_800_000.0},
-        "timer_churn": {"speedup": 3.5, "fast_events_per_s": 600_000.0},
-        "wheel_churn": {"speedup": 1.26, "fast_events_per_s": 210_000.0},
-    },
     "rdma_loopback": {"verbs": 4000, "wall_s": 0.1, "verbs_per_s": 40_000.0},
-    "fig5_smoke": {
-        "fast_driver_ops_per_s": 8_000.0,
-        "speedup": 1.1,
-    },
     "coalesced_fig5": {
         "simulated_speedup": 1.27,
-        "driven_speedup": 1.5,
+        "driven_speedup": 1.36,
     },
     "openloop_generator": {
         "generation_speedup": 16.0,
@@ -42,21 +32,21 @@ CANNED_RESULTS = {
 class TestCheckFloors:
     def test_all_floors_held(self):
         assert check_floors(CANNED_RESULTS, {
-            "engine.heap_churn.speedup": 1.5,
+            "openloop_generator.generation_speedup": 10.0,
             "coalesced_fig5.driven_speedup": 1.2,
         }) == []
 
     def test_violation_reports_value_and_floor(self):
         violations = check_floors(CANNED_RESULTS, {
-            "engine.heap_churn.speedup": 99.0,
+            "coalesced_fig5.driven_speedup": 99.0,
         })
-        assert violations == ["engine.heap_churn.speedup: 2.10 < floor 99.00"]
+        assert violations == ["coalesced_fig5.driven_speedup: 1.36 < floor 99.00"]
 
     def test_missing_metric_is_a_violation(self):
         """A renamed or dropped scenario must not silently pass."""
         violations = check_floors(CANNED_RESULTS, {
-            "engine.renamed_scenario.speedup": 1.0,
-            "fig5_smoke.speedup.deeper": 1.0,
+            "engine.heap_churn.speedup": 1.0,
+            "coalesced_fig5.driven_speedup.deeper": 1.0,
         })
         assert len(violations) == 2
         assert all("missing" in v for v in violations)
@@ -66,23 +56,24 @@ class TestCheckFloors:
 
     def test_violations_sorted_by_path(self):
         violations = check_floors(CANNED_RESULTS, {
-            "fig5_smoke.speedup": 9.0,
-            "engine.cascade.speedup": 9.0,
+            "openloop_generator.generation_speedup": 99.0,
+            "coalesced_fig5.simulated_speedup": 9.0,
         })
         assert [v.split(":")[0] for v in violations] == [
-            "engine.cascade.speedup", "fig5_smoke.speedup",
+            "coalesced_fig5.simulated_speedup",
+            "openloop_generator.generation_speedup",
         ]
 
 
 class TestLoadFloors:
     def test_committed_floors_file_loads(self):
-        """The file CI gates on must parse and cover the tentpole
-        scenarios."""
-        floors = load_floors()
-        assert floors["engine.heap_churn.speedup"] >= 1.5
-        assert "engine.wheel_churn.speedup" in floors
-        assert "coalesced_fig5.driven_speedup" in floors
-        assert all(isinstance(v, float) for v in floors.values())
+        """The file CI gates on must parse and hold exactly the three
+        ratios perfbench still measures."""
+        assert load_floors() == {
+            "coalesced_fig5.simulated_speedup": 1.25,
+            "coalesced_fig5.driven_speedup": 1.15,
+            "openloop_generator.generation_speedup": 10.0,
+        }
 
     def test_committed_floors_hold_on_canned_measurements(self):
         """Floors must sit at or below the measured values recorded in
@@ -101,8 +92,8 @@ class TestGateExitCodes:
     def canned_perfbench(self, monkeypatch):
         calls = {}
 
-        def fake_run_perfbench(events, rdma_verbs, repeat, **_kwargs):
-            calls.update(events=events, rdma_verbs=rdma_verbs, repeat=repeat)
+        def fake_run_perfbench(rdma_verbs, repeat, **_kwargs):
+            calls.update(rdma_verbs=rdma_verbs, repeat=repeat)
             return json.loads(json.dumps(CANNED_RESULTS))
 
         monkeypatch.setattr(perfbench, "run_perfbench", fake_run_perfbench)
@@ -117,7 +108,7 @@ class TestGateExitCodes:
         rc = perfbench.main([
             "--quick", "--gate", "--out-dir", str(tmp_path / "out"),
             "--floors", self._floors_file(
-                tmp_path, {"engine.heap_churn.speedup": 1.5}),
+                tmp_path, {"coalesced_fig5.driven_speedup": 1.15}),
         ])
         assert rc == 0
         assert "PERF-GATE OK" in capsys.readouterr().err
@@ -125,17 +116,17 @@ class TestGateExitCodes:
     def test_gate_fails_on_synthetic_regression(
         self, canned_perfbench, tmp_path, capsys
     ):
-        """Raising a floor above the measured ratio simulates an engine
+        """Raising a floor above the measured ratio simulates a
         regression; the gate must exit non-zero and name the metric."""
         rc = perfbench.main([
             "--quick", "--gate", "--out-dir", str(tmp_path / "out"),
             "--floors", self._floors_file(
-                tmp_path, {"engine.heap_churn.speedup": 50.0,
+                tmp_path, {"openloop_generator.generation_speedup": 50.0,
                            "coalesced_fig5.driven_speedup": 1.2}),
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "PERF-GATE FAIL engine.heap_churn.speedup" in err
+        assert "PERF-GATE FAIL openloop_generator.generation_speedup" in err
         # Only the regressed metric is reported.
         assert "driven_speedup" not in err.split("PERF-GATE", 1)[1]
 
@@ -147,7 +138,7 @@ class TestGateExitCodes:
             "--floors", self._floors_file(tmp_path, {}),
         ])
         assert canned_perfbench["repeat"] >= 2
-        assert canned_perfbench["events"] <= 50_000
+        assert canned_perfbench["rdma_verbs"] <= 2_000
 
     def test_no_gate_ignores_floors(self, canned_perfbench, tmp_path):
         """Without --gate the harness never reads a floors file and
