@@ -30,6 +30,7 @@ pair — can never observe stale data.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.addressing import AddressMap
@@ -301,19 +302,18 @@ class ReplicatedMemory:
             obs_state.TRACER.instant(
                 "repmem.fanout", self.sim.now, addr=addr, bytes=len(data)
             )
+        needed = self.config.quorum
         acks = []
         for n, event in self._fan_out_write(offset, data):
-            event.add_callback(lambda ev, n=n: self._note_verb(n, ev))
+            event.add_callback(partial(self._note_verb, n))
             if self.states[n] == NodeState.LIVE:
                 acks.append(event)
-        if len(acks) < self.config.quorum:
+        if len(acks) < needed:
             raise GroupUnavailable("not enough live memory nodes for quorum")
-        yield quorum(self.sim, acks, self.config.quorum)
+        yield quorum(self.sim, acks, needed)
         if obs_state.TRACER is not None:
             # Milestone: a quorum of replicas acked (closes "quorum").
-            obs_state.TRACER.instant(
-                "repmem.quorum", self.sim.now, acks=self.config.quorum
-            )
+            obs_state.TRACER.instant("repmem.quorum", self.sim.now, acks=needed)
 
     def direct_read(self, addr: int, length: int):
         """Process: unlogged raw read from one live node."""
@@ -415,7 +415,7 @@ class ReplicatedMemory:
         offset = self.wal_layout.slot_offset(index)
         live_acks = []
         for n, event in self._fan_out_write(offset, image):
-            event.add_callback(lambda ev, n=n: self._note_verb(n, ev))
+            event.add_callback(partial(self._note_verb, n))
             if self.states[n] == NodeState.LIVE:
                 live_acks.append(event)
         if len(live_acks) < self.config.quorum:
@@ -600,7 +600,7 @@ class ReplicatedMemory:
                 for n in chosen
             ]
             for n, event in zip(chosen, events):
-                event.add_callback(lambda ev, n=n: self._note_verb(n, ev))
+                event.add_callback(partial(self._note_verb, n))
             try:
                 results = yield all_of(self.sim, events)
             except RdmaError:
@@ -651,7 +651,7 @@ class ReplicatedMemory:
         return live[self._read_rr :] + live[: self._read_rr]
 
     def _note_verb(self, n: int, event: Event) -> None:
-        if event.failed:
+        if not event.ok:  # settled: this is its completion callback
             self._note_verb_failure(n, event.exception)
 
     def _note_verb_failure(self, n: int, exc: Optional[BaseException]) -> None:

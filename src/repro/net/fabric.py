@@ -73,6 +73,7 @@ class Fabric:
         if name in self.hosts:
             raise ValueError(f"duplicate host name: {name}")
         host = Host(self.sim, name, cores=cores)
+        host.fabric = self
         self.hosts[name] = host
         return host
 
@@ -154,17 +155,27 @@ class Fabric:
 
     def reachable(self, src: str, dst: str) -> bool:
         """Whether a message sent now from *src* would arrive at *dst*."""
-        # Partition state is empty in the vast majority of experiments;
-        # skip the per-call frozenset allocation unless something is cut.
-        if self._isolated or self._blocked_pairs or self._blocked_oneway:
-            if src in self._isolated or dst in self._isolated:
-                return False
-            if frozenset((src, dst)) in self._blocked_pairs:
-                return False
-            if (src, dst) in self._blocked_oneway:
-                return False
         dst_host = self.hosts.get(dst)
-        return dst_host is not None and dst_host.alive
+        return dst_host is not None and self.can_reach(src, dst_host)
+
+    def can_reach(self, src: str, dst: Host) -> bool:
+        """:meth:`reachable` for a caller that already holds the
+        destination: no lookup by name, and a host this fabric never
+        registered is refused."""
+        if dst.fabric is not self or not dst.alive:
+            return False
+        # Partition state is empty in the vast majority of experiments.
+        if self._isolated or self._blocked_pairs or self._blocked_oneway:
+            return not self._severed(src, dst.name)
+        return True
+
+    def _severed(self, src: str, dst: str) -> bool:
+        return (
+            src in self._isolated
+            or dst in self._isolated
+            or frozenset((src, dst)) in self._blocked_pairs
+            or (src, dst) in self._blocked_oneway
+        )
 
     # -- delivery ------------------------------------------------------------
 
@@ -173,22 +184,32 @@ class Fabric:
         src: Host,
         dst: Host,
         size_bytes: int,
-        on_arrival: Callable[[], Any],
+        on_arrival: Callable[..., Any],
+        *args: Any,
         latency: Optional[LatencyModel] = None,
         stream: str = "net",
+        delay: Optional[float] = None,
     ) -> bool:
-        """Schedule *on_arrival* at *dst* after a sampled latency.
+        """Schedule ``on_arrival(*args)`` at *dst* after a sampled latency.
 
-        Returns False (and delivers nothing) when the destination is
-        unreachable at send time; a destination that dies in flight
-        silently swallows the message.
+        A caller that already sampled the one-way latency (the RDMA NIC,
+        which clamps it for in-order delivery) passes it as *delay* and
+        nothing is drawn here.  Returns False (and delivers nothing)
+        when the destination is unreachable at send time; a destination
+        that dies in flight silently swallows the message.
         """
         if not src.alive:
             raise HostDown(f"send from dead host {src.name}")
-        if not self.reachable(src.name, dst.name):
+        # can_reach(), inlined: this and _arrive run once per message.
+        if dst.fabric is not self or not dst.alive:
             return False
-        model = latency or self.default_latency
-        delay = model.sample(self.rng.stream(stream), size_bytes)
+        if (
+            self._isolated or self._blocked_pairs or self._blocked_oneway
+        ) and self._severed(src.name, dst.name):
+            return False
+        if delay is None:
+            model = latency or self.default_latency
+            delay = model.sample(self.rng.stream(stream), size_bytes)
         self.messages_sent += 1
         self.bytes_sent += size_bytes
         if obs_state.REGISTRY is not None:
@@ -203,34 +224,32 @@ class Fabric:
                 bytes=size_bytes,
                 stream=stream,
             )
-        verdict = (
-            self._intercept(src.name, dst.name, size_bytes, stream)
-            if self._interceptors
-            else PASS
-        )
-        if verdict.drop:
-            # The sender believes the send succeeded; the message is lost
-            # in flight (silent, exactly like an in-flight crash).
-            self.messages_dropped += 1
-            if obs_state.REGISTRY is not None:
-                obs_state.REGISTRY.counter("net.dropped", stream=stream).inc()
-            return True
-        delay += verdict.extra_delay_us
-        # A bound method with explicit args replaces the old per-message
-        # closure (same arrival checks, one less allocation per send).
+        verdict = None
+        if self._interceptors:
+            verdict = self._intercept(src.name, dst.name, size_bytes, stream)
+            if verdict.drop:
+                # The sender believes the send succeeded; the message is
+                # lost in flight (silent, exactly like an in-flight crash).
+                self.messages_dropped += 1
+                if obs_state.REGISTRY is not None:
+                    obs_state.REGISTRY.counter("net.dropped", stream=stream).inc()
+                return True
+            delay += verdict.extra_delay_us
         self.sim.schedule(
-            delay, self._arrive, src.name, dst, dst.incarnation, on_arrival
+            delay, self._arrive, src.name, dst, dst.incarnation, on_arrival, args
         )
-        for copy in range(verdict.duplicates):
-            self.messages_duplicated += 1
-            self.sim.schedule(
-                delay + (copy + 1) * verdict.duplicate_gap_us,
-                self._arrive,
-                src.name,
-                dst,
-                dst.incarnation,
-                on_arrival,
-            )
+        if verdict is not None:
+            for copy in range(verdict.duplicates):
+                self.messages_duplicated += 1
+                self.sim.schedule(
+                    delay + (copy + 1) * verdict.duplicate_gap_us,
+                    self._arrive,
+                    src.name,
+                    dst,
+                    dst.incarnation,
+                    on_arrival,
+                    args,
+                )
         return True
 
     def _arrive(
@@ -238,13 +257,16 @@ class Fabric:
         src_name: str,
         dst: Host,
         dst_incarnation: int,
-        on_arrival: Callable[[], Any],
+        on_arrival: Callable[..., Any],
+        args: tuple,
     ) -> None:
         if not dst.alive or dst.incarnation != dst_incarnation:
             return  # crashed (or crashed+restarted) while in flight
-        if not self.reachable(src_name, dst.name):
+        if (
+            self._isolated or self._blocked_pairs or self._blocked_oneway
+        ) and self._severed(src_name, dst.name):
             return  # partition formed while in flight
-        on_arrival()
+        on_arrival(*args)
 
     def round_trip(
         self,
@@ -267,7 +289,8 @@ class Fabric:
                 dst,
                 src,
                 response_bytes,
-                lambda: done.try_trigger(None),
+                done.try_trigger,
+                None,
                 latency=latency,
                 stream=stream,
             ):

@@ -27,6 +27,9 @@ class Host:
         self.cpu = CpuPool(sim, cores, name=f"{name}.cpu")
         self.alive = True
         self.incarnation = 0
+        #: The fabric that registered this host (set by ``Fabric.add_host``);
+        #: a fabric delivers only to its own hosts.
+        self.fabric: Any = None
         self._processes: List[Process] = []
         self._prune_at = 16
         # Open attachment point for substrate components (NIC, endpoints).

@@ -74,12 +74,16 @@ class LinearLatency(LatencyModel):
         self.base_us = base_us
         self.bytes_per_us = bytes_per_us
         self.jitter = jitter
+        self._max_multiplier = 1.0 + 3.0 * jitter
 
     def sample(self, rng: random.Random, size_bytes: int = 0) -> float:
         latency = self.base_us + size_bytes / self.bytes_per_us
         if self.jitter:
             multiplier = rng.gauss(1.0, self.jitter)
-            multiplier = max(0.2, min(multiplier, 1.0 + 3.0 * self.jitter))
+            if multiplier > self._max_multiplier:
+                multiplier = self._max_multiplier
+            elif multiplier < 0.2:
+                multiplier = 0.2
             latency *= multiplier
         return latency
 

@@ -36,15 +36,60 @@ class Reply(NamedTuple):
     size_bytes: int = 64
 
 
-class _Request(NamedTuple):
-    method: str
-    payload: Any
-    respond: Callable[[Any, int], None]
-    fail: Callable[[BaseException], None]
-    #: Client-side span for the call, threaded across the wire so the
-    #: server-side handler (and everything it spawns) parents under the
-    #: same operation tree.  None when tracing is off.
-    trace: Optional[Any] = None
+class _Call:
+    """One RPC in flight: what the server sees of it (``method``,
+    ``payload``, :meth:`respond` / :meth:`fail`) and the client's
+    timeout guard (:meth:`timed_out` / :meth:`cancel_guard`)."""
+
+    __slots__ = (
+        "client", "server", "method", "payload", "done", "trace", "timeout_us", "_guard",
+    )
+
+    def __init__(self, client: "RpcClient", server: Host, method: str, payload: Any):
+        self.client = client
+        self.server = server
+        self.method = method
+        self.payload = payload
+        self.done = Event(client.host.sim)
+        #: Client-side span for the call, threaded across the wire so the
+        #: server-side handler (and everything it spawns) parents under the
+        #: same operation tree.  None when tracing is off.
+        self.trace: Optional[Any] = None
+
+    def respond(self, value: Any, size_bytes: int) -> None:
+        self._reply(size_bytes, self.done.try_trigger, value)
+
+    def fail(self, exc: BaseException) -> None:
+        self._reply(64, self.done.try_fail, exc)
+
+    def _reply(self, size_bytes: int, complete: Callable, outcome: Any) -> None:
+        client = self.client
+        client.fabric.deliver(
+            self.server,
+            client.host,
+            size_bytes,
+            complete,
+            outcome,
+            latency=client.latency,
+            stream="rpc",
+        )
+
+    def arm(self, timeout_us: float) -> None:
+        self.timeout_us = timeout_us
+        self._guard = self.client.host.sim.schedule(timeout_us, self.timed_out)
+        # Most calls complete well inside the timeout; cancelling the
+        # guard keeps thousands of dead entries out of the heap.
+        self.done.add_callback(self.cancel_guard)
+
+    def timed_out(self) -> None:
+        self.done.try_fail(RpcTimeout(f"{self.method} after {self.timeout_us}us"))
+
+    def cancel_guard(self, _event: Event) -> None:
+        self.client.host.sim.cancel(self._guard)
+
+    def finish_span(self, event: Event) -> None:
+        self.trace.annotate(ok=event.ok)
+        self.trace.finish(self.client.host.sim.now)
 
 
 class RpcEndpoint:
@@ -76,7 +121,7 @@ class RpcEndpoint:
 
     # Called by RpcClient on message arrival (host liveness already checked
     # by the fabric's delivery path).
-    def _receive(self, request: _Request) -> None:
+    def _receive(self, request: _Call) -> None:
         handler = self._handlers.get(request.method)
         if handler is None:
             return  # unknown method: silently dropped, client times out
@@ -105,7 +150,7 @@ class RpcEndpoint:
         else:
             self.host.spawn(self._serve(handler, request), name=f"rpc.{request.method}")
 
-    def _serve(self, handler: Callable[[Any], Any], request: _Request):
+    def _serve(self, handler: Callable[[Any], Any], request: _Call):
         try:
             # recv and send CPU are charged together: one queueing decision
             # per request instead of two (identical mean service time).
@@ -165,68 +210,33 @@ class RpcClient:
         send time, with :class:`RpcTimeout` when no reply arrives within
         *timeout_us*, or with the handler's own exception.
         """
-        done = Event(self.host.sim)
+        call = _Call(self, endpoint.host, method, payload)
+        done = call.done
         server = endpoint.host
-        sim = self.host.sim
+        size_bytes = self.request_overhead_bytes + payload_bytes
         if obs_state.REGISTRY is not None:
             obs_state.REGISTRY.counter("rpc.calls", method=method).inc()
-            obs_state.REGISTRY.counter("rpc.bytes", dir="tx").inc(
-                self.request_overhead_bytes + payload_bytes
-            )
-        trace = None
+            obs_state.REGISTRY.counter("rpc.bytes", dir="tx").inc(size_bytes)
         if obs_state.TRACER is not None:
-            trace = obs_state.TRACER.span(
+            call.trace = obs_state.TRACER.span(
                 f"rpc.{method}",
-                sim.now,
+                self.host.sim.now,
                 src=self.host.name,
                 dst=server.name,
-                bytes=self.request_overhead_bytes + payload_bytes,
+                bytes=size_bytes,
             )
-
-            def _finish(event: Event, _span=trace) -> None:
-                _span.annotate(ok=event.ok)
-                _span.finish(sim.now)
-
-            done.add_callback(_finish)
-
-        def respond(value: Any, size_bytes: int) -> None:
-            self.fabric.deliver(
-                server,
-                self.host,
-                size_bytes,
-                lambda: done.try_trigger(value),
-                latency=self.latency,
-                stream="rpc",
-            )
-
-        def fail(exc: BaseException) -> None:
-            self.fabric.deliver(
-                server,
-                self.host,
-                64,
-                lambda: done.try_fail(exc),
-                latency=self.latency,
-                stream="rpc",
-            )
-
-        request = _Request(method, payload, respond, fail, trace)
+            done.add_callback(call.finish_span)
         sent = self.fabric.deliver(
             self.host,
             server,
-            self.request_overhead_bytes + payload_bytes,
-            lambda: endpoint._receive(request),
+            size_bytes,
+            endpoint._receive,
+            call,
             latency=self.latency,
             stream="rpc",
         )
         if not sent:
             done.try_fail(Unreachable(f"rpc {self.host.name} -> {server.name}"))
-            return done
-        if timeout_us is not None:
-            guard = sim.schedule(
-                timeout_us,
-                lambda: done.try_fail(RpcTimeout(f"{method} after {timeout_us}us")),
-            )
-            # Most calls complete well inside the timeout; cancelling the
-            # guard keeps thousands of dead entries out of the heap.
-            done.add_callback(lambda _ev: sim.cancel(guard))
+        elif timeout_us is not None:
+            call.arm(timeout_us)
         return done

@@ -26,13 +26,13 @@ Public surface:
 * :class:`~repro.rdma.messaging.RdmaMessenger` — two-sided SEND/RECV used
   by the Raft-R baseline.
 * :class:`~repro.rdma.doorbell.DoorbellQueue` /
-  :class:`~repro.rdma.doorbell.PostedVerb` — doorbell-style verb
+  :class:`~repro.rdma.nic.PostedVerb` — doorbell-style verb
   batching: stage writes with
   :meth:`~repro.rdma.qp.QueuePair.prepare_write`, flush N of them under
   one doorbell charge with :meth:`~repro.rdma.nic.Rnic.post_many`.
 """
 
-from repro.rdma.doorbell import DoorbellQueue, PostedVerb
+from repro.rdma.doorbell import DoorbellQueue
 from repro.rdma.errors import (
     RdmaConnectionRevoked,
     RdmaError,
@@ -42,7 +42,7 @@ from repro.rdma.errors import (
 from repro.rdma.listener import RdmaListener
 from repro.rdma.memory import MemoryRegion
 from repro.rdma.messaging import RdmaMessenger
-from repro.rdma.nic import Rnic
+from repro.rdma.nic import PostedVerb, Rnic
 from repro.rdma.qp import QueuePair
 
 __all__ = [

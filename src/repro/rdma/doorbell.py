@@ -10,7 +10,7 @@ posting the same image to every memory node.
 The model here mirrors that split:
 
 * :meth:`~repro.rdma.qp.QueuePair.prepare_write` stages a WRITE without
-  touching the NIC and returns a :class:`PostedVerb`;
+  touching the NIC and returns a :class:`~repro.rdma.nic.PostedVerb`;
 * :meth:`~repro.rdma.nic.Rnic.post_many` flushes a list of prepared
   verbs under **one** ``verb_overhead_us`` charge (the doorbell), with
   the payloads serialised back-to-back at link bandwidth;
@@ -18,64 +18,22 @@ The model here mirrors that split:
   that build a flush incrementally.
 
 Per-verb delivery, remote application, acks, timeout guards and
-failure handling are exactly those of the unbatched
-:meth:`~repro.rdma.nic.Rnic.transfer` path, so RC ordering per target
-and all error semantics are unchanged — only the per-verb doorbell
-overhead is amortized.  Batching is opt-in (see
+failure handling are the same :class:`~repro.rdma.nic.PostedVerb`
+record the unbatched :meth:`~repro.rdma.nic.Rnic.transfer` issues, so
+RC ordering per target and all error semantics are unchanged — only
+the per-verb doorbell overhead is amortized.  Batching is opt-in (see
 ``SiftConfig.doorbell_batching``); with it off, simulated timings are
 bit-identical to the unbatched path.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List
 
+from repro.rdma.nic import PostedVerb, Rnic
 from repro.sim.engine import Event
 
-__all__ = ["PostedVerb", "DoorbellQueue"]
-
-
-class PostedVerb:
-    """A staged one-sided verb: everything :meth:`Rnic.post_many` needs.
-
-    ``done`` settles exactly like the event returned by
-    :meth:`Rnic.transfer` — with the verb result, an
-    :class:`~repro.rdma.errors.RdmaError` from the remote apply, or an
-    :class:`~repro.rdma.errors.RdmaTimeout`.  A verb that fails
-    validation at prepare time carries an already-failed ``done`` and
-    is skipped by the flush.
-    """
-
-    __slots__ = (
-        "target",
-        "request_bytes",
-        "response_bytes",
-        "apply_remote",
-        "verb",
-        "timeout_us",
-        "done",
-    )
-
-    def __init__(
-        self,
-        target,
-        request_bytes: int,
-        response_bytes: int,
-        apply_remote: Optional[Callable[[], object]],
-        verb: str,
-        timeout_us: Optional[float],
-        done: Event,
-    ):
-        self.target = target
-        self.request_bytes = request_bytes
-        self.response_bytes = response_bytes
-        self.apply_remote = apply_remote
-        self.verb = verb
-        self.timeout_us = timeout_us
-        self.done = done
-
-    def __repr__(self) -> str:
-        return f"<PostedVerb {self.verb} -> {self.target.name} {self.request_bytes}B>"
+__all__ = ["DoorbellQueue"]
 
 
 class DoorbellQueue:
@@ -88,7 +46,7 @@ class DoorbellQueue:
     :meth:`ring` once.
     """
 
-    def __init__(self, nic, max_posts: int = 16):
+    def __init__(self, nic: Rnic, max_posts: int = 16):
         if max_posts < 1:
             raise ValueError("max_posts must be >= 1")
         self.nic = nic

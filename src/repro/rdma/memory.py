@@ -38,7 +38,8 @@ class MemoryRegion:
 
     def read(self, offset: int, length: int) -> bytes:
         """Copy *length* bytes starting at *offset*."""
-        self._check(offset, length)
+        if offset < 0 or length < 0 or offset + length > self.size:
+            self._check(offset, length)  # raises
         page_index, page_offset = divmod(offset, PAGE_BYTES)
         if page_offset + length <= PAGE_BYTES:  # single-page fast path
             page = self._pages.get(page_index)
@@ -59,7 +60,8 @@ class MemoryRegion:
     def write(self, offset: int, data: bytes) -> None:
         """Overwrite the bytes at *offset* with *data*."""
         length = len(data)
-        self._check(offset, length)
+        if offset < 0 or offset + length > self.size:
+            self._check(offset, length)  # raises
         page_index, page_offset = divmod(offset, PAGE_BYTES)
         if page_offset + length <= PAGE_BYTES:  # single-page fast path
             page = self._pages.get(page_index)

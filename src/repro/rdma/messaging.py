@@ -38,13 +38,12 @@ class RdmaMessenger:
         propagation latency; a dead or partitioned receiver silently
         drops the message, as an errored QP would.
         """
-        def after_serialise(_event: Event) -> None:
-            if not self.host.alive:
-                return
-            self.nic.ordered_deliver(dst.host, lambda: dst._deliver(payload))
-
         cost = size_bytes / self.nic.bytes_per_us + self.nic.verb_overhead_us
-        self.nic._txq.execute(cost).add_callback(after_serialise)
+        self.nic._txq.submit(cost, self._serialised, dst, payload)
+
+    def _serialised(self, dst: "RdmaMessenger", payload: Any) -> None:
+        if self.host.alive:
+            self.nic.ordered_deliver(dst.host, dst._deliver, payload)
 
     # -- receiving ---------------------------------------------------------------
 

@@ -10,28 +10,176 @@ that is the whole point of one-sided RDMA.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.net.fabric import Fabric
 from repro.net.host import Host
-from repro.net.latency import (
-    TEN_GBE_BYTES_PER_US,
-    FixedLatency,
-    LatencyModel,
-    LinearLatency,
-)
+from repro.net.latency import TEN_GBE_BYTES_PER_US, LatencyModel, LinearLatency
 from repro.obs import state as obs_state
 from repro.rdma.errors import RdmaError, RdmaTimeout
 from repro.sim.cpu import CpuPool
 from repro.sim.engine import Event
 
-__all__ = ["Rnic", "DEFAULT_VERB_TIMEOUT_US"]
+__all__ = ["Rnic", "PostedVerb", "DEFAULT_VERB_TIMEOUT_US"]
 
 DEFAULT_VERB_TIMEOUT_US = 1_000.0
 """Retry-exhaustion budget for a verb against an unreachable peer."""
 
 DEFAULT_PROPAGATION = LinearLatency(base_us=1.5, bytes_per_us=1e12, jitter=0.05)
 """One-way switch+wire+remote-NIC latency, independent of payload size."""
+
+
+class PostedVerb:
+    """One one-sided verb, from staging to completion.
+
+    The record is the verb's whole in-flight state and its life stages
+    are its methods, scheduled as bound methods: :meth:`serialised` (left
+    the requester's transmit queue) -> :meth:`arrive` (applied at the
+    target) -> :meth:`ack_serialised` (response left the target's
+    transmit queue) -> :meth:`back` (completion at the requester), with
+    :meth:`timed_out` / :meth:`cancel_guard` as the retry-exhaustion guard
+    and its cancellation.
+
+    ``done`` triggers with the verb result or fails with the
+    :class:`~repro.rdma.errors.RdmaError` the remote apply raised or an
+    :class:`~repro.rdma.errors.RdmaTimeout`.  A verb that fails
+    validation at prepare time carries an already-failed ``done`` and is
+    skipped by :meth:`Rnic.post_many`.  *apply_remote* runs atomically
+    at the arrival instant on the target and returns the verb result.
+    """
+
+    __slots__ = (
+        "nic",
+        "target",
+        "request_bytes",
+        "response_bytes",
+        "apply_remote",
+        "verb",
+        "timeout_us",
+        "done",
+        "span",
+        "_guard",
+    )
+
+    def __init__(
+        self,
+        nic: "Rnic",
+        target: Host,
+        request_bytes: int,
+        response_bytes: int,
+        apply_remote: Optional[Callable[[], object]],
+        verb: str,
+        timeout_us: Optional[float] = None,
+    ):
+        self.nic = nic
+        self.target = target
+        self.request_bytes = request_bytes
+        self.response_bytes = response_bytes
+        self.apply_remote = apply_remote
+        self.verb = verb
+        self.timeout_us = timeout_us if timeout_us is not None else nic.timeout_us
+        self.done = Event(nic.host.sim)
+        self.span = None
+        self._guard = None
+
+    def arm(self) -> None:
+        """Arm the timeout guard and count the verb as issued."""
+        nic = self.nic
+        self._guard = nic.host.sim.schedule(self.timeout_us, self.timed_out)
+        # Completed verbs cancel their timeout guard so the heap holds
+        # only live work (one guard per in-flight verb, not per issued).
+        self.done.add_callback(self.cancel_guard)
+        nic.verbs_issued += 1
+        registry = obs_state.REGISTRY
+        if registry is not None:
+            registry.counter("rdma.verbs", type=self.verb).inc()
+            registry.counter("rdma.bytes", dir="tx").inc(self.request_bytes)
+            registry.counter("rdma.bytes", dir="rx").inc(self.response_bytes)
+
+    def timed_out(self) -> None:
+        self.done.try_fail(
+            RdmaTimeout(f"verb to {self.target.name} exceeded {self.timeout_us}us")
+        )
+
+    def cancel_guard(self, _event: Event) -> None:
+        self.nic.host.sim.cancel(self._guard)
+
+    def finish_span(self, event: Event) -> None:
+        self.span.annotate(ok=event.ok)
+        self.span.finish(self.nic.host.sim.now)
+
+    def serialised(self) -> None:
+        nic = self.nic
+        if not nic.host.alive:
+            return  # the requester died with the op still in its tx queue
+        if self.span is not None:
+            self.span.event("nic.serialised", nic.host.sim.now)
+        # Unreachable or in-flight loss is silent: the timeout fires.
+        if not self.done.settled:
+            nic.ordered_deliver(self.target, self.arrive)
+
+    def arrive(self) -> None:
+        done = self.done
+        try:
+            result = self.apply_remote()
+        except RdmaError as exc:
+            if self.span is not None:
+                self.span.event(
+                    "remote.error", self.nic.host.sim.now, error=type(exc).__name__
+                )
+            self._ack(0, done.try_fail, exc)
+            return
+        if self.span is not None:
+            self.span.event("remote.applied", self.nic.host.sim.now)
+        self._ack(self.response_bytes, done.try_trigger, result)
+
+    def _ack(self, payload_bytes: int, complete: Callable, outcome: object) -> None:
+        """Return the completion, serialising the response payload through
+        the *target's* transmit queue.
+
+        Bulk responses (recovery copy reads, WAL scans) therefore contend
+        with the workload's read responses on the memory node's egress
+        link — the resource whose saturation produces the Figure 11
+        throughput dip."""
+        nic = self.nic
+        host = nic.host
+        target = self.target
+        if not nic.fabric.can_reach(target.name, host):
+            return
+        delay = nic.propagation.sample(nic.rng, 0)
+        target_nic: Optional["Rnic"] = target.services.get("rnic")
+        if payload_bytes > 0 and target_nic is not None and target.alive:
+            target_nic._txq.submit(
+                payload_bytes / target_nic.bytes_per_us,
+                self.ack_serialised,
+                delay,
+                host.incarnation,
+                complete,
+                outcome,
+            )
+        else:
+            host.sim.schedule(
+                delay + payload_bytes / nic.bytes_per_us,
+                self.back,
+                host.incarnation,
+                complete,
+                outcome,
+            )
+
+    def ack_serialised(
+        self, delay: float, incarnation: int, complete: Callable, outcome: object
+    ) -> None:
+        if self.target.alive:
+            self.nic.host.sim.schedule(delay, self.back, incarnation, complete, outcome)
+
+    def back(self, incarnation: int, complete: Callable, outcome: object) -> None:
+        nic = self.nic
+        host = nic.host
+        if host.alive and host.incarnation == incarnation and not nic.failed:
+            complete(outcome)
+
+    def __repr__(self) -> str:
+        return f"<PostedVerb {self.verb} -> {self.target.name} {self.request_bytes}B>"
 
 
 class Rnic:
@@ -48,6 +196,7 @@ class Rnic:
     ):
         self.host = host
         self.fabric = fabric
+        self.rng = fabric.rng.stream("rdma")
         self.bytes_per_us = bytes_per_us
         self.propagation = propagation or DEFAULT_PROPAGATION
         self.verb_overhead_us = verb_overhead_us
@@ -85,7 +234,7 @@ class Rnic:
         self.failed = False
 
     def ordered_deliver(
-        self, target: Host, on_arrival: Callable[[], None]
+        self, target: Host, on_arrival: Callable[..., None], *args
     ) -> None:
         """Deliver with RC in-order semantics toward *target*.
 
@@ -95,18 +244,14 @@ class Rnic:
         """
         if not self.host.alive or self.failed:
             return
-        sim = self.host.sim
-        rng = self.fabric.rng.stream("rdma")
-        delay = self.propagation.sample(rng, 0)
-        arrival = max(sim.now + delay, self._last_arrival.get(target.name, 0.0))
+        now = self.host.sim.now
+        arrival = now + self.propagation.sample(self.rng, 0)
+        last = self._last_arrival.get(target.name, 0.0)
+        if last > arrival:
+            arrival = last
         self._last_arrival[target.name] = arrival
         self.fabric.deliver(
-            self.host,
-            target,
-            0,
-            on_arrival,
-            latency=FixedLatency(arrival - sim.now),
-            stream="rdma",
+            self.host, target, 0, on_arrival, *args, stream="rdma", delay=arrival - now
         )
 
     def transfer(
@@ -126,97 +271,59 @@ class Rnic:
         the result or fails with the error / :class:`RdmaTimeout`.
         *verb* labels the transfer for observability (read / write / cas).
         """
-        sim = self.host.sim
-        done = Event(sim)
-        budget = timeout_us if timeout_us is not None else self.timeout_us
-        guard = sim.schedule(
-            budget,
-            lambda: done.try_fail(
-                RdmaTimeout(f"verb to {target.name} exceeded {budget}us")
-            ),
-        )
-        # Completed verbs cancel their timeout guard so the heap holds
-        # only live work (one guard per in-flight verb, not per issued).
-        done.add_callback(lambda _ev: sim.cancel(guard))
-        self.verbs_issued += 1
-        if obs_state.REGISTRY is not None:
-            registry = obs_state.REGISTRY
-            registry.counter("rdma.verbs", type=verb).inc()
-            registry.counter("rdma.bytes", dir="tx").inc(request_bytes)
-            registry.counter("rdma.bytes", dir="rx").inc(response_bytes)
-        span = None
-        if obs_state.TRACER is not None:
-            span = obs_state.TRACER.span(
-                f"rdma.{verb}",
-                sim.now,
-                src=self.host.name,
-                dst=target.name,
-                req_bytes=request_bytes,
-                resp_bytes=response_bytes,
+        return self.post(
+            PostedVerb(
+                self, target, request_bytes, response_bytes, apply_remote, verb, timeout_us
             )
+        )
 
-            def _finish(event: Event, _span=span) -> None:
-                _span.annotate(ok=event.ok)
-                _span.finish(sim.now)
-
-            done.add_callback(_finish)
-
-        def after_serialise(_event: Event) -> None:
-            if not self.host.alive:
-                return  # the requester died with the op still in its tx queue
-            if span is not None:
-                span.event("nic.serialised", sim.now)
-            if not done.settled:
-                self._propagate(
-                    target, request_bytes, response_bytes, apply_remote, done, span
-                )
-
-        serialise_cost = request_bytes / self.bytes_per_us + self.verb_overhead_us
-        self._txq.execute(serialise_cost).add_callback(after_serialise)
+    def post(self, staged: PostedVerb) -> Event:
+        """Issue one staged verb under its own doorbell; returns its
+        ``done``.  A verb already refused at staging is not issued."""
+        done = staged.done
+        if done.settled:
+            return done
+        staged.arm()
+        if obs_state.TRACER is not None:
+            staged.span = obs_state.TRACER.span(
+                f"rdma.{staged.verb}",
+                self.host.sim.now,
+                src=self.host.name,
+                dst=staged.target.name,
+                req_bytes=staged.request_bytes,
+                resp_bytes=staged.response_bytes,
+            )
+            done.add_callback(staged.finish_span)
+        self._txq.submit(
+            staged.request_bytes / self.bytes_per_us + self.verb_overhead_us,
+            staged.serialised,
+        )
         return done
 
-    def post_many(self, posts) -> "list[Event]":
-        """Flush prepared verbs (:class:`~repro.rdma.doorbell.PostedVerb`)
-        in one doorbell.
+    def post_many(self, posts: Sequence[PostedVerb]) -> List[Event]:
+        """Flush prepared verbs (:meth:`QueuePair.prepare_write`) in one
+        doorbell.
 
         The whole batch pays ``verb_overhead_us`` **once** — that is the
         doorbell/PCIe cost — and the payloads serialise back-to-back at
         link bandwidth through the same FIFO transmit queue as unbatched
-        verbs.  Everything after serialisation (per-target in-order
-        delivery, remote apply, acks, timeout guards) is the unbatched
-        :meth:`transfer` machinery per post, so error and ordering
-        semantics are identical.  Posts whose ``done`` is already
-        settled (failed validation) are skipped.
+        verbs.  Each post is the same :class:`PostedVerb` record
+        :meth:`transfer` issues (guard, per-target in-order delivery,
+        remote apply, ack), so error and ordering semantics are
+        identical.  Posts whose ``done`` is already settled (failed
+        validation) are skipped.
         """
-        sim = self.host.sim
-        registry = obs_state.REGISTRY
-        live = []
-        total_request_bytes = 0
-        for post in posts:
-            done = post.done
-            if done.settled:
-                continue
-            target = post.target
-            budget = post.timeout_us if post.timeout_us is not None else self.timeout_us
-            guard = sim.schedule(
-                budget,
-                lambda done=done, target=target, budget=budget: done.try_fail(
-                    RdmaTimeout(f"verb to {target.name} exceeded {budget}us")
-                ),
-            )
-            done.add_callback(lambda _ev, guard=guard: sim.cancel(guard))
-            self.verbs_issued += 1
-            if registry is not None:
-                registry.counter("rdma.verbs", type=post.verb).inc()
-                registry.counter("rdma.bytes", dir="tx").inc(post.request_bytes)
-                registry.counter("rdma.bytes", dir="rx").inc(post.response_bytes)
-            total_request_bytes += post.request_bytes
-            live.append(post)
+        live = [post for post in posts if not post.done.settled]
         if not live:
             return [post.done for post in posts]
-        if registry is not None:
-            registry.counter("rdma.doorbells").inc()
-            registry.counter("rdma.doorbell_posts").inc(len(live))
+        sim = self.host.sim
+        total_request_bytes = 0
+        for post in live:
+            post.arm()
+            total_request_bytes += post.request_bytes
+        if obs_state.REGISTRY is not None:
+            obs_state.REGISTRY.counter("rdma.doorbells").inc()
+            obs_state.REGISTRY.counter("rdma.doorbell_posts").inc(len(live))
         span = None
         if obs_state.TRACER is not None:
             span = obs_state.TRACER.span(
@@ -226,8 +333,10 @@ class Rnic:
                 posts=len(live),
                 req_bytes=total_request_bytes,
             )
+            for post in live:
+                post.span = span  # remote.applied / remote.error land on it
 
-        def after_serialise(_event: Event) -> None:
+        def flushed() -> None:
             if not self.host.alive:
                 return  # the requester died with the flush still queued
             if span is not None:
@@ -237,78 +346,9 @@ class Rnic:
                 span.finish(sim.now)
             for post in live:
                 if not post.done.settled:
-                    self._propagate(
-                        post.target,
-                        post.request_bytes,
-                        post.response_bytes,
-                        post.apply_remote,
-                        post.done,
-                        span,
-                    )
+                    self.ordered_deliver(post.target, post.arrive)
 
-        serialise_cost = (
-            total_request_bytes / self.bytes_per_us + self.verb_overhead_us
+        self._txq.submit(
+            total_request_bytes / self.bytes_per_us + self.verb_overhead_us, flushed
         )
-        self._txq.execute(serialise_cost).add_callback(after_serialise)
         return [post.done for post in posts]
-
-    def _propagate(
-        self,
-        target: Host,
-        request_bytes: int,
-        response_bytes: int,
-        apply_remote: Callable[[], object],
-        done: Event,
-        span=None,
-    ) -> None:
-        sim = self.host.sim
-
-        def arrive() -> None:
-            try:
-                result = apply_remote()
-            except RdmaError as exc:
-                # Bind the exception eagerly: Python clears the except-clause
-                # variable when the block exits, before the ack fires.
-                error = exc
-                if span is not None:
-                    span.event("remote.error", sim.now, error=type(error).__name__)
-                self._ack(target, 0, lambda: done.try_fail(error))
-                return
-            if span is not None:
-                span.event("remote.applied", sim.now)
-            self._ack(target, response_bytes, lambda: done.try_trigger(result))
-
-        # Unreachable or in-flight loss is silent: the timeout fires.
-        self.ordered_deliver(target, arrive)
-
-    def _ack(self, target: Host, payload_bytes: int, complete: Callable[[], None]) -> None:
-        """Return the completion, serialising the response payload through
-        the *target's* transmit queue.
-
-        Bulk responses (recovery copy reads, WAL scans) therefore contend
-        with the workload's read responses on the memory node's egress
-        link — the resource whose saturation produces the Figure 11
-        throughput dip."""
-        model = self.propagation
-        rng = self.fabric.rng.stream("rdma")
-        src_incarnation = self.host.incarnation
-
-        def back() -> None:
-            if self.host.alive and self.host.incarnation == src_incarnation and not self.failed:
-                complete()
-
-        if not self.fabric.reachable(target.name, self.host.name):
-            return
-        delay = model.sample(rng, 0)
-        target_nic: Optional["Rnic"] = target.services.get("rnic")
-        if payload_bytes > 0 and target_nic is not None and target.alive:
-            cost = payload_bytes / target_nic.bytes_per_us
-
-            def after_serialise(_event: Event) -> None:
-                if target.alive:
-                    self.host.sim.schedule(delay, back)
-
-            target_nic._txq.execute(cost).add_callback(after_serialise)
-        else:
-            extra = payload_bytes / self.bytes_per_us
-            self.host.sim.schedule(delay + extra, back)

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
+from functools import partial
 from typing import Iterable, Optional, Tuple
 
-from repro.rdma.doorbell import PostedVerb
 from repro.rdma.errors import RdmaConnectionRevoked, RdmaError
 from repro.rdma.listener import RdmaListener
-from repro.rdma.nic import Rnic
+from repro.rdma.memory import MemoryRegion
+from repro.rdma.nic import PostedVerb, Rnic
 from repro.sim.engine import Event
 
 __all__ = ["QueuePair", "QpState"]
@@ -103,12 +104,11 @@ class QueuePair:
 
     def read(self, region_name: str, offset: int, length: int) -> Event:
         """One-sided READ of *length* bytes; event value is the payload."""
-        return self._post(
-            region_name,
-            request_bytes=ACK_WIRE_BYTES,
-            response_bytes=length,
-            apply=lambda region: region.read(offset, length),
-            verb="read",
+        return self.nic.post(
+            self._stage(
+                region_name, ACK_WIRE_BYTES, length, "read", None,
+                MemoryRegion.read, offset, length,
+            )
         )
 
     def write(
@@ -126,13 +126,11 @@ class QueuePair:
         budget sized for request/response traffic.
         """
         payload = bytes(data)
-        return self._post(
-            region_name,
-            request_bytes=len(payload),
-            response_bytes=ACK_WIRE_BYTES,
-            apply=lambda region: region.write(offset, payload),
-            verb="write",
-            timeout_us=timeout_us,
+        return self.nic.post(
+            self._stage(
+                region_name, len(payload), ACK_WIRE_BYTES, "write", timeout_us,
+                MemoryRegion.write, offset, payload,
+            )
         )
 
     def prepare_write(
@@ -146,104 +144,75 @@ class QueuePair:
 
         Validation (connection state, region grant) happens now, exactly
         as :meth:`write` would; a rejected verb returns a
-        :class:`~repro.rdma.doorbell.PostedVerb` whose ``done`` event is
+        :class:`~repro.rdma.nic.PostedVerb` whose ``done`` event is
         already failed, which :meth:`~repro.rdma.nic.Rnic.post_many`
         skips.  The staged verb only consumes simulated resources when
         the doorbell rings.
         """
         payload = bytes(data)
-        done = Event(self.nic.host.sim)
-        if self.state is not QpState.CONNECTED:
-            done.fail(self._state_error())
-            return PostedVerb(
-                self.target, len(payload), ACK_WIRE_BYTES, None, "write", timeout_us, done
-            )
-        if region_name not in self.granted:
-            done.fail(RdmaError(f"{self.name}: region {region_name!r} not granted"))
-            return PostedVerb(
-                self.target, len(payload), ACK_WIRE_BYTES, None, "write", timeout_us, done
-            )
-
-        def apply_remote():
-            if self._remote_incarnation != self.target.incarnation:
-                raise RdmaError(f"{self.name}: stale connection (peer rebooted)")
-            if self.state is QpState.REVOKED:
-                raise RdmaConnectionRevoked(f"{self.name}: connection revoked")
-            if self.state is not QpState.CONNECTED:
-                raise self._state_error()
-            region = self.listener.lookup(region_name)
-            return region.write(offset, payload)
-
-        return PostedVerb(
-            self.target,
-            len(payload),
-            ACK_WIRE_BYTES,
-            apply_remote,
-            "write",
-            timeout_us,
-            done,
+        return self._stage(
+            region_name, len(payload), ACK_WIRE_BYTES, "write", timeout_us,
+            MemoryRegion.write, offset, payload,
         )
 
     def cas(self, region_name: str, offset: int, expected: int, new: int) -> Event:
         """One-sided 64-bit CAS; event value is the previous word."""
-        return self._post(
-            region_name,
-            request_bytes=CAS_WIRE_BYTES,
-            response_bytes=ACK_WIRE_BYTES,
-            apply=lambda region: region.compare_and_swap(offset, expected, new),
-            verb="cas",
+        return self.nic.post(
+            self._stage(
+                region_name, CAS_WIRE_BYTES, ACK_WIRE_BYTES, "cas", None,
+                MemoryRegion.compare_and_swap, offset, expected, new,
+            )
         )
 
     def read_word(self, region_name: str, offset: int) -> Event:
         """One-sided 8-byte READ returning an integer (heartbeat reads)."""
-        return self._post(
-            region_name,
-            request_bytes=ACK_WIRE_BYTES,
-            response_bytes=8,
-            apply=lambda region: region.read_word(offset),
-            verb="read_word",
+        return self.nic.post(
+            self._stage(
+                region_name, ACK_WIRE_BYTES, 8, "read_word", None,
+                MemoryRegion.read_word, offset,
+            )
         )
 
     # -- mechanics ---------------------------------------------------------------
 
-    def _post(
+    def _stage(
         self,
         region_name: str,
         request_bytes: int,
         response_bytes: int,
-        apply,
-        verb: str = "verb",
-        timeout_us: Optional[float] = None,
-    ) -> Event:
-        if self.state is not QpState.CONNECTED:
-            failed = Event(self.nic.host.sim)
-            failed.fail(self._state_error())
-            return failed
-        if region_name not in self.granted:
-            failed = Event(self.nic.host.sim)
-            failed.fail(
-                RdmaError(f"{self.name}: region {region_name!r} not granted")
-            )
-            return failed
-
-        def apply_remote():
-            if self._remote_incarnation != self.target.incarnation:
-                raise RdmaError(f"{self.name}: stale connection (peer rebooted)")
-            if self.state is QpState.REVOKED:
-                raise RdmaConnectionRevoked(f"{self.name}: connection revoked")
-            if self.state is not QpState.CONNECTED:
-                raise self._state_error()
-            region = self.listener.lookup(region_name)
-            return apply(region)
-
-        return self.nic.transfer(
-            self.target,
+        verb: str,
+        timeout_us: Optional[float],
+        op,
+        *args,
+    ) -> PostedVerb:
+        """The verb ``op(region, *args)`` as an unposted record; refused
+        here (``done`` already failed) when the connection or the grant
+        would refuse it."""
+        post = PostedVerb(
+            self.nic,
+            self.listener.host,
             request_bytes,
             response_bytes,
-            apply_remote,
-            timeout_us=timeout_us,
-            verb=verb,
+            partial(self._apply, region_name, op, *args),
+            verb,
+            timeout_us,
         )
+        if self.state is not QpState.CONNECTED:
+            post.done.fail(self._state_error())
+        elif region_name not in self.granted:
+            post.done.fail(RdmaError(f"{self.name}: region {region_name!r} not granted"))
+        return post
+
+    def _apply(self, region_name: str, op, *args):
+        """Runs at the target at the arrival instant: the fencing checks
+        the remote NIC would make, then the verb itself."""
+        if self._remote_incarnation != self.listener.host.incarnation:
+            raise RdmaError(f"{self.name}: stale connection (peer rebooted)")
+        if self.state is QpState.REVOKED:
+            raise RdmaConnectionRevoked(f"{self.name}: connection revoked")
+        if self.state is not QpState.CONNECTED:
+            raise self._state_error()
+        return op(self.listener.lookup(region_name), *args)
 
     def _state_error(self) -> RdmaError:
         if self.state is QpState.REVOKED:

@@ -11,7 +11,7 @@ and the normalized-performance provisioning in Table 2.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Tuple
+from typing import Callable, Deque, Tuple
 
 from repro.obs import state as obs_state
 from repro.sim.engine import Event, SimulationError, Simulator
@@ -29,7 +29,7 @@ class CpuPool:
         self.cores = cores
         self.name = name
         self._busy = 0
-        self._waiting: Deque[Tuple[float, Event]] = deque()
+        self._waiting: Deque[Tuple[float, Callable, tuple]] = deque()
         self._busy_time = 0.0  # accumulated core-microseconds of service
 
     def execute(self, cost: float) -> Event:
@@ -39,9 +39,23 @@ class CpuPool:
         callers can charge optional costs unconditionally.
         """
         done = Event(self.sim)
-        if obs_state.REGISTRY is not None and cost > 0.0:
+        self.submit(cost, done.try_trigger, None)
+        return done
+
+    def submit(self, cost: float, fn: Callable, *args) -> None:
+        """Charge *cost* core-microseconds, then call ``fn(*args)``.
+
+        The one completion path: :meth:`execute` is this with an
+        :class:`Event`'s ``try_trigger``; callers that only need a
+        continuation (the NIC transmit queues) pass it directly and
+        allocate no event.  Zero-cost work calls *fn* before returning.
+        """
+        if cost <= 0.0:
+            fn(*args)
+            return
+        if obs_state.REGISTRY is not None:
             obs_state.REGISTRY.counter("cpu.core_us", pool=self.name).inc(cost)
-        if obs_state.TRACER is not None and cost > 0.0:
+        if obs_state.TRACER is not None:
             obs_state.TRACER.instant(
                 "cpu.execute",
                 self.sim.now,
@@ -49,26 +63,23 @@ class CpuPool:
                 cost_us=cost,
                 queued=len(self._waiting),
             )
-        if cost <= 0.0:
-            done.trigger(None)
-            return done
         if self._busy < self.cores:
-            self._start(cost, done)
+            self._busy += 1
+            self._busy_time += cost
+            self.sim.schedule(cost, self._finish, fn, args)
         else:
-            self._waiting.append((cost, done))
-        return done
+            self._waiting.append((cost, fn, args))
 
-    def _start(self, cost: float, done: Event) -> None:
-        self._busy += 1
-        self._busy_time += cost
-        self.sim.schedule(cost, self._finish, done)
-
-    def _finish(self, done: Event) -> None:
-        self._busy -= 1
+    def _finish(self, fn: Callable, args: tuple) -> None:
+        # The freed core takes the next waiter before the finished
+        # task's continuation runs (it may enqueue more work).
         if self._waiting:
-            cost, next_done = self._waiting.popleft()
-            self._start(cost, next_done)
-        done.try_trigger(None)
+            cost, next_fn, next_args = self._waiting.popleft()
+            self._busy_time += cost
+            self.sim.schedule(cost, self._finish, next_fn, next_args)
+        else:
+            self._busy -= 1
+        fn(*args)
 
     # -- introspection -----------------------------------------------------
 

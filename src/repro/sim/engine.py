@@ -32,8 +32,8 @@ is pinned by ``tests/test_sim_fastpath.py``):
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.obs import state as obs_state
@@ -71,33 +71,26 @@ class Event:
     callbacks directly with :meth:`add_callback`.
     """
 
-    __slots__ = ("sim", "_callback", "_callbacks", "_settled", "_ok", "_value", "_exc")
+    __slots__ = ("sim", "_callback", "_callbacks", "settled", "ok", "_value", "_exc")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self._callback: Optional[Callable[["Event"], None]] = None
         self._callbacks: Optional[List[Callable[["Event"], None]]] = None
-        self._settled = False
-        self._ok = False
+        #: True once the event has triggered or failed (read-only for
+        #: callers; a plain attribute because every hot path reads it).
+        self.settled = False
+        #: True once the event has triggered (settled successfully).
+        self.ok = False
         self._value: Any = None
         self._exc: Optional[BaseException] = None
 
     # -- state -----------------------------------------------------------
 
     @property
-    def settled(self) -> bool:
-        """True once the event has triggered or failed."""
-        return self._settled
-
-    @property
-    def ok(self) -> bool:
-        """True if the event settled successfully."""
-        return self._settled and self._ok
-
-    @property
     def failed(self) -> bool:
         """True if the event settled with an exception."""
-        return self._settled and not self._ok
+        return self.settled and not self.ok
 
     @property
     def value(self) -> Any:
@@ -118,10 +111,10 @@ class Event:
 
     def trigger(self, value: Any = None) -> "Event":
         """Settle the event successfully with *value*."""
-        if self._settled:
+        if self.settled:
             raise SimulationError("event already settled")
-        self._settled = True
-        self._ok = True
+        self.settled = True
+        self.ok = True
         self._value = value
         cb = self._callback
         if cb is not None:
@@ -136,12 +129,12 @@ class Event:
 
     def fail(self, exc: BaseException) -> "Event":
         """Settle the event with an exception; waiters will have it raised."""
-        if self._settled:
+        if self.settled:
             raise SimulationError("event already settled")
         if not isinstance(exc, BaseException):
             raise SimulationError("fail() requires an exception instance")
-        self._settled = True
-        self._ok = False
+        self.settled = True
+        self.ok = False
         self._exc = exc
         cb = self._callback
         if cb is not None:
@@ -156,10 +149,10 @@ class Event:
 
     def try_trigger(self, value: Any = None) -> bool:
         """Trigger unless already settled; returns whether it took effect."""
-        if self._settled:
+        if self.settled:
             return False
-        self._settled = True
-        self._ok = True
+        self.settled = True
+        self.ok = True
         self._value = value
         cb = self._callback
         if cb is not None:
@@ -174,7 +167,7 @@ class Event:
 
     def try_fail(self, exc: BaseException) -> bool:
         """Fail unless already settled; returns whether it took effect."""
-        if self._settled:
+        if self.settled:
             return False
         self.fail(exc)
         return True
@@ -183,7 +176,7 @@ class Event:
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         """Invoke *fn(event)* when the event settles (immediately if it has)."""
-        if self._settled:
+        if self.settled:
             fn(self)
         elif self._callback is None:
             self._callback = fn
@@ -234,7 +227,7 @@ class Timeout(Event):
         timeout may cancel it: waiters attached to a cancelled timeout
         are never woken.  Cancelling a settled timeout is a no-op.
         """
-        if self._settled:
+        if self.settled:
             return False
         entry = self._entry
         self._entry = None
@@ -242,8 +235,8 @@ class Timeout(Event):
             return False
         # Mark settled so a later explicit trigger/fail raises loudly and
         # `settled` reads as "this timer will never fire".
-        self._settled = True
-        self._ok = False
+        self.settled = True
+        self.ok = False
         self._exc = self._CANCELLED
         self._callback = None
         self._callbacks = None
@@ -279,7 +272,7 @@ class Process(Event):
     @property
     def alive(self) -> bool:
         """True while the generator has not finished."""
-        return not self._settled
+        return not self.settled
 
     def kill(self, reason: str = "killed") -> None:
         """Throw :class:`ProcessKilled` into the process.
@@ -289,7 +282,7 @@ class Process(Event):
         joiners must be prepared to handle; a killed process that nobody is
         joined on is cleaned up silently.
         """
-        if self._settled:
+        if self.settled:
             return
         self._waiting_on = None
         try:
@@ -303,16 +296,16 @@ class Process(Event):
             pass
         finally:
             self._gen.close()
-        if not self._settled:
-            self._settled = True
-            self._ok = False
+        if not self.settled:
+            self.settled = True
+            self.ok = False
             self._exc = ProcessKilled(reason)
             self._dispatch()
 
     # -- generator driving -------------------------------------------------
 
     def _step(self, send_value: Any, throw_exc: Optional[BaseException]) -> None:
-        if self._settled:  # killed while a resume was already scheduled
+        if self.settled:  # killed while a resume was already scheduled
             return
         # Iterative stepping: a chain of already-settled targets (cache
         # hits, zero-cost CPU charges) resumes in a loop instead of
@@ -330,9 +323,9 @@ class Process(Event):
                 self.try_trigger(stop.value)
                 return
             except ProcessKilled:
-                if not self._settled:
-                    self._settled = True
-                    self._ok = False
+                if not self.settled:
+                    self.settled = True
+                    self.ok = False
                     self._exc = ProcessKilled("killed")
                     self._dispatch()
                 return
@@ -347,8 +340,8 @@ class Process(Event):
                     )
                 )
                 return
-            if target._settled:
-                if target._ok:
+            if target.settled:
+                if target.ok:
                     send_value, throw_exc = target._value, None
                 else:
                     send_value, throw_exc = None, target._exc
@@ -383,23 +376,23 @@ class Process(Event):
             tracer.current = prev
 
     def _resume(self, event: Event) -> None:
-        if self._settled:
+        if self.settled:
             return
         if event is not self._waiting_on:
             return  # stale callback from an event we no longer wait on
         if obs_state.TRACER is not None:
-            if event._ok:
+            if event.ok:
                 self._step_ctx(event._value, None)
             else:
                 self._step_ctx(None, event._exc)
-        elif event._ok:
+        elif event.ok:
             self._step(event._value, None)
         else:
             self._step(None, event._exc)
 
     def _on_crash(self, exc: BaseException) -> None:
-        self._settled = True
-        self._ok = False
+        self.settled = True
+        self.ok = False
         self._exc = exc
         if obs_state.TRACER is not None:
             obs_state.TRACER.instant(
@@ -429,9 +422,9 @@ class AnyOf(Event):
             event.add_callback(lambda ev, i=index: self._child_settled(i, ev))
 
     def _child_settled(self, index: int, event: Event) -> None:
-        if self._settled:
+        if self.settled:
             return
-        if event._ok:
+        if event.ok:
             self.try_trigger((index, event._value))
         else:
             self.try_fail(event._exc)
@@ -454,9 +447,9 @@ class AllOf(Event):
             event.add_callback(self._child_settled)
 
     def _child_settled(self, event: Event) -> None:
-        if self._settled:
+        if self.settled:
             return
-        if not event._ok:
+        if not event.ok:
             self.try_fail(event._exc)
             self.events = ()
             return
@@ -504,14 +497,17 @@ class QuorumEvent(Event):
             raise SimulationError(
                 f"quorum of {needed} impossible with {self._total} events"
             )
-        for index, event in enumerate(self.events):
-            event.add_callback(lambda ev, i=index: self._child_settled(i, ev))
+        child_settled = self._child_settled
+        for event in self.events:
+            event.add_callback(child_settled)
 
-    def _child_settled(self, index: int, event: Event) -> None:
-        if self._settled:
+    def _child_settled(self, event: Event) -> None:
+        if self.settled:
             return
-        if event._ok:
-            self._successes.append((index, event._value))
+        if event.ok:
+            # The child's position is looked up, not captured per child:
+            # quorums are a handful of distinct events.
+            self._successes.append((self.events.index(event), event._value))
             if len(self._successes) >= self.needed:
                 self.events = ()  # late completions only see the settled check
                 self.trigger(list(self._successes))
@@ -538,17 +534,13 @@ class Simulator:
     _COMPACT_MIN = 512
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current virtual time in microseconds (advanced only by run()).
+        self.now = 0.0
         self._seq = 0
         self._queue: List[list] = []
         self._ready: "deque[list]" = deque()
         self._cancelled = 0
         self._unhandled: List[Tuple[Process, BaseException]] = []
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in microseconds."""
-        return self._now
 
     # -- scheduling --------------------------------------------------------
 
@@ -560,13 +552,13 @@ class Simulator:
         """
         self._seq = seq = self._seq + 1
         if delay == 0.0:
-            entry = [self._now, seq, fn, args]
+            entry = [self.now, seq, fn, args]
             self._ready.append(entry)
         else:
             if delay < 0:
                 raise SimulationError(f"cannot schedule in the past (delay={delay})")
-            entry = [self._now + delay, seq, fn, args]
-            heapq.heappush(self._queue, entry)
+            entry = [self.now + delay, seq, fn, args]
+            heappush(self._queue, entry)
         return entry
 
     def cancel(self, entry: Optional[list]) -> bool:
@@ -599,7 +591,7 @@ class Simulator:
         """
         queue = self._queue
         queue[:] = [e for e in queue if e[2] is not None]
-        heapq.heapify(queue)
+        heapify(queue)
         live = [e for e in self._ready if e[2] is not None]
         self._ready.clear()
         self._ready.extend(live)
@@ -619,7 +611,7 @@ class Simulator:
         tracer = obs_state.TRACER
         if tracer is not None:
             process.span = tracer.current
-            tracer.instant("proc.spawn", self._now, process=process.name)
+            tracer.instant("proc.spawn", self.now, process=process.name)
         return process
 
     # -- introspection -----------------------------------------------------
@@ -631,7 +623,7 @@ class Simulator:
         """
         queue = self._queue
         while queue and queue[0][2] is None:
-            heapq.heappop(queue)
+            heappop(queue)
             self._cancelled -= 1
         ready = self._ready
         while ready and ready[0][2] is None:
@@ -653,7 +645,7 @@ class Simulator:
         """
         queue = self._queue
         ready = self._ready
-        heappop = heapq.heappop
+        pop = heappop
         unhandled = self._unhandled  # only ever appended to, never rebound
         limit = float("inf") if until is None else until
         while True:
@@ -679,10 +671,10 @@ class Simulator:
                 break
             time = entry[0]
             if time > limit:
-                self._now = until
+                self.now = until
                 return until
             if from_heap:
-                heappop(queue)
+                pop(queue)
             else:
                 ready.popleft()
             fn = entry[2]
@@ -690,16 +682,16 @@ class Simulator:
                 self._cancelled -= 1
                 continue
             entry[2] = None  # consumed: a late cancel() of this entry no-ops
-            self._now = time
+            self.now = time
             fn(*entry[3])
             if unhandled:
                 process, exc = unhandled[0]
                 raise SimulationError(
                     f"process {process.name!r} died of an unhandled exception"
                 ) from exc
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
 
     def run_until_settled(
         self, event: Event, deadline: float, step: float = 1_000.0
@@ -719,8 +711,8 @@ class Simulator:
         value observed by callers when the event settles is bit-identical
         to the reference behaviour.
         """
-        while not event._settled and self._now < deadline:
-            target = min(self._now + step, deadline)
+        while not event.settled and self.now < deadline:
+            target = min(self.now + step, deadline)
             nxt = self.next_event_time()
             if nxt is None:
                 # Nothing queued: no callback can ever settle the event,
@@ -733,7 +725,7 @@ class Simulator:
                 while target < nxt and target < deadline:
                     target = min(target + step, deadline)
             self.run(until=target)
-        return event._settled
+        return event.settled
 
     def run_process(self, gen: ProcessGenerator, name: str = "") -> Any:
         """Spawn *gen*, run the simulation, and return the process result."""

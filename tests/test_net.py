@@ -56,6 +56,19 @@ class TestLatencyModels:
         mean = sum(samples) / len(samples)
         assert 9.5 <= mean <= 10.5
 
+    def test_linear_jitter_clamp_matches_the_min_max_form(self):
+        """The two compares against the precomputed cap are the old
+        ``max(0.2, min(m, 1 + 3*jitter))``, draw for draw."""
+        model = LinearLatency(base_us=10.0, bytes_per_us=1e9, jitter=0.5)
+        rng, mirror = random.Random(3), random.Random(3)
+        clipped = 0
+        for _ in range(2000):
+            multiplier = mirror.gauss(1.0, 0.5)
+            expected = 10.0 * max(0.2, min(multiplier, 1.0 + 3.0 * 0.5))
+            clipped += expected != 10.0 * multiplier
+            assert model.sample(rng, 0) == expected
+        assert clipped > 20  # both bounds were exercised: 0.2 is 1.6 sigma away
+
     def test_linear_validation(self):
         with pytest.raises(ValueError):
             LinearLatency(base_us=-1)
@@ -186,6 +199,31 @@ class TestFabricDelivery:
         sim.schedule(5.0, fabric.block, "a", "b")
         sim.run()
         assert got == []
+
+    def test_unregistered_host_is_refused(self, sim, fabric):
+        """The hot path checks the destination it already holds instead
+        of looking it up by name; a host this fabric never registered
+        (here: one of another fabric, same name) is still refused."""
+        a = fabric.add_host("a")
+        fabric.add_host("b")
+        stranger = Fabric(sim).add_host("b")
+        assert stranger.alive
+        assert not fabric.deliver(a, stranger, 0, lambda: pytest.fail("delivered"))
+        assert not fabric.can_reach("a", stranger)
+        assert not fabric.reachable("a", "nobody")
+        assert fabric.reachable("a", "b")
+        assert fabric.messages_sent == 0
+
+    def test_given_delay_is_used_and_nothing_is_drawn(self, sim, fabric):
+        a = fabric.add_host("a")
+        b = fabric.add_host("b")
+        got = []
+        state = fabric.rng.stream("rdma").getstate()
+        fabric.deliver(a, b, 64, lambda tag: got.append((tag, sim.now)), "x",
+                       stream="rdma", delay=3.25)
+        sim.run()
+        assert got == [("x", 3.25)]
+        assert fabric.rng.stream("rdma").getstate() == state
 
     def test_round_trip(self, sim, fabric):
         a = fabric.add_host("a")
@@ -327,6 +365,35 @@ class TestRpc:
                 return "timeout"
 
         assert sim.run_process(proc()) == "timeout"
+
+    def test_reply_cancels_the_guard(self, sim, fabric):
+        _server, endpoint, client = self._make(sim, fabric)
+        endpoint.register("double", lambda x: x * 2)
+        call = client.call(endpoint, "double", 4, timeout_us=5 * MS)
+        sim.run()
+        assert call.value == 8
+        assert sim.now < 1 * MS  # not held open until the guard's instant
+        assert sim.next_event_time() is None
+
+    def test_timeout_fires_at_exactly_the_budget(self, sim, fabric):
+        _server, endpoint, client = self._make(sim, fabric)
+        sim.run(until=123.5)
+        call = client.call(endpoint, "missing", None, timeout_us=1 * MS)
+        sim.run()
+        assert isinstance(call.exception, RpcTimeout)
+        assert sim.now == 123.5 + 1 * MS
+
+    def test_plain_handler_exception_takes_the_fail_path(self, sim, fabric):
+        _server, endpoint, client = self._make(sim, fabric)
+
+        def handler(_payload):
+            raise KeyError("nope")
+
+        endpoint.register("bad", handler)
+        call = client.call(endpoint, "bad", None, timeout_us=5 * MS)
+        sim.run()
+        assert isinstance(call.exception, KeyError)
+        assert sim.now < 1 * MS and sim.next_event_time() is None
 
     def test_unregister_stops_serving(self, sim, fabric):
         _server, endpoint, client = self._make(sim, fabric)

@@ -358,6 +358,30 @@ class TestCpuPool:
         event = pool.execute(0.0)
         assert event.ok
 
+    def test_submit_shares_the_queue_with_execute(self, sim):
+        """One completion path: continuations and events queue FIFO
+        together, and the freed core is re-dispatched before the
+        finished task's continuation runs."""
+        pool = CpuPool(sim, 1)
+        order = []
+
+        def first(tag):
+            order.append((tag, sim.now, pool.busy_cores, pool.queue_depth))
+
+        pool.submit(10.0, first, "a")
+        pool.execute(5.0).add_callback(lambda ev: order.append(("b", sim.now)))
+        pool.submit(1.0, order.append, "c")
+        sim.run()
+        assert order == [("a", 10.0, 1, 1), ("b", 15.0), "c"]
+        assert pool.busy_cores == 0
+
+    def test_zero_cost_submit_calls_back_before_returning(self, sim):
+        pool = CpuPool(sim, 1)
+        pool.execute(10.0)  # the core is busy: zero-cost work does not queue
+        got = []
+        pool.submit(0.0, got.append, "now")
+        assert got == ["now"] and pool.queue_depth == 0
+
     def test_fifo_ordering(self, sim):
         pool = CpuPool(sim, 1)
         order = []
