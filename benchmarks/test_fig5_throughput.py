@@ -5,8 +5,9 @@ Raft implementation" — EPaxos, Sift EC, Sift and Raft-R across the
 write-only / mixed / read-heavy / read-only mixes (Zipf 0.99).
 
 All systems run on identical hardware here (12-core nodes, the
-evaluation machines' 2x E5-2620v2), exactly as in §6.3.  Shape targets
-from the paper:
+evaluation machines' 2x E5-2620v2), exactly as in §6.3; the grid is
+:func:`repro.bench.points.fig5_points`, the one the CLI's ``fig5``
+runs.  Shape targets from the paper:
 
 * EPaxos is workload-independent, lowest for reads, best for write-only;
 * Raft-R beats Sift on writes (Sift pays for background applies);
@@ -16,52 +17,35 @@ from the paper:
 
 import pytest
 
-from repro.bench import epaxos_spec, raft_spec, run_throughput, sift_spec
 from repro.bench.calibration import BenchScale
+from repro.bench.parallel import run_points
+from repro.bench.points import FIG5_SYSTEMS, fig5_points
 from repro.bench.report import bar_table
 from repro.workloads import WORKLOADS
 
-MIXES = ["write-only", "mixed", "read-heavy", "read-only"]
-SAME_HARDWARE_CORES = 12
+MIXES = list(WORKLOADS)
 
 
 @pytest.fixture(scope="module")
 def results():
-    scale = BenchScale()
-    specs = [
-        ("epaxos", epaxos_spec(cores=SAME_HARDWARE_CORES, scale=scale)),
-        ("sift-ec", sift_spec(erasure_coding=True, cores=SAME_HARDWARE_CORES, scale=scale)),
-        ("sift", sift_spec(cores=SAME_HARDWARE_CORES, scale=scale)),
-        ("raft-r", raft_spec(cores=SAME_HARDWARE_CORES, scale=scale)),
-    ]
-    out = {}
-    for name, spec in specs:
-        # Peak-throughput measurement: EPaxos spreads its clients evenly
-        # across all replicas (§6.3.1), so it is driven by 3x the client
-        # count that saturates the single-leader systems.
-        clients = scale.clients * 3 if name == "epaxos" else scale.clients
-        out[name] = {}
-        for mix in MIXES:
-            result = run_throughput(spec, WORKLOADS[mix], n_clients=clients, scale=scale)
-            out[name][mix] = result
-    return out
+    """``{"<system>/<mix>": {"ops_per_sec", "completed", "errors"}}``."""
+    return run_points(fig5_points(BenchScale(), seed=1))
 
 
 def test_fig5(results, once):
     table = {
-        name: [results[name][mix].ops_per_sec for mix in MIXES]
-        for name in ("epaxos", "sift-ec", "sift", "raft-r")
+        name: [results[f"{name}/{mix}"]["ops_per_sec"] for mix in MIXES]
+        for name in FIG5_SYSTEMS
     }
     print()
     print(once(lambda: bar_table("Figure 5: throughput by workload (F=1)", MIXES, table)))
 
     def tput(name, mix):
-        return results[name][mix].ops_per_sec
+        return results[f"{name}/{mix}"]["ops_per_sec"]
 
     # No failed operations anywhere.
-    for name in results:
-        for mix in MIXES:
-            assert results[name][mix].errors == 0, (name, mix)
+    for key, cell in results.items():
+        assert cell["errors"] == 0, key
 
     # EPaxos: workload-independent (reads cost the same as writes).
     epaxos = [tput("epaxos", mix) for mix in MIXES]

@@ -15,33 +15,29 @@ Shape targets from §6.3.3:
 * ~50 us of everything is the RPC layer.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.bench import epaxos_spec, raft_spec, run_latency, sift_spec
 from repro.bench.calibration import BenchScale
+from repro.bench.parallel import run_points
+from repro.bench.points import FIG6_SYSTEMS, fig6_high_load_clients, fig6_points
 from repro.bench.report import series_table
-from repro.workloads import WORKLOADS
-
-SAME_HARDWARE_CORES = 12
-HIGH_LOAD_CLIENTS = 28  # ~90% of the saturation client count
 
 
 @pytest.fixture(scope="module")
 def results():
-    scale = BenchScale()
-    specs = {
-        "raft-r": raft_spec(cores=SAME_HARDWARE_CORES, scale=scale),
-        "sift": sift_spec(cores=SAME_HARDWARE_CORES, scale=scale),
-        "sift-ec": sift_spec(erasure_coding=True, cores=SAME_HARDWARE_CORES, scale=scale),
-        "epaxos": epaxos_spec(cores=SAME_HARDWARE_CORES, scale=scale),
-    }
-    out = {}
-    for name, spec in specs.items():
-        out[name] = {
-            "low": run_latency(spec, WORKLOADS["mixed"], 1, scale=scale),
-            "high": run_latency(spec, WORKLOADS["mixed"], HIGH_LOAD_CLIENTS, scale=scale),
+    """``{system: {"low" | "high": cell}}`` over the grid the CLI's
+    ``fig6`` runs (:func:`repro.bench.points.fig6_points`)."""
+    cells = run_points(
+        fig6_points(BenchScale(), 1, fig6_high_load_clients(smoke=False))
+    )
+    return {
+        name: {
+            load: SimpleNamespace(**cells[f"{name}/{load}"]) for load in ("low", "high")
         }
-    return out
+        for name in FIG6_SYSTEMS
+    }
 
 
 def test_fig6(results, once):

@@ -54,11 +54,6 @@ class BenchScale:
     wal_entries: int = 8_192
     kv_wal_entries: int = 16_384
 
-    @property
-    def low_load_clients(self) -> int:
-        """§6.3.3: "at most one request in the system at a time"."""
-        return 1
-
 
 DEFAULT_SCALE = BenchScale()
 

@@ -9,10 +9,17 @@ Every figure command also writes a versioned ``BENCH_<figure>.json``
 artifact (see :mod:`repro.obs.artifact`) into ``--out-dir``: the
 simulated numbers, a metrics-registry snapshot collected during the
 run, the seeds, the parameters, the git SHA and the wall clock.  CI's
-``bench-smoke`` job regenerates every figure in ``BASELINE_FIGURES``
-at ``--smoke`` scale and diffs them against ``benchmarks/baselines/``
-with :mod:`repro.obs.compare` (plus a byte-diff of the exported
-``TRACE_fig6path.json`` Perfetto trace).
+``bench-smoke`` job regenerates every ``baseline`` figure of
+``FIGURES`` at ``--smoke`` scale and diffs them against
+``benchmarks/baselines/`` with :mod:`repro.obs.compare` (plus a
+byte-diff of the exported ``TRACE_fig6path.json`` Perfetto trace).
+
+A figure's *gates* are named pure predicates over the artifact's
+``(simulated, params)`` sections, listed beside it in ``FIGURES`` and
+evaluated by :func:`failed_gates` only: a miss prints ``GATE FAIL
+<figure>.<gate>`` and makes :func:`main` exit 1.  Because they read
+nothing but the artifact, ``tests/test_figure_gates.py`` checks the
+same predicates against the committed baselines.
 
 Examples::
 
@@ -37,6 +44,8 @@ import os
 import argparse
 import sys
 import time
+from dataclasses import asdict
+from typing import Callable, List, NamedTuple, Tuple
 
 from repro.baselines import characteristics_table
 from repro.bench.calibration import SMOKE_SCALE, BenchScale
@@ -50,6 +59,7 @@ from repro.bench.points import (
     build_spec,
     fig5_points,
     fig5ablate_points,
+    fig6_high_load_clients,
     fig6_points,
     fig6path_points,
     fig8live_params,
@@ -76,40 +86,21 @@ from repro.workloads import WORKLOADS
 
 __all__ = ["main"]
 
-#: Figures the ``bench-smoke`` CI job pins against committed baselines.
-BASELINE_FIGURES = (
-    "fig5",
-    "fig5ablate",
-    "fig6",
-    "fig6path",
-    "fig11",
-    "fig11sweep",
-    "figHotspot",
-    "figMclients",
-)
-
 
 def _progress(key: str) -> None:
     print(f"  [{key}] done", file=sys.stderr)
 
 
-def _scale_params(scale: BenchScale) -> dict:
-    """The scale knobs, recorded verbatim into each artifact."""
-    return {
-        "keys": scale.keys,
-        "warmup_us": scale.warmup_us,
-        "measure_us": scale.measure_us,
-        "clients": scale.clients,
-        "value_bytes": scale.value_bytes,
-        "zipf_theta": scale.zipf_theta,
-        "wal_entries": scale.wal_entries,
-        "kv_wal_entries": scale.kv_wal_entries,
-    }
-
-
 # Each cmd_* returns None (no artifact: static tables) or a dict
-# ``{"simulated": ..., "params": ...}``; main() adds the registry
-# snapshot, seed, wall clock and scale, then writes BENCH_<figure>.json.
+# ``{"simulated": ..., "params": ...}``; _run_one() checks the figure's
+# gates on it, adds the registry snapshot, seed, wall clock and scale,
+# then writes BENCH_<figure>.json.
+#
+# A gate is ``gate(simulated, params) -> bool``, named by its function
+# name, stating its property in its docstring.  A loaded artifact
+# iterates ``simulated`` in sorted-key order and a live run in declared
+# order, so gates address cells by keys built from ``params``, never by
+# position.
 
 
 def cmd_table1(_args, _scale):
@@ -147,9 +138,7 @@ def cmd_fig5(args, scale):
 
 
 def cmd_fig6(args, scale):
-    # ~90% of the default 48-client saturation point; scaled down with
-    # the pinned smoke scale so the run stays a few hundred ms.
-    high_load_clients = 8 if args.smoke else 28
+    high_load_clients = fig6_high_load_clients(args.smoke)
     results = run_points(
         fig6_points(scale, args.seed, high_load_clients), jobs=args.jobs,
         progress=_progress,
@@ -196,7 +185,7 @@ def cmd_fig6path(args, scale):
     cell's raw spans are also written as a Perfetto/Chrome trace
     (``TRACE_fig6path.json``) next to the artifact.
     """
-    high_load_clients = 8 if args.smoke else 28
+    high_load_clients = fig6_high_load_clients(args.smoke)
     results = run_points(
         fig6path_points(scale, args.seed, high_load_clients), jobs=args.jobs,
         progress=_progress,
@@ -250,9 +239,10 @@ def cmd_fig6path(args, scale):
 def cmd_fig5ablate(args, scale):
     """The batching ablation: WAL coalescing x doorbell batching.
 
-    Promotes perfbench's ``coalesced_fig5`` scenario to a committed
-    2x2 grid artifact — the full stack must beat each single layer,
-    which must beat the plain stack, on write-only throughput.
+    A committed 2x2 grid on Sift's write-only peak: each batching layer
+    alone, and the full stack, against the plain per-record, per-verb
+    stack.  The simulated speedup of the full stack is the repo's one
+    deterministic perf floor (:func:`full_stack_speedup`).
     """
     results = run_points(fig5ablate_points(scale, args.seed), jobs=args.jobs,
                          progress=_progress)
@@ -270,14 +260,6 @@ def cmd_fig5ablate(args, scale):
             )
         )
     print(kv_table("Figure 5 (ablation): append coalescing x doorbell batching", rows))
-    full = simulated["coalesce+doorbell"]["ops_per_sec"]
-    if not full > plain:
-        print(
-            "WARNING: the full batching stack is not faster than the "
-            f"plain stack ({full:,.0f} <= {plain:,.0f} ops/s)",
-            file=sys.stderr,
-        )
-        args._failed = True
     return {
         "simulated": simulated,
         "params": {
@@ -287,6 +269,13 @@ def cmd_fig5ablate(args, scale):
             "grid": [list(entry) for entry in FIG5ABLATE_GRID],
         },
     }
+
+
+def full_stack_speedup(simulated, params):
+    """coalesce+doorbell reaches >= 1.25x the plain stack's ops/s."""
+    grid = params["grid"]  # plain first, the full stack last
+    plain, full = simulated[grid[0][0]], simulated[grid[-1][0]]
+    return full["ops_per_sec"] >= 1.25 * plain["ops_per_sec"]
 
 
 def cmd_fig8(_args, _scale):
@@ -331,9 +320,6 @@ def cmd_fig8live(args, scale):
             )
         )
     print(kv_table("Figure 8 (live): shared pool vs trace model", rows))
-    if not all(results[point.key]["agrees"] for point in points):
-        print("WARNING: live pool diverged from the trace model", file=sys.stderr)
-        args._failed = True  # main() turns this into a non-zero exit
     return {
         "simulated": {point.key: results[point.key] for point in points},
         "params": {
@@ -346,20 +332,20 @@ def cmd_fig8live(args, scale):
     }
 
 
+def live_pool_matches_model(simulated, params):
+    """At every shard count the live pool agrees with the trace model."""
+    return all(simulated[f"sharded/{n}"]["agrees"] for n in params["shards"])
+
+
 def cmd_figMclients(args, scale):
     """Open-loop saturation sweep: a million-client population.
 
     Sweeps the offered arrival rate from underload through the
     saturation knee into firm overload against the sharded spec, driven
     by the vectorized :class:`~repro.workloads.openloop.OpenLoopEngine`
-    (ROADMAP item 5: "heavy traffic from millions of users" as a
-    regression-gated artifact).  Gates: the population is at least one
-    million simulated clients, the underload point achieves its offered
-    rate without shedding, and the overload point sheds (admission
-    control working) while achieved throughput stays pinned at the
-    service's capacity rather than following the offered curve.
+    ("heavy traffic from millions of users" as a regression-gated
+    artifact; the four gates follow the function).
     """
-    params = figMclients_params(args.smoke)
     points = figMclients_points(scale, args.seed, args.smoke)
     results = run_points(points, jobs=args.jobs, progress=_progress)
     rows = []
@@ -379,45 +365,44 @@ def cmd_figMclients(args, scale):
             )
         )
     print(kv_table("Figure Mclients: open-loop offered-load sweep", rows))
-    underload = results[points[0].key]
-    overload = results[points[-1].key]
-    if params["n_clients"] < 1_000_000:
-        print("WARNING: population below one million simulated clients",
-              file=sys.stderr)
-        args._failed = True
-    if sum(underload["shed"].values()) or (
-        underload["achieved_ops_per_sec"]
-        < 0.9 * underload["offered_ops_per_sec"]
-    ):
-        print("WARNING: the underload point shed or fell short of its "
-              "offered rate", file=sys.stderr)
-        args._failed = True
-    if not sum(overload["shed"].values()) or not (
-        overload["achieved_ops_per_sec"] < overload["offered_ops_per_sec"]
-    ):
-        print("WARNING: the overload point did not shed — admission "
-              "control is not engaging", file=sys.stderr)
-        args._failed = True
-    for point in points:
-        if not results[point.key]["slo"]:
-            print(f"WARNING: {point.key} recorded no SLO histograms",
-                  file=sys.stderr)
-            args._failed = True
     return {
         "simulated": {point.key: results[point.key] for point in points},
-        "params": {
-            "cores": 12,
-            "shards": params["shards"],
-            "workload": params["workload"],
-            "n_clients": params["n_clients"],
-            "base_ops_per_sec": params["base_ops_per_sec"],
-            "levels": params["levels"],
-            "max_inflight": params["max_inflight"],
-            "queue_limit": params["queue_limit"],
-            "throttle_ratio": params["throttle_ratio"],
-            "window_us": params["window_us"],
-        },
+        "params": {"cores": 12, **figMclients_params(args.smoke)},
     }
+
+
+def _load_level(simulated, params, index):
+    """The cell of the *index*-th offered-load level (underload first)."""
+    return simulated[f"sharded/{params['levels'][index][0]}"]
+
+
+def million_clients(_simulated, params):
+    """The population is at least one million simulated clients."""
+    return params["n_clients"] >= 1_000_000
+
+
+def underload_keeps_up(simulated, params):
+    """The lowest level sheds nothing and achieves >= 90% of its offer."""
+    cell = _load_level(simulated, params, 0)
+    return not sum(cell["shed"].values()) and (
+        cell["achieved_ops_per_sec"] >= 0.9 * cell["offered_ops_per_sec"]
+    )
+
+
+def overload_sheds(simulated, params):
+    """The highest level sheds and achieves less than it was offered
+    (admission control engages instead of following the offered curve)."""
+    cell = _load_level(simulated, params, -1)
+    return sum(cell["shed"].values()) > 0 and (
+        cell["achieved_ops_per_sec"] < cell["offered_ops_per_sec"]
+    )
+
+
+def every_level_records_slo(simulated, params):
+    """Every level recorded its per-shard SLO histograms."""
+    return all(
+        simulated[f"sharded/{label}"]["slo"] for label, _multiplier in params["levels"]
+    )
 
 
 def cmd_figHotspot(args, scale):
@@ -428,13 +413,9 @@ def cmd_figHotspot(args, scale):
     offered load — and differ only in the control plane: *static* keeps
     a peak-provisioned backup pool and fixed topology, *autoscaled*
     starts lean and must reconcile (resize the pool from the observed
-    burst, split the hot shard under live load).  Gates: after the
-    shift the autoscaled cell's worst p99.9 strictly beats the static
-    cell's; its pool cost stays below static peak provisioning; the
-    reconciler actually split and resized; both cells lose zero acked
-    writes and pass the linearizability check across the migration.
+    burst, split the hot shard under live load).  The six gates follow
+    the function.
     """
-    params = figHotspot_params(args.smoke)
     points = figHotspot_points(scale, args.seed, args.smoke)
     results = run_points(points, jobs=args.jobs, progress=_progress)
     rows = []
@@ -452,40 +433,50 @@ def cmd_figHotspot(args, scale):
             )
         )
     print(kv_table("Figure Hotspot: elastic vs static under a load shift", rows))
-    static = results[points[0].key]
-    auto = results[points[1].key]
-    if not (
-        auto["tails"]["after"]["p99.9"] < static["tails"]["after"]["p99.9"]
-    ):
-        print("WARNING: the autoscaled cell's post-shift p99.9 does not "
-              "beat the static cell's", file=sys.stderr)
-        args._failed = True
-    if not auto["pool"]["vm_seconds"] < static["pool"]["vm_seconds"]:
-        print("WARNING: the autoscaled pool cost is not below static peak "
-              "provisioning", file=sys.stderr)
-        args._failed = True
-    if auto["control"]["splits"] < 1 or auto["control"]["ring_version"] < 1:
-        print("WARNING: the reconciler never split the hot shard",
-              file=sys.stderr)
-        args._failed = True
-    if auto["control"]["pool_resizes"] < 1:
-        print("WARNING: the reconciler never resized the pool",
-              file=sys.stderr)
-        args._failed = True
-    for point in points:
-        cell = results[point.key]
-        if cell["probe"]["lost"] or cell["probe"]["missing"]:
-            print(f"WARNING: {point.key} lost acked writes",
-                  file=sys.stderr)
-            args._failed = True
-        if not cell["probe"]["lincheck_ok"]:
-            print(f"WARNING: {point.key} failed the linearizability check "
-                  f"(key {cell['probe']['offending_key']})", file=sys.stderr)
-            args._failed = True
     return {
         "simulated": {point.key: results[point.key] for point in points},
-        "params": {"cores": 12, **{k: v for k, v in params.items()}},
+        "params": {"cores": 12, **figHotspot_params(args.smoke)},
     }
+
+
+def _hotspot_cells(simulated):
+    return simulated["sharded/static"], simulated["sharded/autoscaled"]
+
+
+def autoscaled_tail_beats_static(simulated, _params):
+    """After the shift the autoscaled cell's worst p99.9 is strictly lower."""
+    static, auto = _hotspot_cells(simulated)
+    return auto["tails"]["after"]["p99.9"] < static["tails"]["after"]["p99.9"]
+
+
+def autoscaled_pool_is_cheaper(simulated, _params):
+    """The autoscaled pool costs fewer VM-seconds than static peak provisioning."""
+    static, auto = _hotspot_cells(simulated)
+    return auto["pool"]["vm_seconds"] < static["pool"]["vm_seconds"]
+
+
+def reconciler_split_hot_shard(simulated, _params):
+    """The reconciler split the hot shard and installed a new ring."""
+    control = _hotspot_cells(simulated)[1]["control"]
+    return control["splits"] >= 1 and control["ring_version"] >= 1
+
+
+def reconciler_resized_pool(simulated, _params):
+    """The reconciler resized the backup pool from the observed burst."""
+    return _hotspot_cells(simulated)[1]["control"]["pool_resizes"] >= 1
+
+
+def no_acked_write_lost(simulated, _params):
+    """Both cells read back every acked probe write and hot data key."""
+    return not any(
+        cell["probe"]["lost"] or cell["probe"]["missing"]
+        for cell in _hotspot_cells(simulated)
+    )
+
+
+def histories_linearizable(simulated, _params):
+    """Both cells' probe histories pass the linearizability check."""
+    return all(cell["probe"]["lincheck_ok"] for cell in _hotspot_cells(simulated))
 
 
 def cmd_fig9(_args, _scale):
@@ -546,10 +537,9 @@ def cmd_fig11(args, scale):
 def cmd_fig11sweep(args, scale):
     """Recovery time vs ``recovery_partitions`` (RAMCloud-style sweep).
 
-    Re-runs the fig11 timeline at Fm = 2 for each partition count and
-    gates on the RAMCloud property: recovery time must *strictly*
-    decrease as partitions grow, because each doubling doubles the
-    source links streaming the image back.  The ``sift/memnode-failure``
+    Re-runs the fig11 timeline at Fm = 2 for each partition count; each
+    doubling doubles the source links streaming the image back, which
+    :func:`recovery_strictly_faster` gates.  The ``sift/memnode-failure``
     anchor point re-runs fig11 itself (Fm = 1, single stream) and must
     match the fig11 artifact byte-for-byte.
     """
@@ -561,26 +551,18 @@ def cmd_fig11sweep(args, scale):
     for key in sweep_keys:
         cell = results[key]
         copy_ms = (cell["copy_us"] or 0) / 1e3
+        recovery_s = cell["recovery_s"]
+        if recovery_s is None:  # never finished: every_sweep_point_recovers fails
+            recovery_s = float("nan")
         rows.append(
             (
                 key,
-                f"recovery {cell['recovery_s']:7.3f} s   "
+                f"recovery {recovery_s:7.3f} s   "
                 f"copy {copy_ms:8.3f} ms   "
                 f"sources {len(cell['sources'] or [])}",
             )
         )
     print(kv_table("Figure 11 sweep: recovery time vs partitions (Fm=2)", rows))
-    recovery_times = [results[key]["recovery_s"] for key in sweep_keys]
-    if any(t is None for t in recovery_times):
-        print("WARNING: a sweep point never finished recovery", file=sys.stderr)
-        args._failed = True
-    elif not all(a > b for a, b in zip(recovery_times, recovery_times[1:])):
-        print(
-            "WARNING: recovery time is not strictly decreasing in "
-            f"partitions: {recovery_times}",
-            file=sys.stderr,
-        )
-        args._failed = True
     return {
         "simulated": {point.key: results[point.key] for point in points},
         "params": {
@@ -594,6 +576,24 @@ def cmd_fig11sweep(args, scale):
             "partitions": list(RECOVERY_SWEEP_PARTITIONS),
         },
     }
+
+
+def _sweep_recovery_times(simulated, params):
+    return [
+        simulated[f"sift/recovery-f2-p{p}"]["recovery_s"] for p in params["partitions"]
+    ]
+
+
+def every_sweep_point_recovers(simulated, params):
+    """Every partition count finished its recovery inside the run."""
+    return None not in _sweep_recovery_times(simulated, params)
+
+
+def recovery_strictly_faster(simulated, params):
+    """Among the points that recovered, each step up in partitions is
+    strictly faster (RAMCloud's property: more source links, less time)."""
+    times = [t for t in _sweep_recovery_times(simulated, params) if t is not None]
+    return all(a > b for a, b in zip(times, times[1:]))
 
 
 def cmd_throughput(args, scale):
@@ -618,22 +618,55 @@ def cmd_throughput(args, scale):
     }
 
 
-COMMANDS = {
-    "table1": cmd_table1,
-    "table2": cmd_table2,
-    "fig5": cmd_fig5,
-    "fig5ablate": cmd_fig5ablate,
-    "fig6": cmd_fig6,
-    "fig6path": cmd_fig6path,
-    "fig8": cmd_fig8,
-    "fig8live": cmd_fig8live,
-    "figHotspot": cmd_figHotspot,
-    "figMclients": cmd_figMclients,
-    "fig9": cmd_fig9,
-    "fig10": cmd_fig10,
-    "fig11": cmd_fig11,
-    "fig11sweep": cmd_fig11sweep,
-    "throughput": cmd_throughput,
+class Figure(NamedTuple):
+    """One experiment: how to run it, what must hold of it, and whether
+    CI pins its artifact against ``benchmarks/baselines/``."""
+
+    run: Callable
+    gates: Tuple[Callable[[dict, dict], bool], ...] = ()
+    baseline: bool = False
+
+
+FIGURES = {
+    "table1": Figure(cmd_table1),
+    "table2": Figure(cmd_table2),
+    "fig5": Figure(cmd_fig5, baseline=True),
+    "fig5ablate": Figure(cmd_fig5ablate, (full_stack_speedup,), baseline=True),
+    "fig6": Figure(cmd_fig6, baseline=True),
+    "fig6path": Figure(cmd_fig6path, baseline=True),
+    "fig8": Figure(cmd_fig8),
+    "fig8live": Figure(cmd_fig8live, (live_pool_matches_model,), baseline=True),
+    "figHotspot": Figure(
+        cmd_figHotspot,
+        (
+            autoscaled_tail_beats_static,
+            autoscaled_pool_is_cheaper,
+            reconciler_split_hot_shard,
+            reconciler_resized_pool,
+            no_acked_write_lost,
+            histories_linearizable,
+        ),
+        baseline=True,
+    ),
+    "figMclients": Figure(
+        cmd_figMclients,
+        (
+            million_clients,
+            underload_keeps_up,
+            overload_sheds,
+            every_level_records_slo,
+        ),
+        baseline=True,
+    ),
+    "fig9": Figure(cmd_fig9),
+    "fig10": Figure(cmd_fig10),
+    "fig11": Figure(cmd_fig11, baseline=True),
+    "fig11sweep": Figure(
+        cmd_fig11sweep,
+        (every_sweep_point_recovers, recovery_strictly_faster),
+        baseline=True,
+    ),
+    "throughput": Figure(cmd_throughput),
 }
 
 
@@ -644,18 +677,35 @@ def _baselines_dir() -> str:
     return os.path.join(root, "benchmarks", "baselines")
 
 
-def _run_one(name: str, args, scale: BenchScale):
-    """Run one experiment under a fresh registry; write its artifact."""
-    command = COMMANDS[name]
+def failed_gates(name: str, simulated: dict, params: dict) -> List[str]:
+    """``<figure>.<gate>`` for every gate of figure *name* that does not
+    hold on an artifact's *simulated* and *params* sections."""
+    return [
+        f"{name}.{gate.__name__}"
+        for gate in FIGURES[name].gates
+        if not gate(simulated, params)
+    ]
+
+
+def _run_one(name: str, args, scale: BenchScale) -> List[str]:
+    """Run one experiment under a fresh registry, check its gates, then
+    write its artifact; returns the gates that failed."""
     registry = MetricsRegistry()
     started = time.monotonic()
     with collecting(registry):
-        payload = command(args, scale)
+        payload = FIGURES[name].run(args, scale)
     wall_clock_s = time.monotonic() - started
-    if payload is None or args.no_artifact:
-        return None
+    if payload is None:
+        return []
     params = dict(payload.get("params") or {})
-    params["scale"] = _scale_params(scale)
+    failed = failed_gates(name, payload["simulated"], params)
+    for gate in failed:
+        print(f"GATE FAIL {gate}", file=sys.stderr)
+    # Checked before the write: --refresh-baselines never commits a
+    # baseline that fails its own figure's gates.
+    if args.no_artifact or (failed and args.refresh_baselines):
+        return failed
+    params["scale"] = asdict(scale)
     path = write_artifact(
         args.out_dir,
         name,
@@ -666,7 +716,7 @@ def _run_one(name: str, args, scale: BenchScale):
         wall_clock_s=wall_clock_s,
     )
     print(f"  wrote {path}", file=sys.stderr)
-    return path
+    return failed
 
 
 def main(argv=None) -> int:
@@ -676,7 +726,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "experiments", nargs="*",
-        help=f"one or more of: {', '.join(COMMANDS)} "
+        help=f"one or more of: {', '.join(FIGURES)} "
              "(fig7/fig12 run via pytest benchmarks/)",
     )
     parser.add_argument("--system", default="sift",
@@ -710,19 +760,20 @@ def main(argv=None) -> int:
         args.smoke = True
         args.no_artifact = False
         args.out_dir = _baselines_dir()
-        experiments = list(BASELINE_FIGURES)
+        experiments = [name for name, figure in FIGURES.items() if figure.baseline]
     else:
         experiments = args.experiments
         if not experiments:
             parser.error("no experiments given")
 
     scale = SMOKE_SCALE if args.smoke else BenchScale()
+    failed = []
     for experiment in experiments:
-        if experiment not in COMMANDS:
+        if experiment not in FIGURES:
             parser.error(f"unknown experiment: {experiment}")
-        _run_one(experiment, args, scale)
+        failed += _run_one(experiment, args, scale)
         print()
-    return 1 if getattr(args, "_failed", False) else 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

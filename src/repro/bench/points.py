@@ -18,6 +18,7 @@ from repro.api import system_spec
 from repro.bench.calibration import BenchScale
 from repro.bench.parallel import Point
 from repro.bench.runner import (
+    boot,
     run_latency,
     run_openloop,
     run_throughput,
@@ -41,6 +42,7 @@ __all__ = [
     "critpath_point",
     "fig5_points",
     "fig5ablate_points",
+    "fig6_high_load_clients",
     "fig6_points",
     "fig6path_points",
     "fig8live_params",
@@ -160,29 +162,17 @@ def critpath_point(
 def fig6path_points(
     scale: BenchScale, seed: int, high_load_clients: int
 ) -> List[Point]:
-    """The fig6 grid, traced: system-major, low load then high load."""
-    points = []
-    for system in FIG6_SYSTEMS:
-        for load, clients in (("low", 1), ("high", high_load_clients)):
-            key = f"{system}/{load}"
-            points.append(
-                Point(
-                    key=key,
-                    fn=critpath_point,
-                    kwargs={
-                        "system": system,
-                        "workload": "mixed",
-                        "clients": clients,
-                        "cores": 12,
-                        "scale": scale,
-                        "seed": seed,
-                        "export_spans": (
-                            TRACE_SPAN_CAP if key == TRACE_EXPORT_CELL else 0
-                        ),
-                    },
-                )
-            )
-    return points
+    """The fig6 grid, traced: the same cells through :func:`critpath_point`."""
+    return [
+        point._replace(
+            fn=critpath_point,
+            kwargs=dict(
+                point.kwargs,
+                export_spans=TRACE_SPAN_CAP if point.key == TRACE_EXPORT_CELL else 0,
+            ),
+        )
+        for point in fig6_points(scale, seed, high_load_clients)
+    ]
 
 
 #: The fig5ablate grid, in declared (= merge) order: both batching
@@ -205,8 +195,7 @@ def ablate_point(
 ) -> dict:
     """One fig5ablate cell: write-only sift throughput with the WAL
     append-coalescing and doorbell-batching layers toggled
-    independently (perfbench's ``coalesced_fig5`` scenario, promoted to
-    a committed 2x2 grid)."""
+    independently."""
     spec = sift_spec(
         cores=12,
         scale=scale,
@@ -226,8 +215,7 @@ def ablate_point(
 
 
 def fig5ablate_points(scale: BenchScale, seed: int) -> List[Point]:
-    """The 2x2 batching-ablation grid (write-only, 24 clients, as in
-    perfbench's coalesced_fig5)."""
+    """The 2x2 batching-ablation grid (write-only, 24 clients)."""
     points = []
     for key, coalesce, doorbell in FIG5ABLATE_GRID:
         points.append(
@@ -612,22 +600,10 @@ def figMclients_params(smoke: bool) -> dict:
     bounded per-shard queues both shed.  The population is what the
     north-star asks for: at least a million simulated clients.
     """
-    if smoke:
-        return dict(
-            shards=2,
-            workload="read-heavy",
-            n_clients=1_000_000,
-            base_ops_per_sec=600_000.0,
-            levels=[["x0.25", 0.25], ["x0.75", 0.75], ["x1.0", 1.0], ["x1.5", 1.5]],
-            max_inflight=16,
-            queue_limit=512,
-            throttle_ratio=1.2,
-            window_us=1 * MS,
-        )
     return dict(
         shards=2,
         workload="read-heavy",
-        n_clients=2_000_000,
+        n_clients=1_000_000 if smoke else 2_000_000,
         base_ops_per_sec=600_000.0,
         levels=[["x0.25", 0.25], ["x0.75", 0.75], ["x1.0", 1.0], ["x1.5", 1.5]],
         max_inflight=16,
@@ -709,7 +685,6 @@ def hotspot_point(
     keys — the zero-acked-write-loss gate.
     """
     from repro.bench.lincheck import History, Op, check_history
-    from repro.bench.runner import _setup
     from repro.control import Reconciler, ReconcilerConfig
     from repro.kv.client import KvRequestFailed
     from repro.workloads.generator import HotspotZipfSampler
@@ -723,8 +698,13 @@ def hotspot_point(
         backups=static_backups if not autoscale else 1,
         provisioning_delay_us=provisioning_delay_us,
     )
-    sim, fabric, service = _setup(spec, scale, seed)
-    sampler = HotspotZipfSampler(scale.keys, service.ring, scale.zipf_theta)
+    sim, fabric, service, sampler = boot(
+        spec,
+        scale,
+        seed,
+        lambda cluster: HotspotZipfSampler(scale.keys, cluster.ring, scale.zipf_theta),
+        ready_deadline_us=10 * SEC,
+    )
     engine = OpenLoopEngine(
         fabric,
         service,
@@ -740,13 +720,7 @@ def hotspot_point(
         name="hotspot-auto" if autoscale else "hotspot-static",
         elastic=autoscale,
     )
-
-    ready = sim.spawn(spec.wait_ready(service), name="wait-ready")
-    sim.run_until_settled(ready, deadline=10 * SEC)
-    if not ready.ok:
-        raise RuntimeError(f"{spec.name} never became ready: {ready.exception}")
-    value = b"v" * scale.value_bytes
-    spec.preload(service, ((sampler.key(i), value) for i in range(scale.keys)))
+    value = b"v" * scale.value_bytes  # what boot() preloaded under every key
 
     # Closed-loop probe client: serialized puts/gets over a small key
     # set, every outcome recorded for the Wing-Gong checker.  Failed
@@ -1002,6 +976,13 @@ def fig5_points(scale: BenchScale, seed: int) -> List[Point]:
     return points
 
 
+def fig6_high_load_clients(smoke: bool) -> int:
+    """Fig. 6's loaded point: ~90% of the default 48-client saturation
+    count, scaled down with the pinned smoke scale so the run stays a
+    few hundred ms."""
+    return 8 if smoke else 28
+
+
 def fig6_points(scale: BenchScale, seed: int, high_load_clients: int) -> List[Point]:
     """System-major, low load then high load."""
     points = []
@@ -1025,14 +1006,13 @@ def fig6_points(scale: BenchScale, seed: int, high_load_clients: int) -> List[Po
 
 
 def fig11_points(scale: BenchScale, seed: int, smoke: bool) -> List[Point]:
-    points = [
+    return [
         Point(
             key="sift/memnode-failure",
             fn=memnode_failure_point,
             kwargs={"smoke": smoke, "scale": scale, "seed": seed},
         )
     ]
-    return points
 
 
 def fig11sweep_points(scale: BenchScale, seed: int, smoke: bool) -> List[Point]:
@@ -1044,13 +1024,7 @@ def fig11sweep_points(scale: BenchScale, seed: int, smoke: bool) -> List[Point]:
     numbers (``tests/test_recovery_determinism.py`` compares the two
     committed baselines).
     """
-    points = [
-        Point(
-            key="sift/memnode-failure",
-            fn=memnode_failure_point,
-            kwargs={"smoke": smoke, "scale": scale, "seed": seed},
-        )
-    ]
+    points = fig11_points(scale, seed, smoke)
     for partitions in RECOVERY_SWEEP_PARTITIONS:
         points.append(
             Point(

@@ -99,17 +99,37 @@ class TimelineResult(NamedTuple):
     base_us: float = 0.0  # absolute sim time of t=0 (for rebasing marks)
 
 
-def _setup(spec: SystemSpec, scale: BenchScale, seed: int):
+def boot(
+    spec: SystemSpec,
+    scale: BenchScale,
+    seed: int,
+    sampler_for: Optional[Callable[[object], KeySampler]] = None,
+    ready_deadline_us: float = 5 * SEC,
+):
+    """Build -> wait ready -> preload: the preamble every driver shares.
+
+    Builds *spec* on a fresh fabric seeded with *seed*, runs until it
+    serves, and preloads ``scale.keys`` values.  The keys are those of
+    the sampler the load will draw from — *sampler_for(cluster)*, chosen
+    once the cluster and its ring exist; plain Zipf by default — because
+    a striped sampler renders different wire keys than the plain one and
+    reads must hit.  Returns ``(sim, fabric, cluster, sampler)``.
+    """
     sim = Simulator()
     fabric = Fabric(sim, rng=RngStreams(seed=seed))
     cluster = spec.build(fabric)
-    return sim, fabric, cluster
-
-
-def _items(scale: BenchScale):
+    if sampler_for is None:
+        sampler = ZipfSampler(scale.keys, scale.zipf_theta)
+    else:
+        sampler = sampler_for(cluster)
+    ready = sim.spawn(spec.wait_ready(cluster), name="wait-ready")
+    ready.add_callback(lambda _ev: None)  # we inspect the outcome below
+    sim.run_until_settled(ready, deadline=ready_deadline_us)
+    if not ready.ok:
+        raise RuntimeError(f"{spec.name} never became ready: {ready.exception}")
     value = b"v" * scale.value_bytes
-    sampler = KeySampler(scale.keys)
-    return ((sampler.key(i), value) for i in range(scale.keys))
+    spec.preload(cluster, ((sampler.key(i), value) for i in range(scale.keys)))
+    return sim, fabric, cluster, sampler
 
 
 def _drive(
@@ -118,7 +138,6 @@ def _drive(
     n_clients: int,
     scale: BenchScale,
     seed: int,
-    sampler: Optional[KeySampler] = None,
     tracer: Optional[Tracer] = None,
 ):
     """Common build -> preload -> warmup -> measure flow; returns metrics.
@@ -131,22 +150,14 @@ def _drive(
     flight at install time show up as parentless milestone instants;
     :mod:`repro.obs.critpath` skips those incomplete roots.
     """
-    sim, fabric, cluster = _setup(spec, scale, seed)
+    sim, fabric, cluster, sampler = boot(spec, scale, seed)
     # Derive the reservoir-sampling RNG from the experiment seed: every
     # source of randomness in a run traces back to the one seed argument.
     metrics = Metrics(seed=seed)
-    sampler = sampler or ZipfSampler(scale.keys, scale.zipf_theta)
     pool = ClientPool(
         fabric, cluster, n_clients, mix, sampler, metrics,
         value_bytes=scale.value_bytes, client_factory=spec.client_factory,
     )
-
-    ready = sim.spawn(spec.wait_ready(cluster), name="wait-ready")
-    ready.add_callback(lambda _ev: None)  # we inspect the outcome below
-    sim.run_until_settled(ready, deadline=5 * SEC)
-    if not ready.ok:
-        raise RuntimeError(f"{spec.name} never became ready: {ready.exception}")
-    spec.preload(cluster, _items(scale))
     pool.start()
     sim.run(until=sim.now + scale.warmup_us)
     previous = None
@@ -250,20 +261,12 @@ def run_timeline(
     """
     if hasattr(events, "to_timeline_events"):
         events = events.to_timeline_events()
-    sim, fabric, cluster = _setup(spec, scale, seed)
+    sim, fabric, cluster, sampler = boot(spec, scale, seed)
     metrics = Metrics(seed=seed)
-    sampler = ZipfSampler(scale.keys, scale.zipf_theta)
     pool = ClientPool(
         fabric, cluster, n_clients, mix, sampler, metrics,
         value_bytes=scale.value_bytes, client_factory=spec.client_factory,
     )
-
-    ready = sim.spawn(spec.wait_ready(cluster), name="wait-ready")
-    ready.add_callback(lambda _ev: None)  # we inspect the outcome below
-    sim.run_until_settled(ready, deadline=5 * SEC)
-    if not ready.ok:
-        raise RuntimeError(f"{spec.name} never became ready: {ready.exception}")
-    spec.preload(cluster, _items(scale))
     pool.start()
     sim.run(until=sim.now + scale.warmup_us)
 
@@ -311,12 +314,14 @@ def run_openloop(
     """
     if window_us is None:
         window_us = 1 * MS
-    sim, fabric, cluster = _setup(spec, scale, seed)
-    ring = getattr(cluster, "ring", None)
-    if getattr(cluster, "groups", None) and ring is not None:
-        sampler = StripedZipfSampler(scale.keys, ring, scale.zipf_theta)
-    else:
-        sampler = ZipfSampler(scale.keys, scale.zipf_theta)
+
+    def sampler_for(cluster) -> KeySampler:
+        ring = getattr(cluster, "ring", None)
+        if getattr(cluster, "groups", None) and ring is not None:
+            return StripedZipfSampler(scale.keys, ring, scale.zipf_theta)
+        return ZipfSampler(scale.keys, scale.zipf_theta)
+
+    sim, fabric, cluster, sampler = boot(spec, scale, seed, sampler_for)
     engine = OpenLoopEngine(
         fabric,
         cluster,
@@ -329,16 +334,6 @@ def run_openloop(
         retry=retry,
         value_bytes=scale.value_bytes,
     )
-
-    ready = sim.spawn(spec.wait_ready(cluster), name="wait-ready")
-    ready.add_callback(lambda _ev: None)  # we inspect the outcome below
-    sim.run_until_settled(ready, deadline=5 * SEC)
-    if not ready.ok:
-        raise RuntimeError(f"{spec.name} never became ready: {ready.exception}")
-    # Preload the *sampler's* keys: a striped sampler renders different
-    # wire keys than the plain preload set, and reads must hit.
-    value = b"v" * scale.value_bytes
-    spec.preload(cluster, ((sampler.key(i), value) for i in range(scale.keys)))
     engine.start()
     sim.run(until=sim.now + scale.warmup_us)
     engine.begin_measurement()

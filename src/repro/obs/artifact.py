@@ -28,22 +28,15 @@ from repro.obs.registry import MetricsRegistry
 __all__ = [
     "ARTIFACT_KIND",
     "ARTIFACT_SCHEMA_VERSION",
-    "PERF_KIND",
     "ArtifactError",
     "artifact_filename",
-    "perf_filename",
     "make_artifact",
     "write_artifact",
     "load_artifact",
     "validate_artifact",
-    "make_perf_artifact",
-    "write_perf_artifact",
-    "load_perf_artifact",
-    "validate_perf_artifact",
 ]
 
 ARTIFACT_KIND = "repro.obs.bench-artifact"
-PERF_KIND = "repro.obs.perf-artifact"
 ARTIFACT_SCHEMA_VERSION = 1
 
 #: Keys every artifact must carry, checked by :func:`validate_artifact`.
@@ -172,104 +165,6 @@ def load_artifact(path: str) -> Dict[str, Any]:
         raise ArtifactError(f"artifact {path} is not valid JSON: {exc}") from exc
     validate_artifact(doc)
     return doc
-
-
-def perf_filename(name: str) -> str:
-    """Canonical file name for one perf-harness artifact."""
-    if not name or any(c in name for c in "/\\ "):
-        raise ArtifactError(f"bad perf artifact name: {name!r}")
-    return f"PERF_{name}.json"
-
-
-def make_perf_artifact(
-    name: str,
-    results: Dict[str, Any],
-    *,
-    params: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Assemble one wall-clock perf artifact (``PERF_<name>.json``).
-
-    Unlike bench artifacts, *everything* here is host-dependent — the
-    results are wall-clock measurements — so perf artifacts are never
-    strictly compared; they record a machine's measured numbers next to
-    the host description needed to interpret them.
-    """
-    if not isinstance(results, dict):
-        raise ArtifactError("results section must be a dict")
-    return {
-        "kind": PERF_KIND,
-        "schema_version": ARTIFACT_SCHEMA_VERSION,
-        "name": name,
-        "params": dict(params or {}),
-        "results": results,
-        "git_sha": _git_sha(),
-        "created_unix": time.time(),
-        "host": {
-            "platform": platform.platform(),
-            "python": sys.version.split()[0],
-            "cpu_count": os.cpu_count(),
-            "repro_version": __version__,
-        },
-    }
-
-
-def write_perf_artifact(
-    out_dir: str,
-    name: str,
-    results: Dict[str, Any],
-    *,
-    params: Optional[Dict[str, Any]] = None,
-) -> str:
-    """Build, validate and write ``<out_dir>/PERF_<name>.json``."""
-    doc = make_perf_artifact(name, results, params=params)
-    validate_perf_artifact(doc)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, perf_filename(name))
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    return path
-
-
-def load_perf_artifact(path: str) -> Dict[str, Any]:
-    """Read and validate one perf artifact; raises :class:`ArtifactError`."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ArtifactError(f"cannot read artifact {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"artifact {path} is not valid JSON: {exc}") from exc
-    validate_perf_artifact(doc)
-    return doc
-
-
-def validate_perf_artifact(doc: Any) -> None:
-    """Check the perf-artifact schema; raises :class:`ArtifactError`."""
-    if not isinstance(doc, dict):
-        raise ArtifactError("artifact must be a JSON object")
-    missing = [
-        k
-        for k in ("kind", "schema_version", "name", "params", "results", "host")
-        if k not in doc
-    ]
-    if missing:
-        raise ArtifactError(f"perf artifact missing keys: {', '.join(missing)}")
-    if doc["kind"] != PERF_KIND:
-        raise ArtifactError(f"not a perf artifact (kind={doc['kind']!r})")
-    if doc["schema_version"] != ARTIFACT_SCHEMA_VERSION:
-        raise ArtifactError(
-            f"unsupported schema version {doc['schema_version']!r} "
-            f"(this build reads {ARTIFACT_SCHEMA_VERSION})"
-        )
-    if not isinstance(doc["name"], str) or not doc["name"]:
-        raise ArtifactError("name must be a non-empty string")
-    if not isinstance(doc["params"], dict):
-        raise ArtifactError("params must be an object")
-    if not isinstance(doc["results"], dict):
-        raise ArtifactError("results must be an object")
-    if not isinstance(doc["host"], dict):
-        raise ArtifactError("host must be an object")
 
 
 def validate_artifact(doc: Any) -> None:

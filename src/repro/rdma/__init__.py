@@ -25,14 +25,12 @@ Public surface:
   export table (the only part that uses the target CPU).
 * :class:`~repro.rdma.messaging.RdmaMessenger` — two-sided SEND/RECV used
   by the Raft-R baseline.
-* :class:`~repro.rdma.doorbell.DoorbellQueue` /
-  :class:`~repro.rdma.nic.PostedVerb` — doorbell-style verb
-  batching: stage writes with
-  :meth:`~repro.rdma.qp.QueuePair.prepare_write`, flush N of them under
-  one doorbell charge with :meth:`~repro.rdma.nic.Rnic.post_many`.
+* :class:`~repro.rdma.nic.PostedVerb` — doorbell-style verb batching:
+  stage writes with :meth:`~repro.rdma.qp.QueuePair.prepare_write`,
+  flush N of them under one doorbell charge with
+  :meth:`~repro.rdma.nic.Rnic.post_many`.
 """
 
-from repro.rdma.doorbell import DoorbellQueue
 from repro.rdma.errors import (
     RdmaConnectionRevoked,
     RdmaError,
@@ -46,7 +44,6 @@ from repro.rdma.nic import PostedVerb, Rnic
 from repro.rdma.qp import QueuePair
 
 __all__ = [
-    "DoorbellQueue",
     "MemoryRegion",
     "PostedVerb",
     "QueuePair",

@@ -304,6 +304,14 @@ class Rnic:
         """Flush prepared verbs (:meth:`QueuePair.prepare_write`) in one
         doorbell.
 
+        Real NICs let a requester chain several work requests in the
+        send queue and ring the doorbell once: the PCIe MMIO write and
+        the WQE fetch that follows are paid per *doorbell*, not per
+        verb.  Mu and Velos lean on this to fit replication inside a
+        microsecond budget, and Sift's WAL-append fan-out (§4) has the
+        same shape: one coordinator posting the same image to every
+        memory node.  Callers opt in (``SiftConfig.doorbell_batching``).
+
         The whole batch pays ``verb_overhead_us`` **once** — that is the
         doorbell/PCIe cost — and the payloads serialise back-to-back at
         link bandwidth through the same FIFO transmit queue as unbatched

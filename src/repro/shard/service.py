@@ -122,10 +122,6 @@ class ShardedKvService:
         """The shard name owning *key* (under the current ring)."""
         return self.ring.shard_for(key)
 
-    def _group_for(self, key: bytes) -> SiftGroup:
-        """Internal: the group owning *key*."""
-        return self._by_name[self.ring.shard_for(key)]
-
     def _group(self, name: str) -> SiftGroup:
         """Internal: look up a group by shard name."""
         return self._by_name[name]

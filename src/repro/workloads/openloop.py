@@ -190,8 +190,8 @@ class ArrivalGenerator:
 
     :meth:`scalar_batch` draws the same columns one op at a time — the
     closed-loop pool's inner loop, consuming the same streams to the
-    same values — and exists for the equivalence tests and the
-    perfbench closed-loop baseline.
+    same values — and exists for the equivalence tests and as the
+    baseline of the generation-speed ratio in ``tests/test_openloop.py``.
     """
 
     def __init__(
@@ -244,8 +244,8 @@ class ArrivalGenerator:
         With *ring* the shard column is resolved the way a closed-loop
         router would — render the key, SHA-1 it, walk the ring — instead
         of through the striped ``rank % G`` invariant; the result is
-        identical for striped samplers, which is the point: perfbench
-        charges the baseline the work a real per-client loop performs.
+        identical for striped samplers, which is the point: the ratio
+        test charges the baseline the work a real per-client loop performs.
         """
         ranks = np.empty(n, dtype=np.int64)
         writes = np.empty(n, dtype=bool)

@@ -23,13 +23,29 @@ OPS = CLIENTS * OPS_PER_CLIENT
 #: cheaper and removed none (the same test on its parent measures the
 #: same three numbers), so they move only together with the baselines.
 #: Puts here create their keys (block, bitmap and bucket-head writes), so
-#: they cost more than the benchmark's overwrites.
-EVENTS_PER_PUT = 54.69
-EVENTS_PER_GET = 6.26
-VERBS_PER_PUT = 8.72
-#: 45.01 before PR 13: an Event per NIC transmit-queue hop on top of
+#: they cost more than the benchmark's overwrites.  Event objects per put
+#: were 45.01 before PR 13: an Event per NIC transmit-queue hop on top of
 #: the one each verb, RPC and CPU charge completes through.
-EVENT_OBJECTS_PER_PUT = 27.57
+#:
+#: ``batched`` is the fig5ablate full stack (``coalesce_appends`` +
+#: ``doorbell_batching``).  Its saving is the host-side content of the
+#: wall-clock ratio perfbench used to gate as ``driven_speedup``: fewer
+#: scheduled events for the same puts, here as a count that repeats
+#: exactly instead of a ratio of two noisy timings.
+BUDGETS = {
+    "plain": {
+        "events_per_put": 54.69,
+        "events_per_get": 6.26,
+        "verbs_per_put": 8.72,
+        "event_objects_per_put": 27.57,
+    },
+    "batched": {
+        "events_per_put": 49.935,
+        "events_per_get": 6.26,
+        "verbs_per_put": 8.675,
+        "event_objects_per_put": 29.38,  # one completion Event per coalesced record
+    },
+}
 
 
 class Counts:
@@ -50,22 +66,15 @@ class Counts:
         )
 
 
-def test_put_and_cached_get_stay_inside_their_budget(monkeypatch):
-    constructed = []
-    event_init = engine.Event.__init__
-
-    def counting_init(self, sim):
-        constructed.append(None)
-        event_init(self, sim)
-
-    monkeypatch.setattr(engine.Event, "__init__", counting_init)
-
+def measure(batched, constructed):
     sim = engine.Simulator()
     fabric = Fabric(sim, rng=RngStreams(seed=13))
-    kv_config = KvConfig(max_keys=256, wal_entries=128, watermark_interval=32)
+    kv_config = KvConfig(
+        max_keys=256, wal_entries=128, watermark_interval=32, coalesce_appends=batched
+    )
     group = SiftGroup(
         fabric,
-        kv_config.sift_config(fm=1, fc=1, wal_entries=128),
+        kv_config.sift_config(fm=1, fc=1, wal_entries=128, doorbell_batching=batched),
         name="budget",
         app_factory=kv_app_factory(kv_config),
     )
@@ -106,14 +115,29 @@ def test_put_and_cached_get_stay_inside_their_budget(monkeypatch):
 
     assert len(hits) == OPS and None not in hits
     assert store.stats["cache_misses"] == misses
-    measured = {
+    assert verbs_per_get < 0.2  # heartbeats only: a cached get posts no verb
+    return {
         "events_per_put": events_per_put,
         "events_per_get": events_per_get,
         "verbs_per_put": verbs_per_put,
         "event_objects_per_put": event_objects_per_put,
     }
-    assert events_per_put <= EVENTS_PER_PUT, measured
-    assert events_per_get <= EVENTS_PER_GET, measured
-    assert verbs_per_put <= VERBS_PER_PUT, measured
-    assert event_objects_per_put <= EVENT_OBJECTS_PER_PUT, measured
-    assert verbs_per_get < 0.2, measured  # heartbeats only: a cached get posts no verb
+
+
+def test_put_and_cached_get_stay_inside_their_budget(monkeypatch):
+    constructed = []
+    event_init = engine.Event.__init__
+
+    def counting_init(self, sim):
+        constructed.append(None)
+        event_init(self, sim)
+
+    monkeypatch.setattr(engine.Event, "__init__", counting_init)
+
+    measured = {stack: measure(stack == "batched", constructed) for stack in BUDGETS}
+    for stack, budget in BUDGETS.items():
+        for metric, ceiling in budget.items():
+            assert measured[stack][metric] <= ceiling, (stack, measured[stack])
+    assert (
+        measured["batched"]["events_per_put"] < measured["plain"]["events_per_put"]
+    ), measured

@@ -11,7 +11,6 @@ import pytest
 from repro.net import Fabric
 from repro.obs import collecting
 from repro.rdma import (
-    DoorbellQueue,
     MemoryRegion,
     QueuePair,
     RdmaError,
@@ -156,41 +155,3 @@ class TestPostMany:
         assert registry.value("rdma.doorbells") == 1
         assert registry.value("rdma.doorbell_posts") == 3
         assert registry.value("rdma.verbs", type="write") == 3
-
-
-class TestDoorbellQueue:
-    def test_ring_flushes_accumulated_posts(self, sim, fabric):
-        _requester, nic, qps, regions = _make_fanout(fabric)
-        queue = DoorbellQueue(nic)
-        for qp in qps:
-            queue.post(qp.prepare_write("data", 8, b"fanout"))
-        assert len(queue) == 3
-        events = queue.ring()
-        assert len(queue) == 0
-        sim.run()
-        assert all(event.ok for event in events)
-        assert all(region.read(8, 6) == b"fanout" for region in regions)
-
-    def test_auto_ring_at_max_posts(self, fabric):
-        with collecting() as registry:
-            sim = Simulator()
-            fabric2 = Fabric(sim)
-            _req, nic, qps, _regions = _make_fanout(fabric2, n_targets=1)
-            queue = DoorbellQueue(nic, max_posts=2)
-            for offset in (0, 16, 32):
-                queue.post(qps[0].prepare_write("data", offset, b"x"))
-            assert len(queue) == 1  # first two auto-flushed
-            queue.ring()
-            sim.run()
-        assert registry.value("rdma.doorbells") == 2
-
-    def test_empty_ring_is_free(self, sim, fabric):
-        _requester, nic, _qps, _regions = _make_fanout(fabric)
-        issued = nic.verbs_issued
-        assert DoorbellQueue(nic).ring() == []
-        assert nic.verbs_issued == issued
-
-    def test_max_posts_validated(self, fabric):
-        _requester, nic, _qps, _regions = _make_fanout(fabric)
-        with pytest.raises(ValueError):
-            DoorbellQueue(nic, max_posts=0)

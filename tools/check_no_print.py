@@ -29,7 +29,6 @@ from typing import Iterator, List, Tuple
 CLI_MODULES = frozenset(
     {
         "repro/bench/cli.py",
-        "repro/bench/perfbench.py",
         "repro/obs/compare.py",
         "repro/obs/export.py",
     }
