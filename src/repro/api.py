@@ -117,8 +117,6 @@ class Cluster:
         *kwargs* reach the client constructor (timeouts, retry policy).
         """
         from repro.kv.client import KvClient
-        from repro.shard.router import ShardRouter
-        from repro.shard.service import ShardedKvService
 
         if name is None:
             # Several Clusters may share one fabric; skip taken names.
@@ -126,7 +124,7 @@ class Cluster:
             while name in self.fabric.hosts:
                 name = f"client-{next(self._client_ids)}"
         host = self.fabric.add_host(name, cores=cores)
-        factory = ShardRouter if isinstance(self.inner, ShardedKvService) else KvClient
+        factory = self.spec.client_factory or KvClient
         return factory(host, self.fabric, self.inner, **kwargs)
 
     # ------------------------------------------------------------------
@@ -142,9 +140,7 @@ class Cluster:
         return Topology.of(self.inner, at_us=self.sim.now)
 
     def _sharded(self):
-        from repro.shard.service import ShardedKvService
-
-        if not isinstance(self.inner, ShardedKvService):
+        if self.inner.ring is None:
             raise ReproError(
                 f"{self.spec.name!r} is not sharded; topology mutation needs "
                 "Cluster.build('sharded', ...)"
@@ -156,10 +152,11 @@ class Cluster:
         """Change the cluster's shape, or hand it to the reconciler.
 
         ``shards=N`` live-splits (largest key-span first) or
-        live-merges (smallest into largest) until the ring has N
-        shards, driving the simulator until each migration completes —
-        no acked write is dropped.  ``backups=N`` resizes the shared
-        pool immediately.  ``auto=True`` starts a
+        live-merges (smallest into largest, then retires the emptied
+        group) until the ring has N shards, driving the simulator until
+        each migration completes — no acked write is dropped.
+        ``backups=N`` resizes the shared pool immediately.
+        ``auto=True`` starts a
         :class:`~repro.control.reconciler.Reconciler` with *config*
         (a :class:`~repro.control.reconciler.ReconcilerConfig`) that
         does both continuously; returns it (stop with ``.stop()``).
@@ -190,14 +187,13 @@ class Cluster:
                     self.fabric, service, spans[0], spans[-1]
                 )
                 self.run(manager.run())
+                # The forwarding window has closed: decommission the group.
+                service.retire_group(spans[0])
         return self.topology()
 
     def _shard_span(self, shard: str) -> int:
         """Total key-space span a shard owns (deterministic split pick)."""
-        service = self._sharded()
-        return sum(
-            (hi - lo) % (1 << 64) for lo, hi in service.ring.arcs_of(shard)
-        )
+        return sum((hi - lo) % (1 << 64) for lo, hi in self.inner.ring.arcs_of(shard))
 
     def migrate(self, shard: str, to: Optional[str] = None,
                 new_shard: Optional[str] = None, **kwargs):
@@ -232,8 +228,7 @@ class Cluster:
 
     def ready(self):
         """Process: the spec's readiness condition (compose into scenarios)."""
-        result = yield from self.spec.wait_ready(self.inner)
-        return result
+        return self.spec.wait_ready(self.inner)
 
     def wait_ready(self, deadline_us: float = 30 * SEC):
         """Run the simulator until the cluster serves; returns the leader."""

@@ -40,6 +40,7 @@ from repro.obs import state as obs_state
 from repro.rdma.messaging import RdmaMessenger
 from repro.rdma.nic import Rnic
 from repro.sim.engine import Event, ProcessKilled
+from repro.sim.units import MS
 
 __all__ = ["EPaxosCluster", "EPaxosConfig"]
 
@@ -380,6 +381,15 @@ class EPaxosReplica:
 class EPaxosCluster:
     """An EPaxos deployment: 2F+1 equal replicas, all serving clients."""
 
+    kind = "epaxos"
+    leader_based = False
+    #: An acked write may not survive a tolerated crash: commit
+    #: announcements are asynchronous (§6.3.2 caveat), so the chaos runner
+    #: downgrades linearizability to a no-phantom-value check under crashes.
+    durable_across_crash = False
+    ring = None
+    memory_nodes = ()
+
     def __init__(
         self, fabric: Fabric, config: EPaxosConfig = EPaxosConfig(), name: str = "epaxos"
     ):
@@ -387,17 +397,39 @@ class EPaxosCluster:
         self.config = config
         self.name = name
         self.replicas = [EPaxosReplica(self, i) for i in range(config.nodes)]
-        self.cpu_nodes = self.replicas  # KvClient compatibility
+        #: The client-facing, crashable nodes: every replica serves clients.
+        self.cpu_nodes = self.replicas
 
     def start(self) -> None:
         for replica in self.replicas:
             replica.start()
 
+    def is_serving(self) -> bool:
+        # A fast-path quorum (F + floor((F+1)/2)) must be up to commit.
+        live = sum(1 for r in self.replicas if r.host.alive)
+        return live >= self.config.fast_quorum
+
+    def leaders(self) -> List[Tuple[str, int]]:
+        return []
+
+    def leader_node(self) -> Optional[EPaxosReplica]:
+        """Leaderless: "leader" faults target the lowest live replica
+        (the command leader most client traffic lands on)."""
+        for replica in self.replicas:
+            if replica.host.alive:
+                return replica
+        return None
+
     def wait_until_serving(self, timeout_us: Optional[float] = None):
-        """Process: EPaxos serves immediately; provided for API symmetry."""
-        if False:
-            yield  # pragma: no cover - keeps this a generator
-        return self.replicas[0]
+        """Process: poll until a fast quorum is live; returns the lowest
+        live replica (at once, without yielding, when all are up)."""
+        sim = self.fabric.sim
+        deadline = None if timeout_us is None else sim.now + timeout_us
+        while not self.is_serving():
+            if deadline is not None and sim.now >= deadline:
+                raise TimeoutError(f"no EPaxos fast quorum after {timeout_us}us")
+            yield sim.timeout(1 * MS)
+        return self.leader_node()
 
     def preload(self, items) -> None:
         """Synchronously pre-populate every replica (§6.2 scaffolding)."""

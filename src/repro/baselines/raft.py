@@ -560,12 +560,18 @@ class NotLeader(Exception):
 class RaftCluster:
     """A Raft-R deployment: 2F+1 identically provisioned replicas."""
 
+    kind = "raft"
+    leader_based = True
+    durable_across_crash = True
+    ring = None
+    memory_nodes = ()
+
     def __init__(self, fabric: Fabric, config: RaftConfig = RaftConfig(), name: str = "raft"):
         self.fabric = fabric
         self.config = config
         self.name = name
         self.nodes = [RaftNode(self, i) for i in range(config.nodes)]
-        # KvClient compatibility: expose the replicas as "CPU nodes".
+        #: The client-facing, crashable nodes: any replica may lead.
         self.cpu_nodes = self.nodes
 
     def start(self) -> None:
@@ -573,7 +579,18 @@ class RaftCluster:
         for node in self.nodes:
             node.start()
 
-    def leader(self) -> Optional[RaftNode]:
+    def is_serving(self) -> bool:
+        return self.leader_node() is not None
+
+    def leaders(self) -> List[Tuple[str, int]]:
+        """``(host_name, term)`` for every replica that believes it leads."""
+        return [
+            (node.host.name, node.term)
+            for node in self.nodes
+            if node.role == "leader" and node.host.alive
+        ]
+
+    def leader_node(self) -> Optional[RaftNode]:
         """The current leader, if one is elected."""
         for node in self.nodes:
             if node.role == "leader" and node.host.alive:
@@ -585,7 +602,7 @@ class RaftCluster:
         sim = self.fabric.sim
         deadline = None if timeout_us is None else sim.now + timeout_us
         while True:
-            leader = self.leader()
+            leader = self.leader_node()
             if leader is not None:
                 return leader
             if deadline is not None and sim.now >= deadline:
@@ -594,7 +611,7 @@ class RaftCluster:
 
     def crash_leader(self) -> Optional[RaftNode]:
         """Kill the current leader."""
-        leader = self.leader()
+        leader = self.leader_node()
         if leader is not None:
             leader.crash()
         return leader

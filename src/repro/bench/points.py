@@ -703,7 +703,6 @@ def hotspot_point(
         scale,
         seed,
         lambda cluster: HotspotZipfSampler(scale.keys, cluster.ring, scale.zipf_theta),
-        ready_deadline_us=10 * SEC,
     )
     engine = OpenLoopEngine(
         fabric,

@@ -27,7 +27,7 @@ from repro.obs.publish import publish_run
 from repro.obs.trace import Tracer, set_tracer
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
-from repro.sim.units import MS, SEC
+from repro.sim.units import MS
 from repro.workloads.clients import ClientPool
 from repro.workloads.generator import (
     KeySampler,
@@ -104,7 +104,6 @@ def boot(
     scale: BenchScale,
     seed: int,
     sampler_for: Optional[Callable[[object], KeySampler]] = None,
-    ready_deadline_us: float = 5 * SEC,
 ):
     """Build -> wait ready -> preload: the preamble every driver shares.
 
@@ -124,7 +123,7 @@ def boot(
         sampler = sampler_for(cluster)
     ready = sim.spawn(spec.wait_ready(cluster), name="wait-ready")
     ready.add_callback(lambda _ev: None)  # we inspect the outcome below
-    sim.run_until_settled(ready, deadline=ready_deadline_us)
+    sim.run_until_settled(ready, deadline=spec.ready_timeout_us)
     if not ready.ok:
         raise RuntimeError(f"{spec.name} never became ready: {ready.exception}")
     value = b"v" * scale.value_bytes
@@ -316,9 +315,8 @@ def run_openloop(
         window_us = 1 * MS
 
     def sampler_for(cluster) -> KeySampler:
-        ring = getattr(cluster, "ring", None)
-        if getattr(cluster, "groups", None) and ring is not None:
-            return StripedZipfSampler(scale.keys, ring, scale.zipf_theta)
+        if cluster.ring is not None:
+            return StripedZipfSampler(scale.keys, cluster.ring, scale.zipf_theta)
         return ZipfSampler(scale.keys, scale.zipf_theta)
 
     sim, fabric, cluster, sampler = boot(spec, scale, seed, sampler_for)

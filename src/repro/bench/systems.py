@@ -1,12 +1,29 @@
 """System-under-test factories.
 
-Each spec builds a fresh cluster on a fresh fabric with a uniform
-interface, so the experiment drivers in :mod:`repro.bench.runner` can
-treat Sift, Sift EC, Raft-R and EPaxos identically:
+Each spec builds a fresh cluster on a fresh fabric, so the experiment
+drivers in :mod:`repro.bench.runner` can treat Sift, Sift EC, Raft-R,
+EPaxos and the sharded service identically.  A :class:`SystemSpec` is
+data (name, ``build(fabric)``, client constructor, readiness budget);
+everything else is asked of the cluster, and nothing above the four
+cluster classes probes a cluster's type.
 
-* ``build(fabric)`` — construct and start the cluster;
-* ``wait_ready(cluster)`` — process that returns when requests are served;
-* ``preload(cluster, items)`` — synchronous §6.2 pre-population.
+**What a system under test provides** (member: who reads it; DESIGN.md
+§6 spells out the figure, chaos and obs consumers):
+
+* ``fabric``, ``name``, ``cpu_nodes``: clients (endpoints), chaos
+  (crash/restart by index), every label and host name;
+* ``kind``, ``leader_based``, ``durable_across_crash``: what the chaos
+  runner calls the system and which checks it applies (per-term leader
+  uniqueness; lincheck or the no-phantom-value check);
+* ``ring``: None unless sharded; picks router vs ``KvClient``, striped
+  sampler, open-loop lanes, ``Topology.of``/``publish_run``'s ring case;
+* ``memory_nodes``: chaos memory-node faults (``UnsupportedFault`` where
+  empty, i.e. on Raft-R and EPaxos);
+* ``start()``, ``wait_until_serving()``, ``preload(items)``: the
+  build -> ready -> §6.2 pre-population preamble of every driver;
+* ``is_serving()``, ``leaders()``, ``leader_node()``: chaos readiness
+  and liveness, ``LeaderMonitor``, ``LEADER``/``FOLLOWER`` targets,
+  ``Topology`` placement, the obs cache gauges.
 """
 
 from __future__ import annotations
@@ -31,11 +48,19 @@ class SystemSpec:
     """A buildable system-under-test."""
 
     name: str
-    build: Callable[[Fabric], object]
-    wait_ready: Callable[[object], object]  # (cluster) -> process generator
-    preload: Callable[[object, Iterable[Tuple[bytes, bytes]]], None]
+    build: Callable[[Fabric], object]  # construct and start the cluster
     #: Client constructor ``(host, fabric, cluster)``; None -> KvClient.
     client_factory: Optional[Callable] = None
+    #: Simulated time :meth:`wait_ready` allows before giving up.
+    ready_timeout_us: float = 5 * SEC
+
+    def wait_ready(self, cluster):
+        """Process: returns (the leader) once *cluster* serves requests."""
+        return cluster.wait_until_serving(timeout_us=self.ready_timeout_us)
+
+    def preload(self, cluster, items: Iterable[Tuple[bytes, bytes]]) -> None:
+        """Synchronous §6.2 pre-population."""
+        cluster.preload(items)
 
 
 # ---------------------------------------------------------------------------
@@ -91,21 +116,11 @@ def sift_spec(
         group.start()
         return group
 
-    def wait_ready(group: SiftGroup):
-        coordinator = yield from group.wait_until_serving(timeout_us=5 * SEC)
-        return coordinator
-
-    def preload(group: SiftGroup, items) -> None:
-        coordinator = group.serving_coordinator()
-        if coordinator is None:
-            raise RuntimeError("preload requires a serving coordinator")
-        coordinator.app.preload(items)
-
-    return SystemSpec(name=name, build=build, wait_ready=wait_ready, preload=preload)
+    return SystemSpec(name=name, build=build)
 
 
 # ---------------------------------------------------------------------------
-# Raft-R
+# Sharded service, Raft-R
 # ---------------------------------------------------------------------------
 
 
@@ -119,8 +134,7 @@ def sharded_spec(
     **service_overrides,
 ) -> SystemSpec:
     """The multi-group sharded KV service over a live shared backup pool."""
-    from collections import defaultdict
-
+    from repro.shard.router import ShardRouter
     from repro.shard.service import ShardedKvService
 
     kv_kwargs = dict(
@@ -145,28 +159,11 @@ def sharded_spec(
         service.start()
         return service
 
-    def wait_ready(service: ShardedKvService):
-        result = yield from service.wait_until_serving(timeout_us=10 * SEC)
-        return result
-
-    def preload(service: ShardedKvService, items) -> None:
-        by_shard = defaultdict(list)
-        for key, value in items:
-            by_shard[service.shard_for(key)].append((key, value))
-        for shard_name, shard_items in by_shard.items():
-            coordinator = service._group(shard_name).serving_coordinator()
-            if coordinator is None:
-                raise RuntimeError(f"preload requires {shard_name} to be serving")
-            coordinator.app.preload(shard_items)
-
-    from repro.shard.router import ShardRouter
-
     return SystemSpec(
         name="sharded",
         build=build,
-        wait_ready=wait_ready,
-        preload=preload,
         client_factory=ShardRouter,
+        ready_timeout_us=10 * SEC,
     )
 
 
@@ -183,14 +180,7 @@ def raft_spec(
         cluster.start()
         return cluster
 
-    def wait_ready(cluster: RaftCluster):
-        leader = yield from cluster.wait_until_serving(timeout_us=5 * SEC)
-        return leader
-
-    def preload(cluster: RaftCluster, items) -> None:
-        cluster.preload(items)
-
-    return SystemSpec(name="raft-r", build=build, wait_ready=wait_ready, preload=preload)
+    return SystemSpec(name="raft-r", build=build)
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +201,4 @@ def epaxos_spec(
         cluster.start()
         return cluster
 
-    def wait_ready(cluster: EPaxosCluster):
-        replica = yield from cluster.wait_until_serving()
-        return replica
-
-    def preload(cluster: EPaxosCluster, items) -> None:
-        cluster.preload(items)
-
-    return SystemSpec(name="epaxos", build=build, wait_ready=wait_ready, preload=preload)
+    return SystemSpec(name="epaxos", build=build)

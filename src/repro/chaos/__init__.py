@@ -1,7 +1,7 @@
 """Deterministic fault injection (the repo's chaos layer).
 
 Everything failure-related flows through here: declarative
-:class:`FaultSchedule` plans, per-system :mod:`adapters
+:class:`FaultSchedule` plans, the one :mod:`cluster adapter
 <repro.chaos.adapters>`, the invariant-checking :class:`ChaosRunner`,
 and a seeded :mod:`random-schedule explorer <repro.chaos.explorer>`.
 Benchmarks (Figs. 11–12), the fault-matrix regression suite, and the
@@ -12,10 +12,6 @@ failure anywhere is replayable from a single seed.
 from repro.chaos.adapters import (
     ChaosController,
     ClusterAdapter,
-    EPaxosAdapter,
-    RaftAdapter,
-    ShardedAdapter,
-    SiftAdapter,
     UnsupportedFault,
     adapter_for,
 )
@@ -37,10 +33,6 @@ __all__ = [
     "FOLLOWER",
     "ChaosController",
     "ClusterAdapter",
-    "SiftAdapter",
-    "ShardedAdapter",
-    "RaftAdapter",
-    "EPaxosAdapter",
     "UnsupportedFault",
     "adapter_for",
     "MessageChaos",

@@ -1,9 +1,12 @@
-"""Cluster adapters: one fault surface over Sift, Raft-R, and EPaxos.
+"""The cluster adapter: one fault surface over every system under test.
 
-The chaos layer never touches protocol internals directly.  Each system
-exposes the same small surface — crash/restart by index or symbolic
-role, who leads (and at what term), readiness — through a
-:class:`ClusterAdapter`; a :class:`ChaosController` then applies
+The chaos layer never touches protocol internals directly.  Every
+cluster class (Sift group, sharded service, Raft-R, EPaxos) says what
+it is through the same members — the table "what a system under test
+provides" in :mod:`repro.bench.systems` — and the one
+:class:`ClusterAdapter` turns those into crash/restart by index or
+symbolic role, who leads (and at what term), and readiness; a
+:class:`ChaosController` then applies
 :class:`~repro.chaos.schedule.FaultAction` records to the adapter, the
 fabric's partition machinery, the per-host NICs, and the message-chaos
 interceptor.  Benchmarks, the matrix suite, and the random explorer all
@@ -19,16 +22,7 @@ from repro.chaos.schedule import FOLLOWER, LEADER, FaultAction
 from repro.net.partition import PartitionController
 from repro.sim.units import MS
 
-__all__ = [
-    "UnsupportedFault",
-    "ClusterAdapter",
-    "SiftAdapter",
-    "ShardedAdapter",
-    "RaftAdapter",
-    "EPaxosAdapter",
-    "ChaosController",
-    "adapter_for",
-]
+__all__ = ["UnsupportedFault", "ClusterAdapter", "ChaosController", "adapter_for"]
 
 
 class UnsupportedFault(Exception):
@@ -38,42 +32,38 @@ class UnsupportedFault(Exception):
 class ClusterAdapter:
     """Uniform fault/observation surface over one running cluster."""
 
-    kind = "generic"
-    leader_based = True
-    """False for leaderless protocols; leader-uniqueness checks skip them."""
-
-    durable_across_crash = True
-    """Whether an acked write survives any single tolerated crash.  EPaxos'
-    asynchronous commit announcements make this False there (§6.3.2
-    caveat): the runner downgrades linearizability to a no-phantom-value
-    check for such systems under crash faults."""
-
     def __init__(self, cluster):
         self.cluster = cluster
         self.fabric = cluster.fabric
         self.sim = cluster.fabric.sim
+        self.kind: str = cluster.kind
+        self.leader_based: bool = cluster.leader_based
+        self.durable_across_crash: bool = cluster.durable_across_crash
 
     # -- topology ---------------------------------------------------------------
 
     def nodes(self) -> List:
         """The consensus (client-facing) nodes, crashable by index."""
-        raise NotImplementedError
+        return self.cluster.cpu_nodes
 
     def node_host(self, index: int):
         return self.nodes()[index].host
 
     def server_host_names(self) -> List[str]:
         """Every host the cluster itself runs on (no clients)."""
-        return [node.host.name for node in self.nodes()]
+        return [node.host.name for node in self.nodes()] + [
+            mem.host.name for mem in self.cluster.memory_nodes
+        ]
 
     # -- observation ------------------------------------------------------------
 
     def leaders(self) -> List[Tuple[str, int]]:
         """``(host_name, term)`` for every node that believes it leads."""
-        return []
+        return self.cluster.leaders()
 
     def leader_index(self) -> Optional[int]:
-        return None
+        leader = self.cluster.leader_node()
+        return None if leader is None else self.nodes().index(leader)
 
     def follower_index(self) -> Optional[int]:
         """The first live node that is not the leader."""
@@ -84,7 +74,7 @@ class ClusterAdapter:
         return None
 
     def is_serving(self) -> bool:
-        raise NotImplementedError
+        return self.cluster.is_serving()
 
     def wait_ready(self, timeout_us: Optional[float] = None):
         """Process: poll until the cluster serves requests."""
@@ -99,232 +89,55 @@ class ClusterAdapter:
     # -- faults -----------------------------------------------------------------
 
     def crash_node(self, index: int) -> None:
-        raise NotImplementedError
+        self.nodes()[index].crash()
 
     def restart_node(self, index: int) -> None:
-        raise NotImplementedError
+        self.nodes()[index].restart()
 
     def restart_crashed(self) -> None:
-        for index, node in enumerate(self.nodes()):
+        """Restart every dead node, CPU nodes before memory nodes."""
+        for node in (*self.nodes(), *self.cluster.memory_nodes):
             if not node.host.alive:
-                self.restart_node(index)
+                node.restart()
 
     def crash_memory_node(self, index: int) -> None:
-        raise UnsupportedFault(f"{self.kind} has no memory nodes")
+        self._memory_node(index).crash()
 
     def restart_memory_node(self, index: int) -> None:
-        raise UnsupportedFault(f"{self.kind} has no memory nodes")
+        self._memory_node(index).restart()
+
+    def _memory_node(self, index: int):
+        memory_nodes = self.cluster.memory_nodes
+        if not memory_nodes:
+            raise UnsupportedFault(f"{self.kind} has no memory nodes")
+        return memory_nodes[index]
 
     def crash_coordinator(self, shard=None, ring_version=None) -> None:
         """Kill the coordinator owning *shard*'s key range.
 
         Single-group systems ignore the shard name and crash the
-        leader; the sharded adapter resolves it ring-version-aware.
+        leader.  With a ring the kill is ring-version-aware: a fault
+        scheduled against a shard name before a split/merge is resolved
+        through :meth:`ShardedKvService.resolve_shard`, so it lands on
+        whichever group owns the *intended key range* under the current
+        ring — deterministically, whatever topology changes happened
+        since the schedule was written.
         """
+        if self.cluster.ring is not None:
+            self.cluster.crash_coordinator(shard=shard, ring_version=ring_version)
+            return
         index = self.leader_index()
         if index is None:
             raise UnsupportedFault("no live leader to target")
         self.crash_node(index)
 
 
-class SiftAdapter(ClusterAdapter):
-    """Sift: CPU nodes lead, memory nodes are passive remote memory."""
-
-    kind = "sift"
-
-    def nodes(self):
-        return self.cluster.cpu_nodes
-
-    def server_host_names(self):
-        return [n.host.name for n in self.cluster.cpu_nodes] + [
-            m.host.name for m in self.cluster.memory_nodes
-        ]
-
-    def leaders(self):
-        return [
-            (node.host.name, node.term)
-            for node in self.cluster.cpu_nodes
-            if node.is_coordinator and node.host.alive
-        ]
-
-    def leader_index(self):
-        for index, node in enumerate(self.cluster.cpu_nodes):
-            if node.is_coordinator and node.host.alive:
-                return index
-        return None
-
-    def is_serving(self):
-        return self.cluster.serving_coordinator() is not None
-
-    def crash_node(self, index):
-        self.cluster.crash_cpu_node(index)
-
-    def restart_node(self, index):
-        self.cluster.restart_cpu_node(index)
-
-    def restart_crashed(self):
-        for index, node in enumerate(self.cluster.cpu_nodes):
-            if not node.host.alive:
-                self.cluster.restart_cpu_node(index)
-        for index, mem in enumerate(self.cluster.memory_nodes):
-            if not mem.host.alive:
-                self.cluster.restart_memory_node(index)
-
-    def crash_memory_node(self, index):
-        self.cluster.crash_memory_node(index)
-
-    def restart_memory_node(self, index):
-        self.cluster.restart_memory_node(index)
-
-
-class ShardedAdapter(ClusterAdapter):
-    """The sharded KV service: G groups, each with its own coordinator.
-
-    G simultaneous coordinators are legitimate here, so the global
-    leader-uniqueness invariant does not apply (``leader_based=False``);
-    per-group uniqueness is enforced inside each group's election.
-    Nodes are addressed by flattened index across shards (in shard
-    order, promoted backups included), and readiness means *every*
-    shard serves — after a coordinator crash, liveness therefore
-    requires the shared backup pool to actually promote.
-    """
-
-    kind = "sharded"
-    leader_based = False
-
-    def nodes(self):
-        return self.cluster.cpu_nodes
-
-    def _memory_nodes(self):
-        return [m for group in self.cluster.groups for m in group.memory_nodes]
-
-    def server_host_names(self):
-        return [n.host.name for n in self.cluster.cpu_nodes] + [
-            m.host.name for m in self._memory_nodes()
-        ]
-
-    def leaders(self):
-        return [
-            (node.host.name, node.term)
-            for node in self.cluster.cpu_nodes
-            if node.is_coordinator and node.host.alive
-        ]
-
-    def leader_index(self):
-        for index, node in enumerate(self.cluster.cpu_nodes):
-            if node.is_coordinator and node.host.alive:
-                return index
-        return None
-
-    def is_serving(self):
-        return all(
-            group.serving_coordinator() is not None for group in self.cluster.groups
-        )
-
-    def crash_node(self, index):
-        self.nodes()[index].crash()
-
-    def restart_node(self, index):
-        self.nodes()[index].restart()
-
-    def restart_crashed(self):
-        for node in self.cluster.cpu_nodes:
-            if not node.host.alive:
-                node.restart()
-        for mem in self._memory_nodes():
-            if not mem.host.alive:
-                mem.restart()
-
-    def crash_memory_node(self, index):
-        self._memory_nodes()[index].crash()
-
-    def restart_memory_node(self, index):
-        self._memory_nodes()[index].restart()
-
-    def crash_coordinator(self, shard=None, ring_version=None):
-        """Ring-version-aware coordinator kill for one key range.
-
-        A fault scheduled against a shard name before a split/merge is
-        resolved through :meth:`ShardedKvService.resolve_shard`, so it
-        lands on whichever group owns the *intended key range* under
-        the current ring — deterministically, whatever topology changes
-        happened since the schedule was written.
-        """
-        self.cluster.crash_coordinator(shard=shard, ring_version=ring_version)
-
-
-class RaftAdapter(ClusterAdapter):
-    """Raft-R: 2F+1 identical replicas, any may lead."""
-
-    kind = "raft"
-
-    def nodes(self):
-        return self.cluster.nodes
-
-    def leaders(self):
-        return [
-            (node.host.name, node.term)
-            for node in self.cluster.nodes
-            if node.role == "leader" and node.host.alive
-        ]
-
-    def leader_index(self):
-        for index, node in enumerate(self.cluster.nodes):
-            if node.role == "leader" and node.host.alive:
-                return index
-        return None
-
-    def is_serving(self):
-        return self.cluster.leader() is not None
-
-    def crash_node(self, index):
-        self.cluster.nodes[index].crash()
-
-    def restart_node(self, index):
-        self.cluster.nodes[index].restart()
-
-
-class EPaxosAdapter(ClusterAdapter):
-    """EPaxos: leaderless; "leader" faults target the lowest live replica
-    (the command leader most client traffic lands on)."""
-
-    kind = "epaxos"
-    leader_based = False
-    durable_across_crash = False
-
-    def nodes(self):
-        return self.cluster.replicas
-
-    def leader_index(self):
-        for index, replica in enumerate(self.cluster.replicas):
-            if replica.host.alive:
-                return index
-        return None
-
-    def is_serving(self):
-        # A fast-path quorum (F + floor((F+1)/2)) must be up to commit.
-        live = sum(1 for r in self.cluster.replicas if r.host.alive)
-        return live >= self.cluster.config.fast_quorum
-
-    def crash_node(self, index):
-        self.cluster.replicas[index].crash()
-
-    def restart_node(self, index):
-        self.cluster.replicas[index].restart()
-
-
 def adapter_for(cluster) -> ClusterAdapter:
-    """Pick the adapter for a built cluster (duck-typed, no isinstance
-    on client code paths: benchmarks build clusters through SystemSpec)."""
-    if hasattr(cluster, "groups") and hasattr(cluster, "pool"):
-        return ShardedAdapter(cluster)
-    if hasattr(cluster, "memory_nodes") and hasattr(cluster, "serving_coordinator"):
-        return SiftAdapter(cluster)
-    if hasattr(cluster, "replicas"):
-        return EPaxosAdapter(cluster)
-    if hasattr(cluster, "nodes") and hasattr(cluster, "leader"):
-        return RaftAdapter(cluster)
-    raise TypeError(f"no chaos adapter for {type(cluster).__name__}")
+    """The adapter for a built cluster; ``TypeError`` for anything that
+    is not one (the single "is this a cluster at all" guard)."""
+    if not hasattr(cluster, "leader_node"):
+        raise TypeError(f"no chaos adapter for {type(cluster).__name__}")
+    return ClusterAdapter(cluster)
 
 
 class ChaosController:

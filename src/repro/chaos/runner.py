@@ -77,7 +77,7 @@ def _client_class(cluster):
     """KvClient for single-group systems, ShardRouter for the sharded
     service (a plain KvClient would ignore key ownership and write a
     key to whichever shard's coordinator answers first)."""
-    if hasattr(cluster, "ring") and hasattr(cluster, "groups"):
+    if cluster.ring is not None:
         from repro.shard.router import ShardRouter
 
         return ShardRouter

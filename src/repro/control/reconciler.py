@@ -209,6 +209,8 @@ class Reconciler:
         self.merges += 1
         self._record("merge", {"shard": shard, "into": into})
         result = yield from manager.run()
+        # The forwarding window has closed: decommission the source group.
+        self.service.retire_group(shard)
         self._last_totals = self.service.group_op_totals()
         return result
 

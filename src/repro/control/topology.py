@@ -36,9 +36,8 @@ class Topology(NamedTuple):
 
     @classmethod
     def of(cls, inner, at_us: float) -> "Topology":
-        """Snapshot *inner* (a sharded service, or a lone group)."""
-        if hasattr(inner, "ring") and hasattr(inner, "groups"):
-            pool = getattr(inner, "pool", None)
+        """Snapshot *inner* (a sharded service, or any single-group system)."""
+        if inner.ring is not None:
             return cls(
                 at_us=at_us,
                 shards=tuple(inner.ring.shards),
@@ -46,22 +45,18 @@ class Topology(NamedTuple):
                 virtual_nodes=inner.ring.virtual_nodes,
                 groups=tuple(group.name for group in inner.groups),
                 placement=inner.coordinators(),
-                pool=None if pool is None else pool.snapshot(),
+                pool=inner.pool.snapshot(),
             )
-        if hasattr(inner, "serving_coordinator"):
-            coordinator = inner.serving_coordinator()
-            return cls(
-                at_us=at_us,
-                shards=(inner.name,),
-                ring_version=0,
-                virtual_nodes=0,
-                groups=(inner.name,),
-                placement={
-                    inner.name: None if coordinator is None else coordinator.host.name
-                },
-                pool=None,
-            )
-        raise TypeError(f"no topology for {type(inner).__name__}")
+        leader = inner.leader_node() if inner.is_serving() else None
+        return cls(
+            at_us=at_us,
+            shards=(inner.name,),
+            ring_version=0,
+            virtual_nodes=0,
+            groups=(inner.name,),
+            placement={inner.name: None if leader is None else leader.host.name},
+            pool=None,
+        )
 
     def coordinator_of(self, shard: str) -> Optional[str]:
         """The serving coordinator host of *shard* (None mid-failover)."""

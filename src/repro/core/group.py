@@ -10,7 +10,7 @@ who currently coordinates, crash/restart of either node type, and a
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.core.config import SiftConfig
 from repro.core.cpu_node import CpuNode
@@ -34,6 +34,11 @@ class SiftGroup:
     of data loss" (or, majority-persistent, a group that survives a full
     power cycle).
     """
+
+    kind = "sift"
+    leader_based = True
+    durable_across_crash = True
+    ring = None
 
     def __init__(
         self,
@@ -99,6 +104,31 @@ class SiftGroup:
             return coordinator
         return None
 
+    def is_serving(self) -> bool:
+        return self.serving_coordinator() is not None
+
+    def leaders(self) -> List[Tuple[str, int]]:
+        """``(host_name, term)`` for every CPU node that believes it leads."""
+        return [
+            (node.host.name, node.term)
+            for node in self.cpu_nodes
+            if node.is_coordinator and node.host.alive
+        ]
+
+    def leader_node(self) -> Optional[CpuNode]:
+        """The first live CPU node in the coordinator role (serving or not)."""
+        for node in self.cpu_nodes:
+            if node.is_coordinator and node.host.alive:
+                return node
+        return None
+
+    def preload(self, items) -> None:
+        """Synchronous §6.2 pre-population through the serving coordinator."""
+        coordinator = self.serving_coordinator()
+        if coordinator is None:
+            raise RuntimeError(f"preload requires {self.name} to be serving")
+        coordinator.app.preload(items)
+
     def wait_until_serving(self, timeout_us: Optional[float] = None):
         """Process: poll until a coordinator is serving; returns it."""
         deadline = None if timeout_us is None else self.fabric.sim.now + timeout_us
@@ -158,14 +188,6 @@ class SiftGroup:
                 )
             coordinator.crash()
         return coordinator
-
-    def crash_cpu_node(self, index: int) -> None:
-        """Kill CPU node *index*."""
-        self.cpu_nodes[index].crash()
-
-    def restart_cpu_node(self, index: int) -> None:
-        """Restart CPU node *index* with fresh soft state."""
-        self.cpu_nodes[index].restart()
 
     def crash_memory_node(self, index: int) -> None:
         """Kill memory node *index* (volatile nodes lose their contents)."""

@@ -26,8 +26,8 @@ def publish_run(
     """Snapshot fabric/host/cluster state into *registry* gauges.
 
     *cluster* may be any of the harness's systems (SiftGroup,
-    RaftCluster, EPaxosCluster, ...); recognisable sub-objects are
-    probed with getattr so one publisher serves them all.
+    ShardedKvService, RaftCluster, EPaxosCluster); it is read through
+    the members every system under test provides.
     """
     registry.gauge("fabric.messages_sent").set(fabric.messages_sent)
     registry.gauge("fabric.bytes_sent").set(fabric.bytes_sent)
@@ -64,10 +64,9 @@ def publish_run(
 
 def _publish_cluster(registry: MetricsRegistry, cluster: object) -> None:
     # Sharded service: per-shard gauges plus the backup pool's state.
-    groups = getattr(cluster, "groups", None)
-    pool = getattr(cluster, "pool", None)
-    if groups is not None and pool is not None:
-        for group in groups:
+    if cluster.ring is not None:
+        pool = cluster.pool
+        for group in cluster.groups:
             coordinator = group.serving_coordinator()
             registry.gauge("shard.cpu_nodes", shard=group.name).set(
                 len(group.cpu_nodes)
@@ -85,10 +84,9 @@ def _publish_cluster(registry: MetricsRegistry, cluster: object) -> None:
             pool.recovery_wait_us_total
         )
         return
-    # Sift: the serving coordinator's KV app carries the value cache.
-    serving = getattr(cluster, "serving_coordinator", None)
-    coordinator = serving() if callable(serving) else None
-    _publish_cache(registry, coordinator)
+    # Sift: the serving coordinator's KV app carries the value cache
+    # (Raft-R and EPaxos nodes have no ``app``, so nothing is published).
+    _publish_cache(registry, cluster.leader_node() if cluster.is_serving() else None)
 
 
 def _publish_cache(

@@ -8,7 +8,8 @@ through :class:`repro.shard.router.ShardRouter`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from collections import defaultdict
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.backups import BackupPool
 from repro.core.group import SiftGroup
@@ -31,7 +32,19 @@ class ShardedKvService:
     every group; the pool's watchdog promotes a spare into whichever
     group loses its coordinator.  ``G + B`` CPU VMs replace
     ``G x (Fc + 1)``.
+
+    G simultaneous coordinators are legitimate here, so the global
+    leader-uniqueness invariant does not apply (``leader_based=False``);
+    per-group uniqueness is enforced inside each group's election.
+    Nodes are addressed by flattened index across shards (in shard
+    order, promoted backups included), and serving means *every*
+    shard serves — after a coordinator crash, liveness therefore
+    requires the shared backup pool to actually promote.
     """
+
+    kind = "sharded"
+    leader_based = False
+    durable_across_crash = True
 
     def __init__(
         self,
@@ -113,6 +126,17 @@ class ShardedKvService:
             remaining = None if deadline is None else deadline - self.fabric.sim.now
             yield from group.wait_until_serving(remaining)
         return self
+
+    def is_serving(self) -> bool:
+        return all(group.is_serving() for group in self.groups)
+
+    def preload(self, items) -> None:
+        """Synchronous §6.2 pre-population, each pair to its owning shard."""
+        by_shard = defaultdict(list)
+        for key, value in items:
+            by_shard[self.shard_for(key)].append((key, value))
+        for shard_name, shard_items in by_shard.items():
+            self._group(shard_name).preload(shard_items)
 
     # ------------------------------------------------------------------
     # Placement
@@ -246,6 +270,20 @@ class ShardedKvService:
     def cpu_nodes(self):
         """Every CPU node across all shards (includes promoted backups)."""
         return [cpu for group in self.groups for cpu in group.cpu_nodes]
+
+    @property
+    def memory_nodes(self):
+        """Every memory node across all shards, in shard order."""
+        return [mem for group in self.groups for mem in group.memory_nodes]
+
+    def leaders(self) -> List[Tuple[str, int]]:
+        """``(host_name, term)`` for every coordinator, in shard order."""
+        return [leader for group in self.groups for leader in group.leaders()]
+
+    def leader_node(self):
+        """The first live coordinator in shard order (what ``LEADER`` hits)."""
+        leaders = (group.leader_node() for group in self.groups)
+        return next((node for node in leaders if node is not None), None)
 
     def coordinators(self) -> Dict[str, Optional[str]]:
         """Shard name -> serving coordinator host name (None while down)."""

@@ -348,19 +348,13 @@ class OpenLoopEngine:
         self.name = name
         self._value = b"v" * value_bytes
         self._client_factory = client_factory or KvClient
-        groups = getattr(cluster, "groups", None)
-        self._targets: List = list(groups) if groups else [cluster]
+        self._targets: List = [cluster] if cluster.ring is None else list(cluster.groups)
         self.generator = ArrivalGenerator(
             fabric, mix, sampler, n_clients,
             n_shards=len(self._targets), name=name,
         )
         self.lanes = [
-            ShardLane(
-                self.sim,
-                index,
-                getattr(target, "name", f"shard{index}"),
-                self.admission.queue_limit,
-            )
+            ShardLane(self.sim, index, target.name, self.admission.queue_limit)
             for index, target in enumerate(self._targets)
         ]
         # Elastic mode (opt-in, off for the committed fixed-topology
@@ -374,7 +368,7 @@ class OpenLoopEngine:
         self._lane_pos = {lane.name: lane.index for lane in self.lanes}
         self._key_lane: Optional[np.ndarray] = None
         if elastic:
-            if getattr(cluster, "ring", None) is None:
+            if cluster.ring is None:
                 raise ValueError("elastic mode needs a sharded cluster")
             if not hasattr(sampler, "all_keys"):
                 raise ValueError("elastic mode needs a striped key sampler")

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.api import SYSTEMS, Cluster, ScenarioFailed, system_spec
+from repro.bench.calibration import SMOKE_SCALE
+from repro.chaos import adapter_for
 from repro.errors import ReproError
 from repro.kv.client import KvClient, KvRequestFailed
 from repro.shard.router import ShardRouter
@@ -63,6 +65,85 @@ class TestBuild:
         assert second.sim is first.sim
         assert roundtrip(first) == b"Ada Lovelace"
         assert roundtrip(second) == b"Ada Lovelace"
+
+
+#: What a system under test provides (the table in repro.bench.systems).
+SYSTEM_PROTOCOL = (
+    "fabric", "name", "kind", "leader_based", "durable_across_crash", "ring",
+    "cpu_nodes", "memory_nodes", "start", "is_serving", "wait_until_serving",
+    "leaders", "leader_node", "preload",
+)
+
+
+class TestSystemProtocol:
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_every_system_conforms(self, system):
+        cluster = Cluster.build(system, seed=7, scale=SMOKE_SCALE)
+        inner = cluster.inner
+        assert [m for m in SYSTEM_PROTOCOL if not hasattr(inner, m)] == []
+        assert (inner.ring is not None) == (system == "sharded")
+        assert bool(inner.memory_nodes) == (system in ("sift", "sift-ec", "sharded"))
+
+        assert cluster.wait_ready() is not None
+        assert inner.is_serving()
+        assert inner.leader_node() in inner.cpu_nodes
+        for host_name, _term in inner.leaders():
+            assert host_name in cluster.fabric.hosts
+
+        topo = cluster.topology()
+        assert set(topo.placement) == set(topo.groups)
+        assert all(host in cluster.fabric.hosts for host in topo.placement.values())
+
+        assert type(cluster.client()) is (cluster.spec.client_factory or KvClient)
+        adapter = adapter_for(inner)
+        assert adapter.kind == inner.kind
+        assert adapter.leader_based == inner.leader_based
+        assert adapter.durable_across_crash == inner.durable_across_crash
+
+        cluster.preload([(b"conf:%d" % i, b"v%d" % i) for i in range(8)])
+        client = cluster.client()
+        assert cluster.run(client.get(b"conf:5")) == b"v5"
+
+    @pytest.mark.parametrize("system", ["raft-r", "epaxos"])
+    def test_topology_of_a_baseline_places_the_leader_host(self, system):
+        cluster = Cluster.build(system, seed=7, scale=SMOKE_SCALE)
+        inner = cluster.inner
+        if system == "raft-r":  # no leader before the first election
+            assert cluster.topology().placement == {inner.name: None}
+        cluster.wait_ready()
+        topo = cluster.topology()
+        assert topo.shards == topo.groups == (inner.name,)
+        assert topo.pool is None and topo.ring_version == 0
+        assert topo.placement == {inner.name: inner.leader_node().host.name}
+        for node in inner.cpu_nodes:
+            node.crash()
+        assert cluster.topology().coordinator_of(inner.name) is None
+
+    def test_epaxos_wait_ready_means_a_live_fast_quorum(self):
+        cluster = Cluster.build("epaxos", seed=7, scale=SMOKE_SCALE)
+        inner = cluster.inner
+        first, second, _third = inner.replicas
+        first.crash()
+        # Two of three is still a fast quorum: ready without yielding
+        # once, and the replica handed back is a live one.
+        with pytest.raises(StopIteration) as ready:
+            next(inner.wait_until_serving(timeout_us=1 * SEC))
+        assert ready.value.value is second
+        assert cluster.wait_ready() is second
+        second.crash()
+        assert not inner.is_serving() and not adapter_for(inner).is_serving()
+        with pytest.raises(TimeoutError):
+            cluster.wait_ready()
+        # The wait polls every 1 ms (and Cluster.run steps in 1 ms slices).
+        restart_at = cluster.sim.now + 2.5 * MS
+
+        def restart_later():
+            yield cluster.sim.timeout(2.5 * MS)
+            second.restart()
+
+        cluster.sim.spawn(restart_later(), name="restart-later")
+        assert cluster.wait_ready() is second
+        assert restart_at <= cluster.sim.now <= restart_at + 2 * MS
 
 
 class TestRun:

@@ -7,6 +7,7 @@ from repro.chaos import (
     ChaosController,
     ChaosSpace,
     FaultSchedule,
+    FOLLOWER,
     LEADER,
     MessageChaos,
     ScheduleExplorer,
@@ -221,7 +222,7 @@ class TestControllerTargeting:
 
     def test_symbolic_leader_resolves_at_injection_time(self):
         sim, cluster = self._raft()
-        leader = cluster.leader()
+        leader = cluster.leader_node()
         assert leader is not None
         controller = ChaosController.for_cluster(cluster)
         controller.apply(FaultSchedule().crash_leader(0).sorted_actions()[0])
@@ -229,27 +230,84 @@ class TestControllerTargeting:
 
     def test_follower_target_spares_the_leader(self):
         sim, cluster = self._raft()
-        leader = cluster.leader()
+        leader = cluster.leader_node()
         controller = ChaosController.for_cluster(cluster)
         controller.apply(FaultSchedule().crash_follower(0).sorted_actions()[0])
         assert leader.host.alive
         assert sum(1 for n in cluster.nodes if not n.host.alive) == 1
 
+    def _epaxos(self):
+        from repro.baselines.epaxos import EPaxosCluster, EPaxosConfig
+
+        sim, fabric = make_sim(seed=6)
+        cluster = EPaxosCluster(fabric, EPaxosConfig(f=1))
+        cluster.start()
+        return sim, cluster
+
     def test_memory_node_fault_unsupported_on_raft(self):
         _sim, cluster = self._raft()
         controller = ChaosController.for_cluster(cluster)
         action = FaultSchedule().crash_memory_node(0, 1).sorted_actions()[0]
-        with pytest.raises(UnsupportedFault):
+        with pytest.raises(UnsupportedFault, match="raft has no memory nodes"):
+            controller.apply(action)
+
+    @pytest.mark.parametrize("kind", ["crash_memory_node", "restart_memory_node"])
+    def test_memory_node_faults_unsupported_on_epaxos(self, kind):
+        _sim, cluster = self._epaxos()
+        controller = ChaosController.for_cluster(cluster)
+        action = getattr(FaultSchedule(), kind)(0, 1).sorted_actions()[0]
+        with pytest.raises(UnsupportedFault, match="epaxos has no memory nodes"):
             controller.apply(action)
 
     def test_adapter_dispatch(self):
-        from repro.baselines.epaxos import EPaxosCluster, EPaxosConfig
-
-        _sim, fabric = make_sim(seed=6)
-        cluster = EPaxosCluster(fabric, EPaxosConfig(f=1))
-        assert adapter_for(cluster).kind == "epaxos"
+        _sim, cluster = self._epaxos()
+        adapter = adapter_for(cluster)
+        assert adapter.kind == "epaxos"
+        assert not adapter.leader_based and not adapter.durable_across_crash
         with pytest.raises(TypeError):
             adapter_for(object())
+
+    def test_restart_crashed_restarts_cpu_nodes_before_memory_nodes(self):
+        from repro.testing import make_group
+
+        sim, _fabric, group = make_group(seed=4, fc=1)
+        sim.run(until=200 * MS)
+        order = []
+        for node in (*group.cpu_nodes, *group.memory_nodes):
+            node.crash()
+            node.restart = lambda name=node.host.name: order.append(name)
+        group.memory_nodes[1].host.restart()  # a live node is left alone
+        adapter_for(group).restart_crashed()
+        assert order == ["e-cpu0", "e-cpu1", "e-mem0", "e-mem2"]
+
+    def test_symbolic_targets_on_sharded_service_with_promoted_backup(self):
+        """LEADER/FOLLOWER index the flattened node list (shard order,
+        promoted backups included) exactly as the per-system adapter
+        did: first live coordinator, then first other live node."""
+        from repro.shard import ShardedKvService
+
+        sim, fabric = make_sim(seed=7)
+        service = ShardedKvService(
+            fabric, shards=2, backups=1, provisioning_delay_us=1 * SEC
+        )
+        service.start()
+        sim.run(until=300 * MS)
+        controller = ChaosController.for_cluster(service)
+        assert (controller._index(LEADER), controller._index(FOLLOWER)) == (0, 1)
+        service.crash_coordinator()  # shard0's only CPU node: the pool promotes
+        sim.run(until=sim.now + 500 * MS)
+        assert service.pool.promotions == 1 and all(service.coordinators().values())
+        names = [node.host.name for node in service.cpu_nodes]
+        assert names == ["shard0-cpu0", "shard-pool-0", "shard1-cpu0"]
+        assert (controller._index(LEADER), controller._index(FOLLOWER)) == (1, 2)
+        assert controller.adapter.server_host_names() == names + [
+            f"shard{g}-mem{m}" for g in range(2) for m in range(3)
+        ]
+        # Before the promotion lands, the next shard's coordinator leads.
+        service.cpu_nodes[1].crash()
+        assert controller._index(LEADER) == 2
+        with pytest.raises(UnsupportedFault, match="no live follower"):
+            controller._index(FOLLOWER)
 
 
 class TestSiftDeviceFaults:

@@ -135,9 +135,8 @@ def _wrap(sim, fabric, service) -> Cluster:
     spec = SystemSpec(
         name="sharded",
         build=lambda f: service,
-        wait_ready=lambda s: s.wait_until_serving(timeout_us=30 * SEC),
-        preload=lambda s, items: None,
         client_factory=ShardRouter,
+        ready_timeout_us=30 * SEC,
     )
     return Cluster(spec, fabric, service)
 
@@ -172,6 +171,14 @@ class TestTopologyApi:
         assert len(topo.shards) == 4 and topo.ring_version == 2
         topo = cluster.scale(shards=2)
         assert len(topo.shards) == 2 and topo.ring_version == 4
+        # Each merged-away group is retired once its forwarding window
+        # closes: off the topology, off the pool's watch list, hosts down.
+        assert set(topo.groups) == set(topo.shards)
+        assert {g.name for g in service.pool.groups} == set(topo.shards)
+        retired = [name for name in fabric.hosts
+                   if "-cpu" in name and name.split("-cpu")[0] not in topo.shards]
+        assert len(retired) == 2
+        assert not any(fabric.hosts[name].alive for name in retired)
 
         def readback():
             out = {}
@@ -471,6 +478,68 @@ class TestReconciler:
         assert len(service.ring.shards) == 3
         assert ("split", ) == tuple({a for _t, a, _d in reconciler.log
                                      if a == "split"})
+
+    def test_merges_idle_shard_and_retires_its_group(self):
+        """``merge_idle_factor`` on: the cold shard is merged into the
+        loaded one and its group is decommissioned afterwards — off the
+        topology and the pool's watch list, hosts down — with every
+        acked key still readable."""
+        sim, fabric, service = make_service(seed=9)
+        serve(sim, service)
+        cluster = _wrap(sim, fabric, service)
+        router = cluster.client()
+        hot, cold = service.ring.shards
+        acked = {}
+
+        def preload():
+            for i in range(40):
+                key, value = b"mi%03d" % i, b"v%03d" % i
+                yield from router.put(key, value)
+                acked[key] = value
+
+        run(sim, preload())
+        assert {service.shard_for(k) for k in acked} == {hot, cold}
+        hot_keys = [k for k in acked if service.shard_for(k) == hot][:8]
+        reconciler = cluster.scale(auto=True, config=ReconcilerConfig(
+            interval_us=10 * MS,
+            max_shards=2,
+            merge_idle_factor=0.5,
+            forward_window_us=20 * MS,
+        ))
+        stop = {"stop": False}
+
+        def hammer():
+            count = 0
+            while not stop["stop"]:
+                key = hot_keys[count % len(hot_keys)]
+                acked[key] = b"x%d" % count
+                yield from router.put(key, acked[key])
+                count += 1
+                yield sim.timeout(100.0)
+
+        worker = fabric.add_host("hammer", cores=2).spawn(hammer(), name="hammer")
+        sim.run(until=sim.now + 250 * MS)
+        stop["stop"] = True
+        reconciler.stop()
+        sim.run_until_settled(worker, deadline=sim.now + 1 * SEC)
+        assert worker.settled and not worker.failed
+        assert reconciler.merges == 1 and reconciler.splits == 0
+        assert [d for _t, a, d in reconciler.log if a == "merge"] == [
+            {"shard": cold, "into": hot}
+        ]
+        topo = cluster.topology()
+        assert topo.shards == topo.groups == (hot,)
+        assert [g.name for g in service.pool.groups] == [hot]
+        gone = [h for name, h in fabric.hosts.items() if name.startswith(f"{cold}-")]
+        assert len(gone) == 4 and not any(h.alive for h in gone)
+
+        def readback():
+            out = {}
+            for key in acked:
+                out[key] = yield from router.get(key)
+            return out
+
+        assert run(sim, readback()) == acked
 
     def test_pool_resize_follows_fig8_replay(self):
         sim, fabric, service = make_service(backups=1,

@@ -18,7 +18,7 @@ def make_raft(seed=0, f=1):
     cluster = RaftCluster(fabric, RaftConfig(f=f), name="raft")
     cluster.start()
     sim.run(until=200 * MS)
-    assert cluster.leader() is not None
+    assert cluster.leader_node() is not None
     return sim, cluster
 
 
@@ -29,7 +29,7 @@ def leaders_of(cluster):
 class TestSplitVote:
     def test_exact_tie_stalls_the_term_then_converges(self):
         sim, cluster = make_raft(seed=21)
-        leader = cluster.leader()
+        leader = cluster.leader_node()
         survivors = [n for n in cluster.nodes if n is not leader]
         leader.crash()
 
@@ -66,7 +66,7 @@ class TestSplitVote:
 class TestStaleTermAfterRestart:
     def test_restarted_node_cannot_win_with_a_stale_term(self):
         sim, cluster = make_raft(seed=22)
-        leader = cluster.leader()
+        leader = cluster.leader_node()
         ghost = next(n for n in cluster.nodes if n is not leader)
         ghost.crash()
         sim.run(until=sim.now + 100 * MS)
@@ -88,14 +88,14 @@ class TestStaleTermAfterRestart:
 
         # Nobody may have granted it: its term is behind and so is its log.
         assert ghost.role != "leader"
-        assert cluster.leader() is leader
+        assert cluster.leader_node() is leader
         # The denial replies carry the real term; the ghost adopted it.
         assert ghost.term >= leader.term
         assert ghost.role == "follower"
 
     def test_stale_term_vote_request_is_denied_without_disturbing_state(self):
         sim, cluster = make_raft(seed=23)
-        leader = cluster.leader()
+        leader = cluster.leader_node()
         follower = next(n for n in cluster.nodes if n is not leader)
         term_before = follower.term
         voted_before = follower.voted_for
@@ -106,13 +106,13 @@ class TestStaleTermAfterRestart:
 
         assert follower.term == term_before
         assert follower.voted_for == voted_before
-        assert cluster.leader() is leader
+        assert cluster.leader_node() is leader
 
 
 class TestHigherTermDuringCandidacy:
     def test_candidate_steps_down_on_higher_term_heartbeat(self):
         sim, cluster = make_raft(seed=24)
-        leader = cluster.leader()
+        leader = cluster.leader_node()
         candidate = next(n for n in cluster.nodes if n is not leader)
         candidate._start_election()
         assert candidate.role == "candidate"
@@ -138,7 +138,7 @@ class TestHigherTermDuringCandidacy:
         that term: the candidate must fall back to follower (§5.2 of the
         Raft paper)."""
         sim, cluster = make_raft(seed=25)
-        leader = cluster.leader()
+        leader = cluster.leader_node()
         candidate = next(n for n in cluster.nodes if n is not leader)
         candidate._start_election()
         same_term = candidate.term

@@ -36,10 +36,10 @@ class TestElection:
     def test_reelection_after_leader_crash(self):
         sim, _f, cluster, _client = make_cluster()
         sim.run(until=500 * MS)
-        first = cluster.leader()
+        first = cluster.leader_node()
         first.crash()
         sim.run(until=sim.now + 1 * SEC)
-        second = cluster.leader()
+        second = cluster.leader_node()
         assert second is not None and second is not first
         assert second.term > first.term
 

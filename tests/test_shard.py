@@ -218,7 +218,7 @@ class TestPoolExhaustion:
 
 class TestChaosIntegration:
     def test_chaos_runner_drives_sharded_service(self):
-        """ChaosRunner dispatches to ShardedAdapter, routes its workload
+        """ChaosRunner reads the service as kind "sharded", routes its workload
         through a ShardRouter, and the history stays linearizable while
         the pool replaces a crashed coordinator."""
         from repro.chaos import ChaosRunner, FaultSchedule, adapter_for

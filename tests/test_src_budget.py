@@ -1,0 +1,26 @@
+"""Source budget: the physical line total of ``src/**/*.py`` as a ceiling.
+
+ROADMAP's design-quality aim says lines under ``src/`` trend down over
+the round; this makes that a number.  The contract is the one the
+hot-path ceilings (``tests/test_hot_path_budget.py``) and the committed
+baselines already follow: landing below the ceiling is free (lower it
+in the same PR), raising it needs the cause stated in CHANGES.md.  The
+count is what ``find src -name '*.py' | xargs cat | wc -l`` prints.
+"""
+
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: 22.2k at the round's re-anchor, 21,048 after PR 13, 20,434 after
+#: PR 19, 20,312 after PR 20 (one system protocol, one chaos adapter).
+SRC_LINE_CEILING = 20_312
+
+
+def test_src_line_total_is_within_budget():
+    total = sum(path.read_bytes().count(b"\n") for path in SRC.rglob("*.py"))
+    assert total <= SRC_LINE_CEILING, (
+        f"src/ is {total} lines, ceiling {SRC_LINE_CEILING}: delete what the "
+        "change made unnecessary, or raise the ceiling and state the cause "
+        "in CHANGES.md"
+    )
