@@ -2,8 +2,8 @@
 
 The table is derived programmatically from the protocol implementations'
 own configuration objects where possible (replication factors), with the
-qualitative columns recorded as data.  The benchmark
-``benchmarks/test_table1_characteristics.py`` renders and checks it.
+qualitative columns recorded as data.  ``python -m repro.bench.cli
+table1`` renders it; ``tests/test_baselines_meta.py`` checks it.
 """
 
 from __future__ import annotations

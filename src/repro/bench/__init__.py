@@ -11,10 +11,9 @@ One module per concern:
 * :mod:`~repro.bench.metrics` — completion recording, percentiles,
   100 ms throughput windows.
 * :mod:`~repro.bench.report` — paper-style table and series rendering.
-
-The ``benchmarks/`` directory contains one pytest-benchmark module per
-table/figure, each of which drives these pieces and prints the rows the
-paper reports.
+* :mod:`~repro.bench.points` / :mod:`~repro.bench.cli` — every table
+  and figure of §6 as a grid of points plus the gates that state the
+  paper's claims about it (``python -m repro.bench.cli <figure>``).
 """
 
 from repro.bench.calibration import BenchScale

@@ -15,6 +15,12 @@ quick sanity passes while a full run regenerates publication-scale data:
     thousand ops/sec still aggregates tens of thousands of samples).
 ``REPRO_BENCH_CLIENTS``
     Closed-loop clients at saturation (peak-throughput points).
+
+The simulator's CPU cost constants (``CpuCosts``, ``KvConfig``,
+``RaftCosts``) were tuned so that Figure 7's saturation curves put each
+system's knee near its Table 2 provisioning
+(:data:`repro.cluster.provision.TABLE2`; fig7's
+``table2_cores_land_in_one_band`` gate holds the tuning to it).
 """
 
 from __future__ import annotations
@@ -71,26 +77,3 @@ SMOKE_SCALE = BenchScale(
     wal_entries=8_192,
     kv_wal_entries=16_384,
 )
-
-# ---------------------------------------------------------------------------
-# The paper's normalized-performance targets (§6.4.1, Table 2), expressed as
-# core counts.  The simulator's CPU cost constants (CpuCosts, KvConfig,
-# RaftCosts) were tuned so the saturation curves of Figure 7 put each
-# system's knee near its Table 2 provisioning.
-# ---------------------------------------------------------------------------
-
-TABLE2_CORES = {
-    "raft": 8,
-    "sift": 10,
-    "sift-ec": 12,
-}
-
-TABLE2_MEMORY_GB = {
-    # (cpu/leader node GB, memory node GB) per Table 2
-    ("raft", 1): (64, None),
-    ("sift", 1): (32, 64),
-    ("sift-ec", 1): (32, 32),
-    ("raft", 2): (64, None),
-    ("sift", 2): (32, 64),
-    ("sift-ec", 2): (32, 22),
-}

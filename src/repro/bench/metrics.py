@@ -128,11 +128,16 @@ class Metrics:
             )
 
     def timeline(self, start_us: float, end_us: float) -> List[Tuple[float, float]]:
-        """(window start seconds, ops/sec) series for Figs. 11-12."""
+        """(window start seconds, ops/sec) series for Figs. 11-12.
+
+        Whole windows only: the window holding *end_us* was cut short by
+        the end of the run, and its count read at full-window scale is a
+        collapse that never happened.
+        """
         first = int(start_us // self.window_us)
-        last = int(end_us // self.window_us)
+        partial = int(end_us // self.window_us)
         scale = 1e6 / self.window_us
         return [
             (w * self.window_us / 1e6, self.windows.get(w, 0) * scale)
-            for w in range(first, last + 1)
+            for w in range(first, partial)
         ]

@@ -38,7 +38,6 @@ __all__ = [
     "FIG5ABLATE_GRID",
     "TRACE_EXPORT_CELL",
     "TRACE_SPAN_CAP",
-    "ablate_point",
     "critpath_point",
     "fig5_points",
     "fig5ablate_points",
@@ -53,9 +52,17 @@ __all__ = [
     "figMclients_points",
     "hotspot_point",
     "openloop_point",
+    "FIG7_SYSTEMS",
+    "fig7_cores_by_f",
+    "coordinator_failure_point",
+    "fig7_points",
     "fig11_points",
     "fig11_timings",
     "fig11sweep_points",
+    "fig12_points",
+    "fig12_timings",
+    "knob_sweep_points",
+    "saturation_clients",
     "throughput_point",
     "latency_point",
     "live_pool_point",
@@ -83,10 +90,18 @@ def build_spec(name: str, scale: BenchScale, cores=None, **options):
 
 
 def throughput_point(
-    system: str, workload: str, clients: int, cores: int, scale: BenchScale, seed: int
+    system: str,
+    workload: str,
+    clients: int,
+    cores: int,
+    scale: BenchScale,
+    seed: int,
+    **options,
 ) -> dict:
-    """One Figure 5 cell: peak throughput of (system, workload)."""
-    spec = build_spec(system, scale, cores=cores)
+    """One peak-throughput cell of (system, workload, cores): the point
+    function of fig5, fig7 and the ablations.  *options* reach the spec
+    factory (``f=``, ``kv_overrides=``, ``sift_overrides=``)."""
+    spec = build_spec(system, scale, cores=cores, **options)
     result = run_throughput(
         spec, WORKLOADS[workload], n_clients=clients, scale=scale, seed=seed
     )
@@ -185,62 +200,24 @@ FIG5ABLATE_GRID = (
 )
 
 
-def ablate_point(
-    coalesce: bool,
-    doorbell: bool,
-    workload: str,
-    clients: int,
-    scale: BenchScale,
-    seed: int,
-) -> dict:
-    """One fig5ablate cell: write-only sift throughput with the WAL
-    append-coalescing and doorbell-batching layers toggled
-    independently."""
-    spec = sift_spec(
-        cores=12,
-        scale=scale,
-        kv_overrides={"coalesce_appends": True} if coalesce else None,
-        sift_overrides={"doorbell_batching": True} if doorbell else None,
-    )
-    result = run_throughput(
-        spec, WORKLOADS[workload], n_clients=clients, scale=scale, seed=seed
-    )
-    return {
-        "coalesce_appends": coalesce,
-        "doorbell_batching": doorbell,
-        "ops_per_sec": result.ops_per_sec,
-        "completed": result.completed,
-        "errors": result.errors,
-    }
-
-
 def fig5ablate_points(scale: BenchScale, seed: int) -> List[Point]:
-    """The 2x2 batching-ablation grid (write-only, 24 clients)."""
-    points = []
-    for key, coalesce, doorbell in FIG5ABLATE_GRID:
-        points.append(
-            Point(
-                key=f"sift/{key}",
-                fn=ablate_point,
-                kwargs={
-                    "coalesce": coalesce,
-                    "doorbell": doorbell,
-                    "workload": "write-only",
-                    "clients": 24,
-                    "scale": scale,
-                    "seed": seed,
-                },
-            )
-        )
-    return points
+    """The 2x2 batching-ablation grid: write-only Sift throughput at 24
+    clients with the WAL append-coalescing and doorbell-batching layers
+    toggled independently."""
+    return [
+        _cell(f"sift/{key}", "sift", "write-only", 24, 12, scale, seed,
+              kv_overrides={"coalesce_appends": True} if coalesce else None,
+              sift_overrides={"doorbell_batching": True} if doorbell else None)
+        for key, coalesce, doorbell in FIG5ABLATE_GRID
+    ]
 
 
 def fig11_timings(smoke: bool):
     """(kill_at, restart_at, duration, clients) for the Fig. 11 schedule.
 
-    Full-size timings match ``benchmarks/test_fig11_memnode_failure.py``;
-    smoke compresses the schedule so CI sees the same three phases (dip,
-    copy-back contention, recovery) in ~1.5 simulated seconds.
+    Smoke compresses the full-size schedule so CI sees the same three
+    phases (dip, copy-back contention, recovery) in ~1.5 simulated
+    seconds.
     """
     if smoke:
         return 0.3 * SEC, 0.45 * SEC, 1.5 * SEC, 6
@@ -357,6 +334,60 @@ def recovery_sweep_point(
         "sources": copy.get("sources"),
         "series": run["series"],
         "events": run["events"],
+    }
+
+
+def fig12_timings(smoke: bool):
+    """(kill_at, duration, clients) for the Fig. 12 schedule; smoke
+    compresses it the way :func:`fig11_timings` does."""
+    if smoke:
+        return 0.3 * SEC, 1.5 * SEC, 6
+    return 0.6 * SEC, 4.0 * SEC, 10
+
+
+def coordinator_failure_point(smoke: bool, scale: BenchScale, seed: int) -> dict:
+    """The Figure 12 timeline: kill the coordinator, watch a backup CPU
+    node detect it, recover the log and the KV structures, and serve.
+
+    ``killed_s`` and ``serving_s`` are in the series' time frame;
+    ``replayed`` counts the KV WAL records the successor replayed.
+    """
+    kill_at, duration, clients = fig12_timings(smoke)
+    marks: dict = {}
+
+    def watch_takeover(group):
+        sim = group.fabric.sim
+        marks["killed"] = sim.now
+
+        def watch():
+            while group.serving_coordinator() is None:
+                yield sim.timeout(5 * MS)
+            marks["serving"] = sim.now
+            marks["replayed"] = group.serving_coordinator().app.stats["replayed"]
+
+        sim.spawn(watch(), name="watch-takeover")
+
+    schedule = (
+        FaultSchedule()
+        .crash_leader(kill_at)
+        .probe(kill_at, watch_takeover, "watch takeover")
+    )
+    result = run_timeline(
+        sift_spec(cores=12, scale=scale),
+        WORKLOADS["read-heavy"],
+        clients,
+        duration,
+        events=schedule,
+        scale=scale,
+        seed=seed,
+    )
+    serving = marks.get("serving")  # None: no successor took over in the run
+    return {
+        "series": [[t, ops] for t, ops in result.series],
+        "events": [[t, label] for t, label in result.events],
+        "killed_s": (marks["killed"] - result.base_us) / 1e6,
+        "serving_s": None if serving is None else (serving - result.base_us) / 1e6,
+        "replayed": marks.get("replayed"),
     }
 
 
@@ -952,66 +983,106 @@ def figHotspot_points(scale: BenchScale, seed: int, smoke: bool) -> List[Point]:
 # -- figure point lists (declared order == serial order == merge order) -----
 
 
-def fig5_points(scale: BenchScale, seed: int) -> List[Point]:
-    """System-major, workload-minor — the old nested-loop order."""
-    points = []
-    for system in FIG5_SYSTEMS:
-        clients = scale.clients * 3 if system == "epaxos" else scale.clients
-        for mix in WORKLOADS:
-            points.append(
-                Point(
-                    key=f"{system}/{mix}",
-                    fn=throughput_point,
-                    kwargs={
-                        "system": system,
-                        "workload": mix,
-                        "clients": clients,
-                        "cores": 12,
-                        "scale": scale,
-                        "seed": seed,
-                    },
-                )
-            )
-    return points
+def saturation_clients(smoke: bool, scale: BenchScale) -> int:
+    """Closed-loop clients at a peak-throughput point (fig5, fig7 and
+    the cache and applier ablations).
+
+    Those figures' claims are about saturated leaders, and
+    ``SMOKE_SCALE.clients`` (12) does not saturate one, so the pinned
+    runs use the smallest count at which every Figure 5 claim holds: at
+    16 the leaders serve 1.23x EPaxos's read-heavy throughput, at 24
+    1.6x.  24 is also what fig5ablate has always used.
+    """
+    return 24 if smoke else scale.clients
+
+
+def _cell(key: str, system: str, workload: str, clients: int, cores: int,
+          scale: BenchScale, seed: int, fn=throughput_point, **options) -> Point:
+    """One (system, workload, clients, cores) cell of a grid, run by *fn*."""
+    kwargs = dict(system=system, workload=workload, clients=clients,
+                  cores=cores, scale=scale, seed=seed, **options)
+    return Point(key=key, fn=fn, kwargs=kwargs)
+
+
+def fig5_points(scale: BenchScale, seed: int, clients: int) -> List[Point]:
+    """System-major, workload-minor.  EPaxos has no leader to saturate
+    and is driven with three times the *clients* of the others."""
+    return [
+        _cell(f"{system}/{mix}", system, mix,
+              clients * 3 if system == "epaxos" else clients, 12, scale, seed)
+        for system in FIG5_SYSTEMS
+        for mix in WORKLOADS
+    ]
+
+
+FIG7_SYSTEMS = ("raft-r", "sift", "sift-ec")
+
+
+def fig7_cores_by_f(smoke: bool):
+    """``[[F, core counts], ...]`` of the Fig. 7 grid.  The pinned smoke
+    grid keeps the whole F=1 curve (Table 2's band and fig5's cells are
+    on it) and, of F=2, the 8- and 12-core points its gates read: six
+    points fewer keep bench-smoke's wall time in budget."""
+    swept = [6, 8, 10, 12]  # Table 2's 8/10/12 plus 6
+    return [[1, swept], [2, [8, 12] if smoke else swept]]
+
+
+def fig7_points(scale: BenchScale, seed: int, clients: int, cores_by_f) -> List[Point]:
+    """Read-heavy peak throughput of every (F, system, cores), in that
+    nesting.  The F=1 cells at 12 cores are fig5's read-heavy cells."""
+    return [
+        _cell(f"{system}/f{f}/c{cores}", system, "read-heavy", clients, cores,
+              scale, seed, f=f)
+        for f, core_counts in cores_by_f
+        for system in FIG7_SYSTEMS
+        for cores in core_counts
+    ]
+
+
+def knob_sweep_points(
+    workload: str, knob: str, values, clients: int, scale: BenchScale, seed: int
+) -> List[Point]:
+    """Sift at 12 cores under *workload*, one cell per value of the
+    :class:`~repro.kv.config.KvConfig` field *knob* (the cache and
+    applier ablations).  The cell at the field's default is fig5's."""
+    return [
+        _cell(f"sift/{knob}={value}", "sift", workload, clients, 12, scale, seed,
+              kv_overrides={knob: value})
+        for value in values
+    ]
 
 
 def fig6_high_load_clients(smoke: bool) -> int:
-    """Fig. 6's loaded point: ~90% of the default 48-client saturation
-    count, scaled down with the pinned smoke scale so the run stays a
-    few hundred ms."""
-    return 8 if smoke else 28
+    """Fig. 6's loaded point: the client count that drives Sift to ~90%
+    of its mixed-workload peak.  At the pinned smoke scale that is 21
+    (312k of a 346k ops/s peak); 8 was a third of saturation and
+    queued nothing."""
+    return 21 if smoke else 28
 
 
 def fig6_points(scale: BenchScale, seed: int, high_load_clients: int) -> List[Point]:
     """System-major, low load then high load."""
-    points = []
-    for system in FIG6_SYSTEMS:
-        for load, clients in (("low", 1), ("high", high_load_clients)):
-            points.append(
-                Point(
-                    key=f"{system}/{load}",
-                    fn=latency_point,
-                    kwargs={
-                        "system": system,
-                        "workload": "mixed",
-                        "clients": clients,
-                        "cores": 12,
-                        "scale": scale,
-                        "seed": seed,
-                    },
-                )
-            )
-    return points
+    return [
+        _cell(f"{system}/{load}", system, "mixed", clients, 12, scale, seed,
+              fn=latency_point)
+        for system in FIG6_SYSTEMS
+        for load, clients in (("low", 1), ("high", high_load_clients))
+    ]
+
+
+def _single_run(key: str, fn, scale: BenchScale, seed: int, smoke: bool) -> List[Point]:
+    """The point list of a figure that is one timeline run."""
+    return [Point(key=key, fn=fn, kwargs={"smoke": smoke, "scale": scale, "seed": seed})]
 
 
 def fig11_points(scale: BenchScale, seed: int, smoke: bool) -> List[Point]:
-    return [
-        Point(
-            key="sift/memnode-failure",
-            fn=memnode_failure_point,
-            kwargs={"smoke": smoke, "scale": scale, "seed": seed},
-        )
-    ]
+    return _single_run("sift/memnode-failure", memnode_failure_point, scale, seed, smoke)
+
+
+def fig12_points(scale: BenchScale, seed: int, smoke: bool) -> List[Point]:
+    return _single_run(
+        "sift/coordinator-failure", coordinator_failure_point, scale, seed, smoke
+    )
 
 
 def fig11sweep_points(scale: BenchScale, seed: int, smoke: bool) -> List[Point]:

@@ -1,8 +1,6 @@
-"""Shared deterministic test/benchmark scaffolding.
+"""Shared deterministic test scaffolding.
 
-``tests/conftest.py`` and ``benchmarks/conftest.py`` historically carried
-copy-pasted fixture code; both now import from here.  Everything in this
-module derives randomness from the simulator's seeded
+Everything in this module derives randomness from the simulator's seeded
 :class:`~repro.sim.rng.RngStreams` — helpers never construct their own
 ad-hoc RNGs, so two runs with the same seed are bit-identical.
 """
@@ -18,7 +16,6 @@ from repro.sim.units import MS, SEC
 
 __all__ = [
     "register_hypothesis_profile",
-    "run_once",
     "make_sim",
     "make_group",
     "make_kv_stack",
@@ -46,17 +43,6 @@ def register_hypothesis_profile() -> None:
         derandomize=True,
     )
     settings.load_profile("repro")
-
-
-def run_once(benchmark, fn):
-    """Run *fn* exactly once under pytest-benchmark and return its result.
-
-    Every benchmark runs a deterministic simulated experiment exactly
-    once (``rounds=1``): the numbers of interest are the *simulated*
-    metrics the module prints, not the harness wall time pytest-benchmark
-    records.
-    """
-    return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
 
 
 def make_sim(seed: int = 0) -> Tuple[Simulator, Fabric]:

@@ -21,6 +21,12 @@ class TestTable1Data:
         assert sift["erasure_coding"] == "Yes"
         assert "2Fm + 1" in sift["replication_factor"]
 
+    def test_comparison_rows(self):
+        rows = {row["type"]: row for row in PROTOCOL_CHARACTERISTICS}
+        assert rows["Raft"]["resource_location"] == "Coupled"
+        assert rows["DARE"]["protocol"] == "1-sided RDMA"
+        assert rows["RS-Paxos"]["erasure_coding"] == "Yes"
+
     def test_rendered_table_contains_all_rows(self):
         table = characteristics_table()
         for row in PROTOCOL_CHARACTERISTICS:

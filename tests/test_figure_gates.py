@@ -8,10 +8,13 @@ without running a figure; one minimal mutation per gate proves each
 gate can fail, and fails alone.
 """
 
+import copy
+import functools
 import glob
 import inspect
 import json
 import os
+import re
 
 import pytest
 
@@ -20,8 +23,13 @@ from repro.bench.calibration import SMOKE_SCALE
 from repro.obs.artifact import load_artifact
 
 BASELINES = cli._baselines_dir()
+REPO = os.path.dirname(os.path.dirname(BASELINES))
 
 GATED = {name: figure for name, figure in cli.FIGURES.items() if figure.gates}
+
+#: Commands with no claim to state: two static tables and the free-form
+#: single-point probe.
+UNPINNED = {"table1", "table2", "throughput"}
 
 
 def _set(path, value):
@@ -62,9 +70,133 @@ def _sweep_tie(doc):
     )
 
 
+def _scaled(path, factor, of):
+    """A mutation: the number at *path* becomes *factor* x the number at *of*."""
+
+    def mutate(doc):
+        source = doc
+        for key in of:
+            source = source[key]
+        _set(path, factor * source)(doc)
+
+    return mutate
+
+
+def _fig5(system, mix):
+    return ("simulated", system, mix, "ops_per_sec")
+
+
+def _fig6(system, load, metric):
+    return ("simulated", system, load, metric)
+
+
+def _fig7(system, f, cores):
+    return ("simulated", f"{system}/f{f}/c{cores}", "ops_per_sec")
+
+
+def _knob(knob, value):
+    return ("simulated", f"sift/{knob}={value}", "ops_per_sec")
+
+
+def _sift_p50_rises_exactly_like_raft(doc):
+    cells = doc["simulated"]
+    raft_rise = cells["raft-r"]["high"]["write_p50"] - cells["raft-r"]["low"]["write_p50"]
+    cells["sift"]["high"]["write_p50"] = cells["sift"]["low"]["write_p50"] + raft_rise
+
+
+EC_SHARED = cli.EC_SHARED
+
 #: ``figure.gate`` -> the smallest edit of the committed baseline that
 #: must fail that gate and no other.
 MUTATIONS = {
+    "fig5.every_operation_succeeded": _set(("simulated", "sift", "mixed", "errors"), 1),
+    # No other gate reads EPaxos's mixed cell.
+    "fig5.epaxos_flat_across_mixes": _scaled(
+        _fig5("epaxos", "mixed"), 0.8, of=_fig5("epaxos", "write-only")
+    ),
+    "fig5.write_only_order": _scaled(
+        _fig5("sift-ec", "write-only"), 1.0, of=_fig5("sift", "write-only")
+    ),
+    "fig5.leaders_beat_epaxos_on_reads": _scaled(
+        _fig5("raft-r", "read-heavy"), 1.5, of=_fig5("epaxos", "read-heavy")
+    ),
+    # Too far *above* Raft-R: too far below would also lose to EPaxos x 1.5.
+    "fig5.sift_tracks_raft_on_reads": _scaled(
+        _fig5("sift", "read-only"), 1.26, of=_fig5("raft-r", "read-only")
+    ),
+    # Sift EC's read cells are read by no other gate.
+    "fig5.reads_beat_writes": _scaled(
+        _fig5("sift-ec", "read-only"), 1.0, of=_fig5("sift-ec", "write-only")
+    ),
+    "fig5cache.more_cache_never_hurts": _scaled(
+        _knob("cache_fraction", 0.1), 0.94, of=_knob("cache_fraction", 0.0)
+    ),
+    # The cache-less cell up, not the 50% cell down past the 10% cell.
+    "fig5cache.half_cache_beats_no_cache": _scaled(
+        _knob("cache_fraction", 0.0), 0.91, of=_knob("cache_fraction", 0.5)
+    ),
+    "fig5appliers.concurrent_appliers_pay": _scaled(
+        _knob("apply_workers", 8), 1.3, of=_knob("apply_workers", 1)
+    ),
+    "fig6.low_load_latencies_similar": _scaled(
+        _fig6("sift-ec", "low", "read_p50"), 2.0, of=_fig6("raft-r", "low", "read_p50")
+    ),
+    "fig6.ec_never_beats_sift": _scaled(
+        _fig6("sift-ec", "high", "write_p95"), 0.94, of=_fig6("sift", "high", "write_p95")
+    ),
+    "fig6.rpc_floor": _set(_fig6("raft-r", "low", "read_p50"), 30.0),
+    "fig6.epaxos_reads_equal_writes": _set(_fig6("epaxos", "low", "read_p50"), 50.0),
+    "fig6.sift_rises_more_than_raft_under_load": _sift_p50_rises_exactly_like_raft,
+    "fig6path.rpc_layer_is_half_of_sift_latency": _set(
+        ("simulated", "sift", "low", "critical_path", "rpc.kv.put", "aggregate",
+         "stages", "ack", "share"),
+        0.2,
+    ),
+    "fig7.throughput_grows_with_cores": _scaled(
+        _fig7("sift", 2, 12), 0.9, of=_fig7("sift", 2, 8)
+    ),
+    "fig7.raft_leads_sift_leads_ec_at_8_cores": _scaled(
+        _fig7("sift-ec", 2, 8), 1.0, of=_fig7("sift", 2, 8)
+    ),
+    "fig7.f2_no_faster_than_f1": _scaled(
+        _fig7("raft-r", 2, 12), 1.11, of=_fig7("raft-r", 1, 12)
+    ),
+    # Upwards: any drop that leaves the band also breaks the curve's growth.
+    "fig7.table2_cores_land_in_one_band": _scaled(
+        _fig7("sift-ec", 1, 12), 1.7, of=_fig7("sift", 1, 10)
+    ),
+    # [3] is the 6-backup point, [1] the 2-backup point, [0] no backups.
+    "fig8.recovery_falls_with_pool_and_rises_with_groups": _set(
+        ("simulated", "500 groups", 3, 1), 0.03
+    ),
+    "fig8.paper_pool_sizes_suffice": _set(("simulated", "100 groups", 1, 1), 0.05),
+    "fig9.lone_group_costs_marginally_more": _set(("simulated", "aws", "sift"), 20.0),
+    "fig9.ec_and_shared_backups_save_35_percent": _set(
+        ("simulated", "gcp", EC_SHARED), -33.6
+    ),
+    "fig9.each_technique_lowers_cost": _scaled(
+        ("simulated", "aws", "sift-ec"), 1.0, of=("simulated", "aws", "sift")
+    ),
+    "fig10.ec_alone_saves_13_percent": _set(("simulated", "gcp", "sift-ec"), -18.1),
+    "fig10.ec_and_shared_backups_save_56_percent": _set(
+        ("simulated", "aws", EC_SHARED), -54.9
+    ),
+    # [5] is a window between the kill and the rejoin, [9] the one the
+    # copy-back dents, [13] one of the two that count as "afterwards".
+    "fig11.never_stops_serving": _set(("simulated", "series", 5, 1), 0.0),
+    "fig11.dips_during_copy_back": _scaled(
+        ("simulated", "series", 9, 1), 1.0, of=("simulated", "series", 8, 1)
+    ),
+    "fig11.returns_to_pre_failure_level": _scaled(
+        ("simulated", "series", 13, 1), 0.6, of=("simulated", "series", 0, 1)
+    ),
+    # [2] is the last pre-failure window, [3] the one the kill lands in,
+    # [12] one of the five that count as "resumed".
+    "fig12.pauses_without_a_coordinator": _scaled(
+        ("simulated", "series", 3, 1), 1.0, of=("simulated", "series", 2, 1)
+    ),
+    "fig12.takeover_far_exceeds_detection": _set(("simulated", "serving_s"), 0.34),
+    "fig12.resumes_at_pre_failure_level": _set(("simulated", "series", 12, 1), 0.0),
     "fig5ablate.full_stack_speedup": _ablate_just_under_floor,
     "fig8live.live_pool_matches_model": _set(
         ("simulated", "sharded/3", "agrees"), False
@@ -100,25 +232,45 @@ MUTATIONS = {
 }
 
 
-def _baseline(name):
+@functools.lru_cache(maxsize=None)
+def _committed(name):
     return load_artifact(os.path.join(BASELINES, f"BENCH_{name}.json"))
+
+
+def _baseline(name):
+    """A private copy of the committed artifact, free to mutate."""
+    return copy.deepcopy(_committed(name))
 
 
 def _failed(name, doc):
     return cli.failed_gates(name, doc["simulated"], doc["params"])
 
 
+#: ``<figure>.<gate>`` of every gate in ``FIGURES``.
+GATE_NAMES = [
+    f"{name}.{gate.__name__}" for name, figure in GATED.items() for gate in figure.gates
+]
+
+
 def test_every_gate_has_a_name_and_a_mutation():
-    names = [
-        f"{name}.{gate.__name__}" for name, figure in GATED.items()
-        for gate in figure.gates
-    ]
-    assert len(names) == len(set(names)) == 14
-    assert set(names) == set(MUTATIONS)
+    assert len(GATE_NAMES) == len(set(GATE_NAMES))
+    assert sorted(GATE_NAMES) == sorted(MUTATIONS)
     for figure in GATED.values():
-        assert figure.baseline, "a gated figure without a baseline is never checked"
         for gate in figure.gates:
-            assert gate.__doc__, gate.__name__
+            assert gate.__doc__ and gate.__doc__.strip(), gate.__name__
+
+
+def test_every_figure_is_pinned_and_gated():
+    """A figure command either prints a static table or has a committed
+    baseline with at least one claim stated on it."""
+    assert UNPINNED < set(cli.FIGURES)
+    for name, figure in cli.FIGURES.items():
+        if name in UNPINNED:
+            assert not figure.baseline and not figure.gates, name
+        else:
+            assert figure.baseline and figure.gates, name
+    section_6 = {"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12"}
+    assert section_6 | {"fig5cache", "fig5appliers"} <= set(GATED)
 
 
 @pytest.mark.parametrize("name", sorted(GATED))
@@ -138,14 +290,34 @@ def _keys(figure_points):
     return [point.key for point in figure_points]
 
 
+def _knob_keys(name):
+    params = _committed(name)["params"]
+    return _keys(points.knob_sweep_points(
+        params["workload"], params["knob"], params["values"], params["clients"],
+        SMOKE_SCALE, 1,
+    ))
+
+
 #: ``simulated``'s key order in a live run (insertion order of the
-#: figure's points); a loaded artifact iterates in sorted-key order.
+#: figure's points or cells); a loaded artifact iterates in sorted-key
+#: order.
 DECLARED = {
+    "fig5": list(points.FIG5_SYSTEMS),
     "fig5ablate": [key for key, _coalesce, _doorbell in points.FIG5ABLATE_GRID],
+    "fig5cache": _knob_keys("fig5cache"),
+    "fig5appliers": _knob_keys("fig5appliers"),
+    "fig6": list(points.FIG6_SYSTEMS),
+    "fig6path": list(points.FIG6_SYSTEMS),
+    "fig7": _keys(points.fig7_points(SMOKE_SCALE, 1, 24, points.fig7_cores_by_f(True))),
+    "fig8": [f"{groups} groups" for groups in _committed("fig8")["params"]["groups"]],
     "fig8live": _keys(points.fig8live_points(SMOKE_SCALE, 1, True)),
     "figMclients": _keys(points.figMclients_points(SMOKE_SCALE, 1, True)),
     "figHotspot": _keys(points.figHotspot_points(SMOKE_SCALE, 1, True)),
+    "fig9": list(cli.PROVIDERS),
+    "fig10": list(cli.PROVIDERS),
+    "fig11": ["series", "events", "recovery_s"],
     "fig11sweep": _keys(points.fig11sweep_points(SMOKE_SCALE, 1, True)),
+    "fig12": ["series", "events", "killed_s", "serving_s", "replayed"],
 }
 
 
@@ -158,8 +330,8 @@ def test_verdicts_do_not_depend_on_dict_order(target):
     for doc in (clean, broken):
         loaded = list(doc["simulated"])
         assert loaded == sorted(declared)
-        # Declared order equals sorted order for three of the figures, so
-        # the reverse is tried too: any positional addressing shows.
+        # Declared order equals sorted order for several of the figures,
+        # so the reverse is tried too: any positional addressing shows.
         for order in (declared, loaded[::-1]):
             reordered = dict(doc, simulated={k: doc["simulated"][k] for k in order})
             assert _failed(name, reordered) == _failed(name, doc)
@@ -174,6 +346,140 @@ def test_full_stack_floor_is_125_percent_of_plain():
     assert 1.25 <= ratio == pytest.approx(1.2681, abs=5e-5)
     cells["coalesce+doorbell"]["ops_per_sec"] = 1.25 * cells["plain"]["ops_per_sec"]
     assert cli.full_stack_speedup(cells, doc["params"])  # the floor is inclusive
+
+
+def _both(*edits):
+    def mutate(doc):
+        for edit in edits:
+            edit(doc)
+
+    return mutate
+
+
+def _flat_timeline(pre, post):
+    """Every window before the failure at *pre* ops/s, every later one at
+    *post* (fig11 and fig12 both fail at 0.3 s)."""
+
+    def mutate(doc):
+        for window in doc["simulated"]["series"]:
+            window[1] = pre if window[0] + 0.1 <= 0.3 else post
+
+    return mutate
+
+
+#: Threshold gates at their threshold: ``(figure, gate, edit, verdict)``.
+#: The edits write round numbers on both sides of the comparison so the
+#: boundary is exact in floating point.
+BOUNDARIES = [
+    # Strictly more than 1.5x EPaxos.
+    ("fig5", cli.leaders_beat_epaxos_on_reads, _both(
+        _set(_fig5("epaxos", "read-heavy"), 200_000.0),
+        _set(_fig5("raft-r", "read-heavy"), 300_000.0)), False),
+    ("fig5", cli.leaders_beat_epaxos_on_reads, _both(
+        _set(_fig5("epaxos", "read-heavy"), 200_000.0),
+        _set(_fig5("raft-r", "read-heavy"), 300_001.0)), True),
+    # Strictly inside (0.8x, 1.25x) of Raft-R.
+    ("fig5", cli.sift_tracks_raft_on_reads, _both(
+        _set(_fig5("raft-r", "read-only"), 400_000.0),
+        _set(_fig5("sift", "read-only"), 500_000.0)), False),
+    ("fig5", cli.epaxos_flat_across_mixes,
+     _set(_fig5("epaxos", "mixed"), 340_500.0), False),  # 1.25 x 272,400
+    ("fig5cache", cli.half_cache_beats_no_cache, _both(
+        _set(_knob("cache_fraction", 0.0), 400_000.0),
+        _set(_knob("cache_fraction", 0.5), 440_000.0)), False),
+    ("fig5cache", cli.more_cache_never_hurts, _both(
+        _set(_knob("cache_fraction", 0.0), 400_000.0),
+        _set(_knob("cache_fraction", 0.1), 380_000.0)), True),  # 0.95x is allowed
+    ("fig5appliers", cli.concurrent_appliers_pay, _both(
+        _set(_knob("apply_workers", 1), 100_000.0),
+        _set(_knob("apply_workers", 8), 130_000.0)), False),
+    ("fig6", cli.rpc_floor, _set(_fig6("sift", "low", "read_p50"), 30.0), False),
+    ("fig6", cli.low_load_latencies_similar, _both(
+        _set(_fig6("raft-r", "low", "write_p50"), 50.0),
+        _set(_fig6("sift", "low", "write_p50"), 100.0),
+        _set(_fig6("sift-ec", "low", "write_p50"), 100.0)), False),
+    # F=2 may be up to 1.1x F=1, inclusive.
+    ("fig7", cli.f2_no_faster_than_f1, _both(
+        _set(_fig7("sift", 1, 12), 400_000.0),
+        _set(_fig7("sift", 2, 12), 440_000.0)), True),
+    # The slowest strictly above 0.6x the fastest: 0.6 x 650k = 390k.
+    ("fig7", cli.table2_cores_land_in_one_band, _both(
+        _set(_fig7("raft-r", 1, 8), 390_000.0),
+        _set(_fig7("sift-ec", 1, 12), 650_000.0)), False),
+    ("fig8", cli.paper_pool_sizes_suffice,
+     _set(("simulated", "3000 groups", 7, 1), 0.25), False),
+    # Within one point of 35% / 56%, five of 13%: inclusive.
+    ("fig9", cli.ec_and_shared_backups_save_35_percent,
+     _set(("simulated", "aws", EC_SHARED), -36.0), True),
+    ("fig9", cli.ec_and_shared_backups_save_35_percent,
+     _set(("simulated", "aws", EC_SHARED), -36.5), False),
+    ("fig10", cli.ec_and_shared_backups_save_56_percent,
+     _set(("simulated", "gcp", EC_SHARED), -55.0), True),
+    ("fig10", cli.ec_alone_saves_13_percent,
+     _set(("simulated", "aws", "sift-ec"), -8.0), True),
+    # Strictly more than 85% of the pre-failure rate.
+    ("fig11", cli.returns_to_pre_failure_level, _flat_timeline(100_000.0, 85_000.0), False),
+    ("fig11", cli.returns_to_pre_failure_level, _flat_timeline(100_000.0, 85_010.0), True),
+    ("fig12", cli.resumes_at_pre_failure_level, _flat_timeline(100_000.0, 85_000.0), False),
+    ("fig12", cli.resumes_at_pre_failure_level, _flat_timeline(100_000.0, 85_010.0), True),
+    # A dip is strictly below 98% of the pre-failure rate.
+    ("fig11", cli.dips_during_copy_back, _flat_timeline(100_000.0, 98_000.0), False),
+]
+
+
+@pytest.mark.parametrize(
+    "name,gate,edit,verdict", BOUNDARIES,
+    ids=[f"{name}.{gate.__name__}-{verdict}" for name, gate, _edit, verdict in BOUNDARIES],
+)
+def test_threshold_gates_at_their_threshold(name, gate, edit, verdict):
+    doc = _baseline(name)
+    assert gate(doc["simulated"], doc["params"])  # holds before the edit
+    edit(doc)
+    assert gate(doc["simulated"], doc["params"]) is verdict
+
+
+def test_four_grids_share_one_point_function():
+    """fig5, fig7 and the two ablations are grids over
+    ``points.throughput_point``: where they name the same (system,
+    workload, clients, cores) they hold the same cell, to the byte.
+    fig5ablate's plain stack is that cell too, under two more fields."""
+    fig5 = _committed("fig5")["simulated"]
+    fig7 = _committed("fig7")["simulated"]
+    for system in points.FIG7_SYSTEMS:
+        assert fig7[f"{system}/f1/c12"] == fig5[system]["read-heavy"], system
+    cache = _committed("fig5cache")["simulated"]
+    assert cache["sift/cache_fraction=0.5"] == fig5["sift"]["read-heavy"]
+    appliers = _committed("fig5appliers")["simulated"]
+    assert appliers["sift/apply_workers=8"] == fig5["sift"]["write-only"]
+    plain = _committed("fig5ablate")["simulated"]["plain"]
+    assert fig5["sift"]["write-only"].items() <= plain.items()
+    clients = {
+        _committed(name)["params"]["clients"]
+        for name in ("fig5", "fig5ablate", "fig5cache", "fig5appliers", "fig7")
+    }
+    assert clients == {points.saturation_clients(True, SMOKE_SCALE)}
+
+
+def test_ci_bench_smoke_runs_exactly_the_pinned_figures():
+    """The bench-smoke job's ``FIGURES`` list is written by hand in the
+    workflow; a figure missing from it is pinned but never re-run."""
+    with open(os.path.join(REPO, ".github", "workflows", "ci.yml")) as fh:
+        workflow = fh.read()
+    block = re.search(r"^ +FIGURES: >-\n((?: +fig\w+(?: fig\w+)*\n)+)", workflow, re.M)
+    assert block, "bench-smoke no longer declares FIGURES as a folded list"
+    listed = block.group(1).split()
+    assert len(listed) == len(set(listed))
+    assert set(listed) == {
+        name for name, figure in cli.FIGURES.items() if figure.baseline
+    }
+
+
+def test_experiments_md_states_every_gate_and_no_deleted_harness():
+    with open(os.path.join(REPO, "EXPERIMENTS.md")) as fh:
+        text = fh.read()
+    missing = [gate for gate in GATE_NAMES if f"`{gate}`" not in text]
+    assert not missing, f"EXPERIMENTS.md does not name: {missing}"
+    assert "benchmarks/test_" not in text
 
 
 def test_baseline_figures_are_exactly_the_committed_baselines():

@@ -43,7 +43,8 @@ GOLDEN_TL_SERIES = [
     (0.491, 73980.0),
     (0.591, 73920.0),
     (0.6910000000000001, 73910.0),
-    (0.791, 6660.0),
+    # The capture ended in (0.791, 6660.0): the window the run stopped
+    # in, scaled as if whole.  Metrics.timeline emits whole windows only.
 ]
 GOLDEN_TL_EVENTS = [(0.25, "crash mem2"), (0.4, "restart mem2")]
 

@@ -290,6 +290,7 @@ class TestFailuresDuringPartitionedRecovery:
 
         stats, values = run(sim, scenario())
         assert stats is not None and stats["bytes"] == group.config.data_bytes
+        assert stats["partitions"] == 4  # the successor re-ran the partitioned path
         assert values == [b"val-%04d" % index for index in range(32)]
         assert data_matches(group, 0, 2)
 

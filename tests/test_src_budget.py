@@ -13,8 +13,11 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: 22.2k at the round's re-anchor, 21,048 after PR 13, 20,434 after
-#: PR 19, 20,312 after PR 20 (one system protocol, one chaos adapter).
-SRC_LINE_CEILING = 20_312
+#: PR 19, 20,312 after PR 20 (one system protocol, one chaos adapter),
+#: 20,932 after PR 21 (the paper's §6 claims became gates here; the
+#: 1,056 uncollected lines that used to assert them under benchmarks/,
+#: outside this count, are gone).
+SRC_LINE_CEILING = 20_932
 
 
 def test_src_line_total_is_within_budget():

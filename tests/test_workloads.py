@@ -110,9 +110,27 @@ class TestMetrics:
         metrics.record("read", 0.0, 160.0)
         metrics.end(300.0)
         timeline = metrics.timeline(0.0, 300.0)
+        # The end lies exactly on a boundary: three whole windows, and no
+        # empty fourth one for the window that merely starts at 300.
+        assert [t for t, _ops in timeline] == pytest.approx([0.0, 1e-4, 2e-4])
         counts = [ops for _t, ops in timeline]
         assert counts[0] == pytest.approx(1 * 1e6 / 100.0)
         assert counts[1] == pytest.approx(2 * 1e6 / 100.0)
+        assert counts[2] == 0.0
+
+    def test_timeline_drops_the_window_the_run_ended_in(self):
+        # Steady completions, one every 10 us, and a run that ends 30 %
+        # into its last window: that window's 3 completions scaled as if
+        # it were whole would read as a collapse to 0.3x.
+        metrics = Metrics(window_us=100.0)
+        metrics.begin(0.0)
+        for index in range(33):
+            metrics.record("read", 0.0, index * 10.0 + 5.0)
+        metrics.end(330.0)
+        timeline = metrics.timeline(0.0, 330.0)
+        assert len(timeline) == 3
+        counts = [ops for _t, ops in timeline]
+        assert counts[-1] == pytest.approx(counts[0], rel=0.03)
 
     def test_error_counting(self):
         metrics = Metrics()
