@@ -5,21 +5,40 @@ paper's tables/figures (or an ablation) and prints it.  Scale comes from
 the ``REPRO_BENCH_*`` environment variables (see
 :mod:`repro.bench.calibration`), or is pinned with ``--smoke``.
 
-Every figure command also writes a versioned ``BENCH_<figure>.json``
-artifact (see :mod:`repro.obs.artifact`) into ``--out-dir``: the
-simulated numbers, a metrics-registry snapshot collected during the
-run, the seeds, the parameters, the git SHA and the wall clock.  CI's
+A figure is declared once, as a :class:`Figure` entry of ``FIGURES``:
+
+``params(smoke, scale)``
+    The artifact's ``params`` section (:mod:`repro.bench.points`), the
+    one input to everything below and the only reader of ``--smoke``.
+``points(params, scale, seed)``
+    The independent :class:`~repro.bench.parallel.Point` list.
+``shape(results, params)``
+    ``{point key: value}`` reshaped into the artifact's ``simulated``
+    section: :func:`keyed`, :func:`nested` or :func:`single`.
+``render(simulated, params) -> str``
+    The paper-style table, a pure function of the two artifact
+    sections, so it prints a committed baseline as well as a live run.
+``gates``
+    Named pure predicates over the same ``(simulated, params)``,
+    evaluated by :func:`failed_gates` only: a miss prints ``GATE FAIL
+    <figure>.<gate>`` and makes :func:`main` exit 1.  Each claim §6
+    makes about a figure is stated here, once, as a gate whose
+    docstring is the paper sentence.
+
+:func:`run_figure` is the one driver and the programmatic entry point:
+it takes no argparse namespace and prints nothing.  Only :func:`main`,
+:func:`_run_one` and the three non-figure commands (``table1``,
+``table2``, ``throughput``) see ``args`` or print.
+
+Every figure also writes a versioned ``BENCH_<figure>.json`` artifact
+(see :mod:`repro.obs.artifact`) into ``--out-dir``: the simulated
+numbers, a metrics-registry snapshot collected during the run, the
+seeds, the parameters, the git SHA and the wall clock.  CI's
 ``bench-smoke`` job regenerates every ``baseline`` figure of
 ``FIGURES`` at ``--smoke`` scale and diffs them against
 ``benchmarks/baselines/`` with :mod:`repro.obs.compare` (plus a
 byte-diff of the exported ``TRACE_fig6path.json`` Perfetto trace).
-
-A figure's *gates* are named pure predicates over the artifact's
-``(simulated, params)`` sections, listed beside it in ``FIGURES`` and
-evaluated by :func:`failed_gates` only: a miss prints ``GATE FAIL
-<figure>.<gate>`` and makes :func:`main` exit 1.  Each claim §6 makes
-about a figure is stated here, once, as a gate whose docstring is the
-paper sentence.  Because gates read nothing but the artifact,
+Because gates and renderers read nothing but the artifact,
 ``tests/test_figure_gates.py`` checks the same predicates against the
 committed baselines, and the full-scale check of the paper's evaluation
 is the same command without ``--smoke``.
@@ -47,73 +66,58 @@ import argparse
 import sys
 import time
 from dataclasses import asdict
-from typing import Callable, List, NamedTuple, Tuple
+from functools import partial
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
+from repro.api import SYSTEMS
 from repro.baselines import characteristics_table
+from repro.bench import points
 from repro.bench.calibration import SMOKE_SCALE, BenchScale
-from repro.bench.parallel import run_points
-from repro.bench.points import (
-    FIG5_SYSTEMS,
-    FIG6_SYSTEMS,
-    FIG5ABLATE_GRID,
-    TRACE_EXPORT_CELL,
-    TRACE_SPAN_CAP,
-    fig5_points,
-    fig5ablate_points,
-    fig6_high_load_clients,
-    fig6_points,
-    fig6path_points,
-    fig8live_params,
-    fig8live_points,
-    figHotspot_params,
-    figHotspot_points,
-    figMclients_params,
-    figMclients_points,
-    fig7_cores_by_f,
-    fig7_points,
-    fig11_points,
-    fig11_timings,
-    fig11sweep_points,
-    fig12_points,
-    fig12_timings,
-    knob_sweep_points,
-    saturation_clients,
-    throughput_point,
-    FIG7_SYSTEMS,
-    RECOVERY_SWEEP_PARTITIONS,
-)
+from repro.bench.parallel import Point, run_points
 from repro.bench.report import bar_table, kv_table, series_table, sparkline
-from repro.cluster import relative_costs
-from repro.cluster.backups import sweep_backup_pool
-from repro.cluster.provision import TABLE2, TARGET_THROUGHPUT, machine_table
+from repro.cluster.provision import TARGET_THROUGHPUT, machine_table
 from repro.obs.artifact import write_artifact
 from repro.obs.critpath import STAGES
 from repro.obs.export import write_chrome_trace
 from repro.obs.registry import MetricsRegistry, collecting
 from repro.workloads import WORKLOADS
 
-__all__ = ["main"]
+__all__ = ["FIGURES", "Figure", "main", "run_figure"]
 
 
-def _progress(key: str) -> None:
-    print(f"  [{key}] done", file=sys.stderr)
+# The three shared reshapes of ``{point key: value}`` into ``simulated``.
 
 
-def _run(args, points):
-    """``{key: value}`` of a figure's points, fanned across ``--jobs``."""
-    return run_points(points, jobs=args.jobs, progress=_progress)
+def keyed(results: dict, _params: dict) -> dict:
+    """One cell per point, under the point's key."""
+    return results
 
 
-# Each cmd_* returns None (no artifact: static tables) or a dict
-# ``{"simulated": ..., "params": ...}``; _run_one() checks the figure's
-# gates on it, adds the registry snapshot, seed, wall clock and scale,
-# then writes BENCH_<figure>.json.
+def nested(results: dict, _params: dict) -> dict:
+    """Points keyed ``a/b`` become ``simulated[a][b]``."""
+    simulated: dict = {}
+    for key, cell in results.items():
+        outer, inner = key.split("/")
+        simulated.setdefault(outer, {})[inner] = cell
+    return simulated
+
+
+def single(results: dict, _params: dict) -> dict:
+    """The figure is one run: its only point's value."""
+    (cell,) = results.values()
+    return cell
+
+
+# What follows is each figure's renderer, then its gates.
 #
-# A gate is ``gate(simulated, params) -> bool``, named by its function
-# name, stating its property in its docstring.  A loaded artifact
-# iterates ``simulated`` in sorted-key order and a live run in declared
-# order, so gates address cells by keys built from ``params``, never by
-# position.
+# A renderer is ``render(simulated, params) -> str`` and a gate is
+# ``gate(simulated, params) -> bool``, named by its function name,
+# stating its property in its docstring.  A loaded artifact iterates
+# ``simulated`` in sorted-key order and a live run in declared order,
+# so both address cells by keys built from ``params``, never by
+# position.  The commands that are not figures come first: they have no
+# points, or take their parameters from ``--system/--workload/--cores``,
+# keep a ``run(args, scale)`` form, and print for themselves.
 
 
 def cmd_table1(_args, _scale):
@@ -131,23 +135,26 @@ def cmd_table2(_args, _scale):
     return None
 
 
-def cmd_fig5(args, scale):
-    mixes = list(WORKLOADS)
-    clients = saturation_clients(args.smoke, scale)
-    results = _run(args, fig5_points(scale, args.seed, clients))
-    simulated = {
-        name: {mix: results[f"{name}/{mix}"] for mix in mixes}
-        for name in FIG5_SYSTEMS
-    }
+def cmd_throughput(args, scale):
+    cell = points.throughput_point(
+        args.system, args.workload, scale.clients, args.cores, scale, args.seed
+    )
+    print(kv_table(
+        f"{args.system} / {args.workload}",
+        [("throughput", f"{cell['ops_per_sec']:,.0f} ops/s"),
+         ("completed", str(cell["completed"])),
+         ("errors", str(cell["errors"]))],
+    ))
+    return cell, {"system": args.system, "workload": args.workload, "cores": args.cores}
+
+
+def _render_fig5(simulated, params):
+    mixes = params["workloads"]
     rows = {
         name: [simulated[name][mix]["ops_per_sec"] for mix in mixes]
-        for name in FIG5_SYSTEMS
+        for name in points.FIG5_SYSTEMS
     }
-    print(bar_table("Figure 5: throughput by workload (F=1)", mixes, rows))
-    return {
-        "simulated": simulated,
-        "params": {"cores": 12, "workloads": mixes, "clients": clients},
-    }
+    return bar_table("Figure 5: throughput by workload (F=1)", mixes, rows)
 
 
 def _tput(simulated, system, mix):
@@ -217,40 +224,23 @@ def reads_beat_writes(simulated, _params):
     )
 
 
-def cmd_fig6(args, scale):
-    high_load_clients = fig6_high_load_clients(args.smoke)
-    results = _run(args, fig6_points(scale, args.seed, high_load_clients))
-    simulated = {}
-    rows = []
-    for name in FIG6_SYSTEMS:
-        per_load = {}
+def _render_fig6(simulated, _params):
+    rows = {}
+    for name in points.FIG6_SYSTEMS:
         for load in ("low", "high"):
-            r = results[f"{name}/{load}"]
-            per_load[load] = r
-            rows.append(
-                (
-                    f"{name}/{load}",
-                    [
-                        (1, r["read_p50"] or 0.0),
-                        (2, r["read_p95"] or 0.0),
-                        (3, r["write_p50"] or 0.0),
-                        (4, r["write_p95"] or 0.0),
-                    ],
-                )
-            )
-        simulated[name] = per_load
-    print(
-        series_table(
-            "Figure 6: latency (us) at 1 client and ~90% load",
-            "metric (1=read p50, 2=read p95, 3=write p50, 4=write p95)",
-            "microseconds",
-            dict(rows),
-        )
+            r = simulated[name][load]
+            rows[f"{name}/{load}"] = [
+                (1, r["read_p50"] or 0.0),
+                (2, r["read_p95"] or 0.0),
+                (3, r["write_p50"] or 0.0),
+                (4, r["write_p95"] or 0.0),
+            ]
+    return series_table(
+        "Figure 6: latency (us) at 1 client and ~90% load",
+        "metric (1=read p50, 2=read p95, 3=write p50, 4=write p95)",
+        "microseconds",
+        rows,
     )
-    return {
-        "simulated": simulated,
-        "params": {"cores": 12, "high_load_clients": high_load_clients},
-    }
 
 
 def _low_load(simulated, metric):
@@ -315,29 +305,19 @@ def sift_rises_more_than_raft_under_load(simulated, _params):
     )
 
 
-def cmd_fig6path(args, scale):
+def _render_fig6path(simulated, _params):
     """Fig. 6, traced: per-stage critical-path latency attribution.
 
     Re-runs every fig6 cell with a tracer over the measurement window
     and walks each committed operation's span tree into exclusive
-    per-stage segments (:mod:`repro.obs.critpath`).  The sift/low
-    cell's raw spans are also written as a Perfetto/Chrome trace
-    (``TRACE_fig6path.json``) next to the artifact.
+    per-stage segments (:mod:`repro.obs.critpath`).  The
+    ``params["trace_cell"]`` cell's raw spans are also written as a
+    Perfetto/Chrome trace (``TRACE_fig6path.json``) next to the artifact.
     """
-    high_load_clients = fig6_high_load_clients(args.smoke)
-    results = _run(args, fig6path_points(scale, args.seed, high_load_clients))
-    simulated = {}
-    trace_spans = None
     rows = []
-    for name in FIG6_SYSTEMS:
-        per_load = {}
+    for name in points.FIG6_SYSTEMS:
         for load in ("low", "high"):
-            cell = dict(results[f"{name}/{load}"])
-            spans = cell.pop("spans", None)
-            if spans is not None:
-                trace_spans = spans
-            per_load[load] = cell
-            for op, digest in cell["critical_path"].items():
+            for op, digest in sorted(simulated[name][load]["critical_path"].items()):
                 agg = digest["aggregate"]
                 shares = "  ".join(
                     f"{stage} {agg['stages'][stage]['share'] * 100.0:4.1f}%"
@@ -351,25 +331,7 @@ def cmd_fig6path(args, scale):
                         f"({agg['count']} ops)  {shares}",
                     )
                 )
-        simulated[name] = per_load
-    print(kv_table("Figure 6 (path): critical-path latency attribution", rows))
-    if trace_spans and not args.no_artifact:
-        os.makedirs(args.out_dir, exist_ok=True)
-        path = write_chrome_trace(
-            os.path.join(args.out_dir, "TRACE_fig6path.json"),
-            trace_spans,
-            process_name=f"repro {TRACE_EXPORT_CELL}",
-        )
-        print(f"  wrote {path} ({len(trace_spans)} spans)", file=sys.stderr)
-    return {
-        "simulated": simulated,
-        "params": {
-            "cores": 12,
-            "high_load_clients": high_load_clients,
-            "trace_cell": TRACE_EXPORT_CELL,
-            "trace_span_cap": TRACE_SPAN_CAP,
-        },
-    }
+    return kv_table("Figure 6 (path): critical-path latency attribution", rows)
 
 
 def rpc_layer_is_half_of_sift_latency(simulated, _params):
@@ -383,7 +345,15 @@ def rpc_layer_is_half_of_sift_latency(simulated, _params):
     )
 
 
-def cmd_fig5ablate(args, scale):
+def _shape_fig5ablate(results, params):
+    return {
+        key: {"coalesce_appends": coalesce, "doorbell_batching": doorbell,
+              **results[f"sift/{key}"]}
+        for key, coalesce, doorbell in params["grid"]
+    }
+
+
+def _render_fig5ablate(simulated, params):
     """The batching ablation: WAL coalescing x doorbell batching.
 
     A committed 2x2 grid on Sift's write-only peak: each batching layer
@@ -391,32 +361,14 @@ def cmd_fig5ablate(args, scale):
     stack.  The simulated speedup of the full stack is the repo's one
     deterministic perf floor (:func:`full_stack_speedup`).
     """
-    results = _run(args, fig5ablate_points(scale, args.seed))
-    simulated = {}
+    grid = params["grid"]  # plain first
+    plain = simulated[grid[0][0]]["ops_per_sec"]
     rows = []
-    plain = results["sift/plain"]["ops_per_sec"]
-    for key, coalesce, doorbell in FIG5ABLATE_GRID:
-        cell = results[f"sift/{key}"]
-        simulated[key] = {
-            "coalesce_appends": coalesce, "doorbell_batching": doorbell, **cell
-        }
-        speedup = cell["ops_per_sec"] / plain if plain else 0.0
-        rows.append(
-            (
-                f"sift/{key}",
-                f"{cell['ops_per_sec']:12,.0f} ops/s  ({speedup:.3f}x plain)",
-            )
-        )
-    print(kv_table("Figure 5 (ablation): append coalescing x doorbell batching", rows))
-    return {
-        "simulated": simulated,
-        "params": {
-            "cores": 12,
-            "workload": "write-only",
-            "clients": 24,
-            "grid": [list(entry) for entry in FIG5ABLATE_GRID],
-        },
-    }
+    for key, _coalesce, _doorbell in grid:
+        rate = simulated[key]["ops_per_sec"]
+        speedup = rate / plain if plain else 0.0
+        rows.append((f"sift/{key}", f"{rate:12,.0f} ops/s  ({speedup:.3f}x plain)"))
+    return kv_table("Figure 5 (ablation): append coalescing x doorbell batching", rows)
 
 
 def full_stack_speedup(simulated, params):
@@ -426,40 +378,22 @@ def full_stack_speedup(simulated, params):
     return full["ops_per_sec"] >= 1.25 * plain["ops_per_sec"]
 
 
-def cmd_fig7(args, scale):
+def _render_fig7(simulated, params):
     """Read-heavy peak throughput vs. provisioned cores, F in {1, 2}:
     "how Raft nodes and Sift CPU nodes should be provisioned to achieve
     equivalent performance".  The knees of these curves are what
     Table 2's 8/10/12-core choices and §6.4's cost comparison rest on,
     so Table 2's "normalized" claim is a gate over this grid's cells.
     """
-    clients = saturation_clients(args.smoke, scale)
-    cores_by_f = fig7_cores_by_f(args.smoke)
-    results = _run(args, fig7_points(scale, args.seed, clients, cores_by_f))
     series = {
         f"{system} (F={f})": [
-            (cores, results[f"{system}/f{f}/c{cores}"]["ops_per_sec"])
-            for cores in core_counts
+            (cores, _at_cores(simulated, system, f, cores)) for cores in core_counts
         ]
-        for f, core_counts in cores_by_f
-        for system in FIG7_SYSTEMS
+        for f, core_counts in params["cores_by_f"]
+        for system in params["systems"]
     }
-    print(series_table("Figure 7: read-heavy throughput vs. cores", "cores",
-                       "ops/sec", series))
-    return {
-        "simulated": results,
-        "params": {
-            "workload": "read-heavy",
-            "clients": clients,
-            "systems": list(FIG7_SYSTEMS),
-            "cores_by_f": cores_by_f,
-            "table2_cores": {
-                "raft-r": TABLE2[("raft", 1)]["node"].cores,
-                "sift": TABLE2[("sift", 1)]["cpu"].cores,
-                "sift-ec": TABLE2[("sift-ec", 1)]["cpu"].cores,
-            },
-        },
-    }
+    return series_table("Figure 7: read-heavy throughput vs. cores", "cores",
+                        "ops/sec", series)
 
 
 def _at_cores(simulated, system, f, cores):
@@ -516,38 +450,10 @@ def table2_cores_land_in_one_band(simulated, params):
     return min(rates) > 0.6 * max(rates)
 
 
-def _knob_sweep(title: str, workload: str, knob: str, values) -> Callable:
-    """The ``run`` of a one-knob Sift ablation (see ``knob_sweep_points``)."""
-
-    def run(args, scale):
-        clients = saturation_clients(args.smoke, scale)
-        points = knob_sweep_points(workload, knob, values, clients, scale, args.seed)
-        results = _run(args, points)
-        params = {
-            "cores": 12,
-            "workload": workload,
-            "clients": clients,
-            "knob": knob,
-            "values": list(values),
-        }
-        series = list(zip(values, _knob_rates(results, params)))
-        print(series_table(title, knob, "ops/sec", {"sift": series}))
-        return {"simulated": results, "params": params}
-
-    return run
-
-
-#: §6.3.2's coordinator cache, shrunk toward the remote-read-bound regime.
-cmd_fig5cache = _knob_sweep(
-    "Ablation: read-heavy throughput vs. cache size (fraction of key space)",
-    "read-heavy", "cache_fraction", (0.0, 0.1, 0.5),
-)
-
-#: §4.2's concurrent background appliers, down to a serial apply pipeline.
-cmd_fig5appliers = _knob_sweep(
-    "Ablation: write-only throughput vs. concurrent appliers",
-    "write-only", "apply_workers", (1, 2, 8),
-)
+def _render_knob_sweep(title, simulated, params):
+    """A one-knob Sift ablation (see ``points.knob_sweep_points``)."""
+    series = list(zip(params["values"], _knob_rates(simulated, params)))
+    return series_table(title, params["knob"], "ops/sec", {"sift": series})
 
 
 def _knob_rates(simulated, params):
@@ -583,21 +489,11 @@ def concurrent_appliers_pay(simulated, params):
     return eight > 1.3 * one and two >= 0.95 * one
 
 
-def cmd_fig8(_args, _scale):
-    groups = [10, 100, 500, 1000, 2000, 3000]
-    backups = [0, 2, 4, 6, 8, 12, 16, 20]
-    sweep = sweep_backup_pool(groups, backups, repetitions=10)
+def _render_fig8(simulated, params):
     series = {
-        f"{g} groups": [(c.backups, c.recovery_time_per_fault_s) for c in row]
-        for g, row in sweep.items()
+        f"{groups} groups": simulated[f"{groups} groups"] for groups in params["groups"]
     }
-    print(series_table("Figure 8: recovery time per fault", "backups", "s/fault", series))
-    return {
-        "simulated": {
-            name: [[b, v] for b, v in points] for name, points in series.items()
-        },
-        "params": {"groups": groups, "backups": backups, "repetitions": 10},
-    }
+    return series_table("Figure 8: recovery time per fault", "backups", "s/fault", series)
 
 
 def _per_fault_s(simulated, groups, backups):
@@ -631,41 +527,28 @@ def paper_pool_sizes_suffice(simulated, _params):
     )
 
 
-def cmd_fig8live(args, scale):
+def _render_fig8live(simulated, params):
     """The live counterpart of fig8: real groups, a real promoting pool.
 
     Where fig8 replays a failure trace through the capacity model, this
     runs staggered coordinator crashes against a live
     :class:`~repro.shard.ShardedKvService` and reconciles the measured
     promotion waits with the same :class:`PoolAccountant` the model
-    uses.  ``--shards`` overrides the swept shard counts.
+    uses.
     """
-    params = fig8live_params(args.smoke)
-    points = fig8live_points(scale, args.seed, args.smoke, shard_counts=args.shards)
-    results = _run(args, points)
     rows = []
-    for point in points:
-        cell = results[point.key]
+    for shards in params["shards"]:
+        cell = simulated[f"sharded/{shards}"]
         rows.append(
             (
-                point.key,
+                f"sharded/{shards}",
                 f"live {cell['live_per_fault_us'] / 1e6:7.3f} s/fault  "
                 f"model {cell['model_per_fault_us'] / 1e6:7.3f} s/fault  "
                 f"{'agrees' if cell['agrees'] else 'DISAGREES'} "
                 f"(tolerance {cell['tolerance_us'] / 1e6:.3f} s)",
             )
         )
-    print(kv_table("Figure 8 (live): shared pool vs trace model", rows))
-    return {
-        "simulated": {point.key: results[point.key] for point in points},
-        "params": {
-            "backups": params["backups"],
-            "provisioning_delay_us": params["provisioning_delay_us"],
-            "fault_gap_us": params["fault_gap_us"],
-            "repetitions": params["repetitions"],
-            "shards": [p.kwargs["shards"] for p in points],
-        },
-    }
+    return kv_table("Figure 8 (live): shared pool vs trace model", rows)
 
 
 def live_pool_matches_model(simulated, params):
@@ -673,7 +556,7 @@ def live_pool_matches_model(simulated, params):
     return all(simulated[f"sharded/{n}"]["agrees"] for n in params["shards"])
 
 
-def cmd_figMclients(args, scale):
+def _render_figMclients(simulated, params):
     """Open-loop saturation sweep: a million-client population.
 
     Sweeps the offered arrival rate from underload through the
@@ -682,11 +565,9 @@ def cmd_figMclients(args, scale):
     ("heavy traffic from millions of users" as a regression-gated
     artifact; the four gates follow the function).
     """
-    points = figMclients_points(scale, args.seed, args.smoke)
-    results = _run(args, points)
     rows = []
-    for point in points:
-        cell = results[point.key]
+    for label, _multiplier in params["levels"]:
+        cell = simulated[f"sharded/{label}"]
         shed_total = sum(cell["shed"].values())
         p99s = "  ".join(
             f"{shard} p99 {ops.get('read', ops.get('write', {})).get('p99', 0.0):7.0f}us"
@@ -694,17 +575,13 @@ def cmd_figMclients(args, scale):
         )
         rows.append(
             (
-                point.key,
+                f"sharded/{label}",
                 f"offered {cell['offered_ops_per_sec']:9,.0f}  "
                 f"achieved {cell['achieved_ops_per_sec']:9,.0f} ops/s  "
                 f"shed {shed_total:6d}  err {cell['errors']:4d}  {p99s}",
             )
         )
-    print(kv_table("Figure Mclients: open-loop offered-load sweep", rows))
-    return {
-        "simulated": {point.key: results[point.key] for point in points},
-        "params": {"cores": 12, **figMclients_params(args.smoke)},
-    }
+    return kv_table("Figure Mclients: open-loop offered-load sweep", rows)
 
 
 def _load_level(simulated, params, index):
@@ -741,7 +618,7 @@ def every_level_records_slo(simulated, params):
     )
 
 
-def cmd_figHotspot(args, scale):
+def _render_figHotspot(simulated, _params):
     """Elastic control plane under a mid-run hotspot shift.
 
     Two cells share one seed and one scenario — a warmup coordinator
@@ -752,14 +629,11 @@ def cmd_figHotspot(args, scale):
     burst, split the hot shard under live load).  The six gates follow
     the function.
     """
-    points = figHotspot_points(scale, args.seed, args.smoke)
-    results = _run(args, points)
     rows = []
-    for point in points:
-        cell = results[point.key]
+    for label, cell in zip(("static", "autoscaled"), _hotspot_cells(simulated)):
         rows.append(
             (
-                point.key,
+                f"sharded/{label}",
                 f"after p99.9 {cell['tails']['after']['p99.9']:8.0f}us  "
                 f"pool {cell['pool']['vm_seconds']:5.2f} VM-s  "
                 f"shards {cell['control']['shards']}  "
@@ -768,11 +642,7 @@ def cmd_figHotspot(args, scale):
                 f"lincheck {'ok' if cell['probe']['lincheck_ok'] else 'FAIL'}",
             )
         )
-    print(kv_table("Figure Hotspot: elastic vs static under a load shift", rows))
-    return {
-        "simulated": {point.key: results[point.key] for point in points},
-        "params": {"cores": 12, **figHotspot_params(args.smoke)},
-    }
+    return kv_table("Figure Hotspot: elastic vs static under a load shift", rows)
 
 
 def _hotspot_cells(simulated):
@@ -815,27 +685,17 @@ def histories_linearizable(simulated, _params):
     return all(cell["probe"]["lincheck_ok"] for cell in _hotspot_cells(simulated))
 
 
-PROVIDERS = ("aws", "gcp")
 EC_SHARED = "sift-ec + shared backups"
+#: Figures 9-10's bars, in the paper's order.
+COST_BARS = ("sift", "sift + shared backups", "sift-ec", EC_SHARED)
 
 
-def _cost_figure(title, f):
-    """Print one of Figures 9-10 and return its payload."""
-    costs = {provider: relative_costs(provider, f) for provider in PROVIDERS}
-    labels = list(costs[PROVIDERS[0]])
-    print(bar_table(
-        title, labels,
-        {p: [costs[p][label] for label in labels] for p in PROVIDERS}, unit="%",
-    ))
-    return {"simulated": costs, "params": {"f": f, "providers": list(PROVIDERS)}}
-
-
-def cmd_fig9(_args, _scale):
-    return _cost_figure("Figure 9: cost vs Raft-R (%), F=1", 1)
-
-
-def cmd_fig10(_args, _scale):
-    return _cost_figure("Figure 10: cost vs Raft-R (%), F=2", 2)
+def _render_costs(figure, simulated, params):
+    providers = params["providers"]
+    return bar_table(
+        f"{figure}: cost vs Raft-R (%), F={params['f']}", COST_BARS,
+        {p: [simulated[p][bar] for bar in COST_BARS] for p in providers}, unit="%",
+    )
 
 
 def _on_every_provider(simulated, params, holds):
@@ -891,36 +751,21 @@ def ec_and_shared_backups_save_56_percent(simulated, params):
     )
 
 
-def _print_timeline(title, simulated):
+def _render_timeline(title, simulated, *more):
     series = [(t, ops) for t, ops in simulated["series"]]
-    print(series_table(title, "seconds", "ops/sec", {"sift": series}))
-    print("timeline:", sparkline([ops for _t, ops in series]))
-    print("events:", [(t, label) for t, label in simulated["events"]])
+    return "\n".join([
+        series_table(title, "seconds", "ops/sec", {"sift": series}),
+        f"timeline: {sparkline([ops for _t, ops in series])}",
+        f"events: {[(t, label) for t, label in simulated['events']]}",
+        *more,
+    ])
 
 
-def _fig11_params(smoke):
-    """The memory-node failure schedule (see points.fig11_timings for
-    the full-size vs --smoke timings) as fig11's and fig11sweep's params."""
-    kill_at, restart_at, duration, clients = fig11_timings(smoke)
-    return {
-        "cores": 12,
-        "clients": clients,
-        "kill_at_us": kill_at,
-        "restart_at_us": restart_at,
-        "duration_us": duration,
-        "workload": "read-heavy",
-    }
-
-
-def cmd_fig11(args, scale):
-    # One point: the timeline is a single run.
-    results = _run(args, fig11_points(scale, args.seed, args.smoke))
-    simulated = results["sift/memnode-failure"]
-    _print_timeline(
-        "Figure 11: read-heavy throughput during a memory node failure", simulated
+def _render_fig11(simulated, _params):
+    return _render_timeline(
+        "Figure 11: read-heavy throughput during a memory node failure", simulated,
+        f"recovery completed: {simulated['recovery_s'] is not None}",
     )
-    print("recovery completed:", simulated["recovery_s"] is not None)
-    return {"simulated": simulated, "params": _fig11_params(args.smoke)}
 
 
 def _windows(series):
@@ -990,7 +835,7 @@ def returns_to_pre_failure_level(simulated, params):
     return _recovers_to(series, pre_rate, _or_never(simulated["recovery_s"]) + 0.3)
 
 
-def cmd_fig12(args, scale):
+def _render_fig12(simulated, _params):
     """Read-heavy throughput through a coordinator failure (§6.5).
 
     Recovery is heartbeat detection (~21 ms: 3 missed 7 ms reads), then
@@ -999,26 +844,15 @@ def cmd_fig12(args, scale):
     the paper.  The cache fills during replay, so the store resumes
     warm and with a burst (drained client queues).
     """
-    kill_at, duration, clients = fig12_timings(args.smoke)
-    results = _run(args, fig12_points(scale, args.seed, args.smoke))
-    simulated = results["sift/coordinator-failure"]
-    _print_timeline(
-        "Figure 12: read-heavy throughput during a coordinator failure", simulated
-    )
+    more = []
     if simulated["serving_s"] is not None:
         gap_ms = (simulated["serving_s"] - simulated["killed_s"]) * 1e3
-        print(f"takeover after {gap_ms:.0f} ms "
-              f"(KV records replayed: {simulated['replayed']})")
-    return {
-        "simulated": simulated,
-        "params": {
-            "cores": 12,
-            "clients": clients,
-            "kill_at_us": kill_at,
-            "duration_us": duration,
-            "workload": "read-heavy",
-        },
-    }
+        more.append(f"takeover after {gap_ms:.0f} ms "
+                    f"(KV records replayed: {simulated['replayed']})")
+    return _render_timeline(
+        "Figure 12: read-heavy throughput during a coordinator failure", simulated,
+        *more,
+    )
 
 
 def pauses_without_a_coordinator(simulated, _params):
@@ -1056,7 +890,7 @@ def resumes_at_pre_failure_level(simulated, _params):
     return _recovers_to(series, pre_rate, _or_never(simulated["serving_s"]) + 0.5)
 
 
-def cmd_fig11sweep(args, scale):
+def _render_fig11sweep(simulated, params):
     """Recovery time vs ``recovery_partitions`` (RAMCloud-style sweep).
 
     Re-runs the fig11 timeline at Fm = 2 for each partition count; each
@@ -1065,12 +899,10 @@ def cmd_fig11sweep(args, scale):
     anchor point re-runs fig11 itself (Fm = 1, single stream) and must
     match the fig11 artifact byte-for-byte.
     """
-    points = fig11sweep_points(scale, args.seed, args.smoke)
-    results = _run(args, points)
     rows = []
-    sweep_keys = [f"sift/recovery-f2-p{p}" for p in RECOVERY_SWEEP_PARTITIONS]
-    for key in sweep_keys:
-        cell = results[key]
+    for partitions in params["partitions"]:
+        key = f"sift/recovery-f2-p{partitions}"
+        cell = simulated[key]
         copy_ms = (cell["copy_us"] or 0) / 1e3
         recovery_s = cell["recovery_s"]
         if recovery_s is None:  # never finished: every_sweep_point_recovers fails
@@ -1083,15 +915,7 @@ def cmd_fig11sweep(args, scale):
                 f"sources {len(cell['sources'] or [])}",
             )
         )
-    print(kv_table("Figure 11 sweep: recovery time vs partitions (Fm=2)", rows))
-    return {
-        "simulated": {point.key: results[point.key] for point in points},
-        "params": {
-            "f": 2,
-            **_fig11_params(args.smoke),
-            "partitions": list(RECOVERY_SWEEP_PARTITIONS),
-        },
-    }
+    return kv_table("Figure 11 sweep: recovery time vs partitions (Fm=2)", rows)
 
 
 def _sweep_recovery_times(simulated, params):
@@ -1112,26 +936,22 @@ def recovery_strictly_faster(simulated, params):
     return all(a > b for a, b in zip(times, times[1:]))
 
 
-def cmd_throughput(args, scale):
-    cell = throughput_point(
-        args.system, args.workload, scale.clients, args.cores, scale, args.seed
-    )
-    print(kv_table(
-        f"{args.system} / {args.workload}",
-        [("throughput", f"{cell['ops_per_sec']:,.0f} ops/s"),
-         ("completed", str(cell["completed"])),
-         ("errors", str(cell["errors"]))],
-    ))
-    return {
-        "simulated": cell,
-        "params": {"system": args.system, "workload": args.workload,
-                   "cores": args.cores},
-    }
-
-
 class Figure(NamedTuple):
-    """One experiment: how to run it, what must hold of it, and whether
-    CI pins its artifact against ``benchmarks/baselines/``."""
+    """One figure, declared once (the fields are described in the
+    module docstring), and whether CI pins its artifact against
+    ``benchmarks/baselines/``."""
+
+    params: Callable[[bool, BenchScale], dict]
+    points: Callable[[dict, BenchScale, int], List[Point]]
+    render: Callable[[dict, dict], str]
+    gates: Tuple[Callable[[dict, dict], bool], ...]
+    shape: Callable[[dict, dict], dict] = keyed
+    baseline: bool = True
+
+
+class Command(NamedTuple):
+    """A command that is not a figure: ``run(args, scale)`` prints and
+    returns None, or ``(simulated, params)`` to file as an artifact."""
 
     run: Callable
     gates: Tuple[Callable[[dict, dict], bool], ...] = ()
@@ -1139,10 +959,10 @@ class Figure(NamedTuple):
 
 
 FIGURES = {
-    "table1": Figure(cmd_table1),
-    "table2": Figure(cmd_table2),
+    "table1": Command(cmd_table1),
+    "table2": Command(cmd_table2),
     "fig5": Figure(
-        cmd_fig5,
+        points.fig5_params, points.fig5_points, _render_fig5,
         (
             every_operation_succeeded,
             epaxos_flat_across_mixes,
@@ -1151,15 +971,32 @@ FIGURES = {
             sift_tracks_raft_on_reads,
             reads_beat_writes,
         ),
-        baseline=True,
+        shape=nested,
     ),
-    "fig5ablate": Figure(cmd_fig5ablate, (full_stack_speedup,), baseline=True),
+    "fig5ablate": Figure(
+        points.fig5ablate_params, points.fig5ablate_points, _render_fig5ablate,
+        (full_stack_speedup,),
+        shape=_shape_fig5ablate,
+    ),
+    # §6.3.2's coordinator cache, shrunk toward the remote-read-bound regime.
     "fig5cache": Figure(
-        cmd_fig5cache, (more_cache_never_hurts, half_cache_beats_no_cache), baseline=True
+        partial(points.knob_sweep_params, "read-heavy", "cache_fraction", (0.0, 0.1, 0.5)),
+        points.knob_sweep_points,
+        partial(
+            _render_knob_sweep,
+            "Ablation: read-heavy throughput vs. cache size (fraction of key space)",
+        ),
+        (more_cache_never_hurts, half_cache_beats_no_cache),
     ),
-    "fig5appliers": Figure(cmd_fig5appliers, (concurrent_appliers_pay,), baseline=True),
+    # §4.2's concurrent background appliers, down to a serial apply pipeline.
+    "fig5appliers": Figure(
+        partial(points.knob_sweep_params, "write-only", "apply_workers", (1, 2, 8)),
+        points.knob_sweep_points,
+        partial(_render_knob_sweep, "Ablation: write-only throughput vs. concurrent appliers"),
+        (concurrent_appliers_pay,),
+    ),
     "fig6": Figure(
-        cmd_fig6,
+        points.fig6_params, points.fig6_points, _render_fig6,
         (
             low_load_latencies_similar,
             ec_never_beats_sift,
@@ -1167,29 +1004,33 @@ FIGURES = {
             epaxos_reads_equal_writes,
             sift_rises_more_than_raft_under_load,
         ),
-        baseline=True,
+        shape=nested,
     ),
     "fig6path": Figure(
-        cmd_fig6path, (rpc_layer_is_half_of_sift_latency,), baseline=True
+        points.fig6path_params, points.fig6path_points, _render_fig6path,
+        (rpc_layer_is_half_of_sift_latency,),
+        shape=nested,
     ),
     "fig7": Figure(
-        cmd_fig7,
+        points.fig7_params, points.fig7_points, _render_fig7,
         (
             throughput_grows_with_cores,
             raft_leads_sift_leads_ec_at_8_cores,
             f2_no_faster_than_f1,
             table2_cores_land_in_one_band,
         ),
-        baseline=True,
     ),
     "fig8": Figure(
-        cmd_fig8,
+        points.fig8_params, points.fig8_points, _render_fig8,
         (recovery_falls_with_pool_and_rises_with_groups, paper_pool_sizes_suffice),
-        baseline=True,
+        shape=single,
     ),
-    "fig8live": Figure(cmd_fig8live, (live_pool_matches_model,), baseline=True),
+    "fig8live": Figure(
+        points.fig8live_params, points.fig8live_points, _render_fig8live,
+        (live_pool_matches_model,),
+    ),
     "figHotspot": Figure(
-        cmd_figHotspot,
+        points.figHotspot_params, points.figHotspot_points, _render_figHotspot,
         (
             autoscaled_tail_beats_static,
             autoscaled_pool_is_cheaper,
@@ -1198,52 +1039,47 @@ FIGURES = {
             no_acked_write_lost,
             histories_linearizable,
         ),
-        baseline=True,
     ),
     "figMclients": Figure(
-        cmd_figMclients,
+        points.figMclients_params, points.figMclients_points, _render_figMclients,
         (
             million_clients,
             underload_keeps_up,
             overload_sheds,
             every_level_records_slo,
         ),
-        baseline=True,
     ),
     "fig9": Figure(
-        cmd_fig9,
+        partial(points.cost_params, 1), points.cost_points, partial(_render_costs, "Figure 9"),
         (
             lone_group_costs_marginally_more,
             ec_and_shared_backups_save_35_percent,
             each_technique_lowers_cost,
         ),
-        baseline=True,
     ),
     "fig10": Figure(
-        cmd_fig10,
+        partial(points.cost_params, 2), points.cost_points, partial(_render_costs, "Figure 10"),
         (ec_alone_saves_13_percent, ec_and_shared_backups_save_56_percent),
-        baseline=True,
     ),
     "fig11": Figure(
-        cmd_fig11,
+        points.fig11_params, points.fig11_points, _render_fig11,
         (never_stops_serving, dips_during_copy_back, returns_to_pre_failure_level),
-        baseline=True,
+        shape=single,
     ),
     "fig11sweep": Figure(
-        cmd_fig11sweep,
+        points.fig11sweep_params, points.fig11sweep_points, _render_fig11sweep,
         (every_sweep_point_recovers, recovery_strictly_faster),
-        baseline=True,
     ),
     "fig12": Figure(
-        cmd_fig12,
+        points.fig12_params, points.fig12_points, _render_fig12,
         (
             pauses_without_a_coordinator,
             takeover_far_exceeds_detection,
             resumes_at_pre_failure_level,
         ),
-        baseline=True,
+        shape=single,
     ),
-    "throughput": Figure(cmd_throughput),
+    "throughput": Command(cmd_throughput),
 }
 
 
@@ -1264,39 +1100,72 @@ def failed_gates(name: str, simulated: dict, params: dict) -> List[str]:
     ]
 
 
+def run_figure(
+    name: str, smoke: bool, scale: BenchScale, seed: int, jobs: int = 1,
+    progress: Optional[Callable[[str], None]] = None,
+) -> Tuple[dict, dict, Optional[list]]:
+    """Run figure *name* and return ``(simulated, params, spans)``: the
+    artifact's two deterministic sections and the raw trace spans a
+    point exported (None when none did).  Prints nothing; publishes to
+    the ambient metrics registry, if one is collecting."""
+    figure = FIGURES[name]
+    params = figure.params(smoke, scale)
+    results = run_points(figure.points(params, scale, seed), jobs=jobs, progress=progress)
+    spans = None
+    for cell in results.values():
+        spans = cell.pop("spans", spans)
+    return figure.shape(results, params), params, spans
+
+
 def _run_one(name: str, args, scale: BenchScale) -> List[str]:
-    """Run one experiment under a fresh registry, check its gates, then
-    write its artifact; returns the gates that failed."""
+    """Run one experiment under a fresh registry, print it, check its
+    gates, then write its artifact (and trace); returns the gates that
+    failed."""
+    entry = FIGURES[name]
     registry = MetricsRegistry()
     started = time.monotonic()
     with collecting(registry):
-        payload = FIGURES[name].run(args, scale)
+        if isinstance(entry, Command):
+            payload = entry.run(args, scale)
+            if payload is None:
+                return []
+            simulated, params = payload
+            spans = None
+        else:
+            simulated, params, spans = run_figure(
+                name, args.smoke, scale, args.seed, args.jobs,
+                progress=lambda key: print(f"  [{key}] done", file=sys.stderr),
+            )
+            print(entry.render(simulated, params))
     wall_clock_s = time.monotonic() - started
-    if payload is None:
-        return []
-    params = dict(payload.get("params") or {})
-    failed = failed_gates(name, payload["simulated"], params)
+    failed = failed_gates(name, simulated, params)
     for gate in failed:
         print(f"GATE FAIL {gate}", file=sys.stderr)
-    # Checked before the write: --refresh-baselines never commits a
-    # baseline that fails its own figure's gates.
+    # Checked before any write: --refresh-baselines never commits a
+    # baseline, or its trace, that fails its own figure's gates.
     if args.no_artifact or (failed and args.refresh_baselines):
         return failed
-    params["scale"] = asdict(scale)
     path = write_artifact(
         args.out_dir,
         name,
-        payload["simulated"],
+        simulated,
         seeds=[args.seed],
-        params=params,
+        params={**params, "scale": asdict(scale)},
         registry=registry,
         wall_clock_s=wall_clock_s,
     )
     print(f"  wrote {path}", file=sys.stderr)
+    if spans:
+        path = write_chrome_trace(
+            os.path.join(args.out_dir, f"TRACE_{name}.json"),
+            spans,
+            process_name=f"repro {params['trace_cell']}",
+        )
+        print(f"  wrote {path} ({len(spans)} spans)", file=sys.stderr)
     return failed
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.cli",
         description="Regenerate the paper's tables and figures.",
@@ -1305,12 +1174,7 @@ def main(argv=None) -> int:
         "experiments", nargs="*",
         help=f"one or more of: {', '.join(FIGURES)}",
     )
-    parser.add_argument("--system", default="sift",
-                        choices=["sift", "sift-ec", "raft-r", "epaxos", "sharded"])
-    parser.add_argument(
-        "--shards", type=int, nargs="+", default=None, metavar="G",
-        help="shard counts swept by fig8live (default: per-scale preset)",
-    )
+    parser.add_argument("--system", default="sift", choices=SYSTEMS)
     parser.add_argument("--workload", default="read-heavy", choices=list(WORKLOADS))
     parser.add_argument("--cores", type=int, default=None)
     parser.add_argument("--seed", type=int, default=1,
@@ -1330,6 +1194,11 @@ def main(argv=None) -> int:
         "--refresh-baselines", action="store_true",
         help="regenerate benchmarks/baselines/ (all gated figures, smoke scale)",
     )
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if args.refresh_baselines:

@@ -1,13 +1,26 @@
-"""Top-level point functions for the parallelisable figures.
+"""Every figure's parameters, point list and point functions.
 
-Each function here runs one independent experiment — one (system,
+A figure is declared by two callables here, which
+:data:`repro.bench.cli.FIGURES` pairs with a renderer and gates:
+
+``<fig>_params(smoke, scale)``
+    The artifact's ``params`` section, and the only place ``--smoke``
+    is read: the schedule, cores, workload and client counts the figure
+    runs at.  JSON-native (lists, no tuples), so the dict a run builds
+    equals the one a committed artifact loads.
+``<fig>_points(params, scale, seed)``
+    The figure's :class:`~repro.bench.parallel.Point` list, built from
+    that dict and nothing else, so a gate or renderer reading
+    ``params`` reads what ran.  Declared order is the order the old
+    serial loops ran in, which is also the registry merge order and
+    therefore part of the artifact contract.
+
+The point functions each run one independent experiment (one (system,
 workload) throughput cell, one (system, load) latency cell, one
-fault-injection timeline — and returns a plain JSON-shaped fragment.
-They are module-level and take only picklable keyword arguments so
-:mod:`repro.bench.parallel` can ship them to worker processes; the
-``figN_points`` builders declare each figure's full point list in the
-exact order the old serial loops ran, which is also the registry merge
-order and therefore part of the artifact contract.
+fault-injection timeline) and return a plain JSON-shaped fragment.
+They are module-level and take only picklable keyword arguments, all of
+which come from ``params`` plus ``scale`` and ``seed``, so
+:mod:`repro.bench.parallel` can ship them to worker processes.
 """
 
 from __future__ import annotations
@@ -26,49 +39,57 @@ from repro.bench.runner import (
 )
 from repro.bench.systems import sift_spec
 from repro.chaos import FaultSchedule
+from repro.cluster.backups import sweep_backup_pool
+from repro.cluster.costs import relative_costs
+from repro.cluster.provision import TABLE2
 from repro.obs.critpath import critical_path_section
 from repro.obs.trace import Tracer
 from repro.sim.units import MS, SEC
 from repro.workloads import WORKLOADS
 
 __all__ = [
-    "build_spec",
     "FIG5_SYSTEMS",
     "FIG6_SYSTEMS",
-    "FIG5ABLATE_GRID",
-    "TRACE_EXPORT_CELL",
-    "TRACE_SPAN_CAP",
+    "FIG7_SYSTEMS",
+    "backup_pool_point",
+    "coordinator_failure_point",
+    "cost_params",
+    "cost_points",
     "critpath_point",
+    "fig5_params",
     "fig5_points",
+    "fig5ablate_params",
     "fig5ablate_points",
-    "fig6_high_load_clients",
+    "fig6_params",
     "fig6_points",
+    "fig6path_params",
     "fig6path_points",
+    "fig7_params",
+    "fig7_points",
+    "fig8_params",
+    "fig8_points",
     "fig8live_params",
     "fig8live_points",
+    "fig11_params",
+    "fig11_points",
+    "fig11sweep_params",
+    "fig11sweep_points",
+    "fig12_params",
+    "fig12_points",
     "figHotspot_params",
     "figHotspot_points",
     "figMclients_params",
     "figMclients_points",
     "hotspot_point",
-    "openloop_point",
-    "FIG7_SYSTEMS",
-    "fig7_cores_by_f",
-    "coordinator_failure_point",
-    "fig7_points",
-    "fig11_points",
-    "fig11_timings",
-    "fig11sweep_points",
-    "fig12_points",
-    "fig12_timings",
+    "knob_sweep_params",
     "knob_sweep_points",
-    "saturation_clients",
-    "throughput_point",
     "latency_point",
     "live_pool_point",
     "memnode_failure_point",
+    "openloop_point",
     "recovery_sweep_point",
-    "RECOVERY_SWEEP_PARTITIONS",
+    "saturation_clients",
+    "throughput_point",
 ]
 
 #: Fig. 5 system order (slowest first, matching the paper's bar groups).
@@ -76,14 +97,6 @@ FIG5_SYSTEMS = ("epaxos", "sift-ec", "sift", "raft-r")
 
 #: Fig. 6 system order.
 FIG6_SYSTEMS = ("raft-r", "sift", "sift-ec", "epaxos")
-
-
-def build_spec(name: str, scale: BenchScale, cores=None, **options):
-    """System spec by CLI name, via the :mod:`repro.api` dispatch."""
-    try:
-        return system_spec(name, scale=scale, cores=cores, **options)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
 
 
 # -- point functions (top-level, picklable) ---------------------------------
@@ -101,7 +114,7 @@ def throughput_point(
     """One peak-throughput cell of (system, workload, cores): the point
     function of fig5, fig7 and the ablations.  *options* reach the spec
     factory (``f=``, ``kv_overrides=``, ``sift_overrides=``)."""
-    spec = build_spec(system, scale, cores=cores, **options)
+    spec = system_spec(system, scale=scale, cores=cores, **options)
     result = run_throughput(
         spec, WORKLOADS[workload], n_clients=clients, scale=scale, seed=seed
     )
@@ -116,7 +129,7 @@ def latency_point(
     system: str, workload: str, clients: int, cores: int, scale: BenchScale, seed: int
 ) -> dict:
     """One Figure 6 cell: latency percentiles at a fixed client count."""
-    spec = build_spec(system, scale, cores=cores)
+    spec = system_spec(system, scale=scale, cores=cores)
     r = run_latency(spec, WORKLOADS[workload], clients, scale=scale, seed=seed)
     return {
         "clients": clients,
@@ -126,16 +139,6 @@ def latency_point(
         "write_p95": r.write_p95,
         "ops_per_sec": r.ops_per_sec,
     }
-
-
-#: The one fig6path cell whose raw spans ride along for the committed
-#: Perfetto export (the paper's own system at its low-load point).
-TRACE_EXPORT_CELL = "sift/low"
-
-#: Spans kept for the export, in recording order.  A traced smoke
-#: window records tens of thousands of spans; the first N already cover
-#: many complete operations and keep the committed trace reviewable.
-TRACE_SPAN_CAP = 2000
 
 
 def critpath_point(
@@ -158,7 +161,7 @@ def critpath_point(
     the first that-many raw span dicts ride along for the Perfetto
     export.
     """
-    spec = build_spec(system, scale, cores=cores)
+    spec = system_spec(system, scale=scale, cores=cores)
     tracer = Tracer()
     r = run_latency(
         spec, WORKLOADS[workload], clients, scale=scale, seed=seed, tracer=tracer
@@ -174,63 +177,17 @@ def critpath_point(
     return out
 
 
-def fig6path_points(
-    scale: BenchScale, seed: int, high_load_clients: int
-) -> List[Point]:
-    """The fig6 grid, traced: the same cells through :func:`critpath_point`."""
-    return [
-        point._replace(
-            fn=critpath_point,
-            kwargs=dict(
-                point.kwargs,
-                export_spans=TRACE_SPAN_CAP if point.key == TRACE_EXPORT_CELL else 0,
-            ),
-        )
-        for point in fig6_points(scale, seed, high_load_clients)
-    ]
-
-
-#: The fig5ablate grid, in declared (= merge) order: both batching
-#: layers off, each alone, then the full stack.
-FIG5ABLATE_GRID = (
-    ("plain", False, False),
-    ("doorbell", False, True),
-    ("coalesce", True, False),
-    ("coalesce+doorbell", True, True),
-)
-
-
-def fig5ablate_points(scale: BenchScale, seed: int) -> List[Point]:
-    """The 2x2 batching-ablation grid: write-only Sift throughput at 24
-    clients with the WAL append-coalescing and doorbell-batching layers
-    toggled independently."""
-    return [
-        _cell(f"sift/{key}", "sift", "write-only", 24, 12, scale, seed,
-              kv_overrides={"coalesce_appends": True} if coalesce else None,
-              sift_overrides={"doorbell_batching": True} if doorbell else None)
-        for key, coalesce, doorbell in FIG5ABLATE_GRID
-    ]
-
-
-def fig11_timings(smoke: bool):
-    """(kill_at, restart_at, duration, clients) for the Fig. 11 schedule.
-
-    Smoke compresses the full-size schedule so CI sees the same three
-    phases (dip, copy-back contention, recovery) in ~1.5 simulated
-    seconds.
-    """
-    if smoke:
-        return 0.3 * SEC, 0.45 * SEC, 1.5 * SEC, 6
-    return 0.6 * SEC, 0.9 * SEC, 3.0 * SEC, 10
-
-
 def _memnode_failure_run(
-    smoke: bool,
     scale: BenchScale,
     seed: int,
+    clients: int,
+    kill_at_us: float,
+    restart_at_us: float,
+    duration_us: float,
+    cores: int,
+    workload: str,
     f: int = 1,
     recovery_partitions: int = 1,
-    timings=None,
 ) -> dict:
     """One Figure-11-style timeline: kill memory node 2, restart it,
     watch the copy-back finish.
@@ -238,12 +195,11 @@ def _memnode_failure_run(
     Shared by the fig11 point (``f=1``, single-stream recovery — the
     schedule must stay byte-identical to the pre-partitioning runs) and
     the fig11sweep points (``f=2`` so four source links exist, sweeping
-    ``recovery_partitions``).  *timings* overrides the fig11 schedule
-    for tiny in-test runs.
+    ``recovery_partitions``).  The schedule arguments are the fields of
+    :func:`fig11_params`; tests pass a tiny one.
     """
-    kill_at, restart_at, duration, clients = timings or fig11_timings(smoke)
     spec = sift_spec(
-        f=f, cores=12, scale=scale, recovery_partitions=recovery_partitions
+        f=f, cores=cores, scale=scale, recovery_partitions=recovery_partitions
     )
     recovered_at: List[float] = []
     copy_stats: List[dict] = []
@@ -262,15 +218,15 @@ def _memnode_failure_run(
 
     schedule = (
         FaultSchedule()
-        .crash_memory_node(kill_at, 2)
-        .restart_memory_node(restart_at, 2)
-        .probe(restart_at, watch_recovery, "watch recovery")
+        .crash_memory_node(kill_at_us, 2)
+        .restart_memory_node(restart_at_us, 2)
+        .probe(restart_at_us, watch_recovery, "watch recovery")
     )
     result = run_timeline(
         spec,
-        WORKLOADS["read-heavy"],
+        WORKLOADS[workload],
         clients,
-        duration,
+        duration_us,
         events=schedule,
         scale=scale,
         seed=seed,
@@ -296,10 +252,10 @@ def _memnode_failure_run(
     }
 
 
-def memnode_failure_point(smoke: bool, scale: BenchScale, seed: int) -> dict:
+def memnode_failure_point(scale: BenchScale, seed: int, **schedule) -> dict:
     """The Figure 11 timeline: kill memory node 2, restart it, watch
     the copy-back finish.  One point — the timeline is a single run."""
-    run = _memnode_failure_run(smoke, scale, seed)
+    run = _memnode_failure_run(scale, seed, **schedule)
     return {
         "series": run["series"],
         "events": run["events"],
@@ -307,22 +263,14 @@ def memnode_failure_point(smoke: bool, scale: BenchScale, seed: int) -> dict:
     }
 
 
-#: Partition counts swept by fig11sweep.  The sweep runs at Fm = 2
-#: (five memory nodes, four live sources once one fails) so each
-#: doubling genuinely doubles the source links feeding the rejoining
-#: node — with fig11's Fm = 1 only two sources exist and the curve
-#: would flatten at two partitions.
-RECOVERY_SWEEP_PARTITIONS = (1, 2, 4)
-
-
 def recovery_sweep_point(
-    smoke: bool, scale: BenchScale, seed: int, partitions: int
+    scale: BenchScale, seed: int, f: int, partitions: int, **schedule
 ) -> dict:
-    """One fig11sweep cell: the fig11 timeline at Fm = 2 with
+    """One fig11sweep cell: the fig11 timeline at Fm = *f* with
     ``recovery_partitions=partitions``, plus the copy-phase stats the
     partition count actually moves."""
     run = _memnode_failure_run(
-        smoke, scale, seed, f=2, recovery_partitions=partitions
+        scale, seed, f=f, recovery_partitions=partitions, **schedule
     )
     copy = run["copy"] or {}
     return {
@@ -337,22 +285,21 @@ def recovery_sweep_point(
     }
 
 
-def fig12_timings(smoke: bool):
-    """(kill_at, duration, clients) for the Fig. 12 schedule; smoke
-    compresses it the way :func:`fig11_timings` does."""
-    if smoke:
-        return 0.3 * SEC, 1.5 * SEC, 6
-    return 0.6 * SEC, 4.0 * SEC, 10
-
-
-def coordinator_failure_point(smoke: bool, scale: BenchScale, seed: int) -> dict:
+def coordinator_failure_point(
+    clients: int,
+    kill_at_us: float,
+    duration_us: float,
+    cores: int,
+    workload: str,
+    scale: BenchScale,
+    seed: int,
+) -> dict:
     """The Figure 12 timeline: kill the coordinator, watch a backup CPU
     node detect it, recover the log and the KV structures, and serve.
 
     ``killed_s`` and ``serving_s`` are in the series' time frame;
     ``replayed`` counts the KV WAL records the successor replayed.
     """
-    kill_at, duration, clients = fig12_timings(smoke)
     marks: dict = {}
 
     def watch_takeover(group):
@@ -369,14 +316,14 @@ def coordinator_failure_point(smoke: bool, scale: BenchScale, seed: int) -> dict
 
     schedule = (
         FaultSchedule()
-        .crash_leader(kill_at)
-        .probe(kill_at, watch_takeover, "watch takeover")
+        .crash_leader(kill_at_us)
+        .probe(kill_at_us, watch_takeover, "watch takeover")
     )
     result = run_timeline(
-        sift_spec(cores=12, scale=scale),
-        WORKLOADS["read-heavy"],
+        sift_spec(cores=cores, scale=scale),
+        WORKLOADS[workload],
         clients,
-        duration,
+        duration_us,
         events=schedule,
         scale=scale,
         seed=seed,
@@ -514,8 +461,8 @@ def live_pool_point(
     }
 
 
-def fig8live_params(smoke: bool) -> dict:
-    """(backups, delay, faults-per-shard-count, gap, reps) for fig8live.
+def fig8live_params(smoke: bool, _scale: BenchScale) -> dict:
+    """(backups, delay, gap, reps, swept shard counts) for fig8live.
 
     The gap is deliberately shorter than the provisioning delay so the
     middle faults hit an exhausted pool and the *waiting* path — where
@@ -528,46 +475,34 @@ def fig8live_params(smoke: bool) -> dict:
             provisioning_delay_us=1.5 * SEC,
             fault_gap_us=0.4 * SEC,
             repetitions=2,
-            shard_counts=[2, 3],
+            shards=[2, 3],
         )
     return dict(
         backups=1,
         provisioning_delay_us=5 * SEC,
         fault_gap_us=1.25 * SEC,
         repetitions=3,
-        shard_counts=[2, 4],
+        shards=[2, 4],
     )
 
 
-def fig8live_points(
-    scale: BenchScale, seed: int, smoke: bool, shard_counts=None
-) -> List[Point]:
-    """One point per shard count (the ``--shards`` sweep)."""
-    params = fig8live_params(smoke)
-    counts = list(shard_counts) if shard_counts else params["shard_counts"]
-    points = []
-    for shards in counts:
-        points.append(
-            Point(
-                key=f"sharded/{shards}",
-                fn=live_pool_point,
-                kwargs={
-                    "shards": shards,
-                    "backups": params["backups"],
-                    "provisioning_delay_us": params["provisioning_delay_us"],
-                    "faults": shards + 1,
-                    "fault_gap_us": params["fault_gap_us"],
-                    "repetitions": params["repetitions"],
-                    "scale": scale,
-                    "seed": seed,
-                },
-            )
+def fig8live_points(params: dict, scale: BenchScale, seed: int) -> List[Point]:
+    """One point per shard count, each taking one fault more than it
+    has shards."""
+    preset = {key: value for key, value in params.items() if key != "shards"}
+    return [
+        Point(
+            key=f"sharded/{shards}",
+            fn=live_pool_point,
+            kwargs=dict(preset, shards=shards, faults=shards + 1, scale=scale, seed=seed),
         )
-    return points
+        for shards in params["shards"]
+    ]
 
 
 def openloop_point(
     shards: int,
+    cores: int,
     workload: str,
     offered_ops_per_sec: float,
     n_clients: int,
@@ -589,7 +524,7 @@ def openloop_point(
     """
     from repro.workloads.openloop import AdmissionControl
 
-    spec = build_spec("sharded", scale, cores=12, shards=shards)
+    spec = system_spec("sharded", scale=scale, cores=cores, shards=shards)
     result = run_openloop(
         spec,
         WORKLOADS[workload],
@@ -620,7 +555,7 @@ def openloop_point(
     }
 
 
-def figMclients_params(smoke: bool) -> dict:
+def figMclients_params(smoke: bool, _scale: BenchScale) -> dict:
     """The figMclients sweep preset.
 
     ``base_ops_per_sec`` is the (empirically calibrated) saturation
@@ -632,6 +567,7 @@ def figMclients_params(smoke: bool) -> dict:
     north-star asks for: at least a million simulated clients.
     """
     return dict(
+        cores=12,
         shards=2,
         workload="read-heavy",
         n_clients=1_000_000 if smoke else 2_000_000,
@@ -644,36 +580,30 @@ def figMclients_params(smoke: bool) -> dict:
     )
 
 
-def figMclients_points(scale: BenchScale, seed: int, smoke: bool) -> List[Point]:
+def figMclients_points(params: dict, scale: BenchScale, seed: int) -> List[Point]:
     """One point per offered-load level, underload first."""
-    params = figMclients_params(smoke)
-    points = []
-    for label, multiplier in params["levels"]:
-        points.append(
-            Point(
-                key=f"sharded/{label}",
-                fn=openloop_point,
-                kwargs={
-                    "shards": params["shards"],
-                    "workload": params["workload"],
-                    "offered_ops_per_sec": params["base_ops_per_sec"] * multiplier,
-                    "n_clients": params["n_clients"],
-                    "max_inflight": params["max_inflight"],
-                    "queue_limit": params["queue_limit"],
-                    "rate_ops_per_sec": (
-                        params["base_ops_per_sec"] * params["throttle_ratio"]
-                    ),
-                    "window_us": params["window_us"],
-                    "scale": scale,
-                    "seed": seed,
-                },
-            )
+    swept = ("base_ops_per_sec", "levels", "throttle_ratio")
+    preset = {key: value for key, value in params.items() if key not in swept}
+    base = params["base_ops_per_sec"]
+    return [
+        Point(
+            key=f"sharded/{label}",
+            fn=openloop_point,
+            kwargs=dict(
+                preset,
+                offered_ops_per_sec=base * multiplier,
+                rate_ops_per_sec=base * params["throttle_ratio"],
+                scale=scale,
+                seed=seed,
+            ),
         )
-    return points
+        for label, multiplier in params["levels"]
+    ]
 
 
 def hotspot_point(
     autoscale: bool,
+    cores: int,
     shards: int,
     workload: str,
     offered_ops_per_sec: float,
@@ -721,10 +651,10 @@ def hotspot_point(
     from repro.workloads.generator import HotspotZipfSampler
     from repro.workloads.openloop import AdmissionControl, OpenLoopEngine
 
-    spec = build_spec(
+    spec = system_spec(
         "sharded",
-        scale,
-        cores=12,
+        scale=scale,
+        cores=cores,
         shards=shards,
         backups=static_backups if not autoscale else 1,
         provisioning_delay_us=provisioning_delay_us,
@@ -919,7 +849,7 @@ def hotspot_point(
     return out
 
 
-def figHotspot_params(smoke: bool) -> dict:
+def figHotspot_params(smoke: bool, _scale: BenchScale) -> dict:
     """The figHotspot scenario preset.
 
     The offered rate is chosen so one shard carrying the retargeted hot
@@ -930,6 +860,7 @@ def figHotspot_params(smoke: bool) -> dict:
     delay, so the Fig. 8 replay demands a second spare.
     """
     common = dict(
+        cores=12,
         shards=2,
         workload="mixed",
         hot_span=512,
@@ -939,7 +870,7 @@ def figHotspot_params(smoke: bool) -> dict:
         warmup_us=350 * MS,
         static_backups=3,
         provisioning_delay_us=150 * MS,
-        fault_at_us=(5 * MS, 70 * MS),
+        fault_at_us=[5 * MS, 70 * MS],
         reconciler_interval_us=25 * MS,
         imbalance_factor=1.5,
         min_split_ops=512,
@@ -965,22 +896,19 @@ def figHotspot_params(smoke: bool) -> dict:
     )
 
 
-def figHotspot_points(scale: BenchScale, seed: int, smoke: bool) -> List[Point]:
+def figHotspot_points(params: dict, scale: BenchScale, seed: int) -> List[Point]:
     """Two cells, static first (the declared merge order)."""
-    params = figHotspot_params(smoke)
-    points = []
-    for label, autoscale in (("static", False), ("autoscaled", True)):
-        points.append(
-            Point(
-                key=f"sharded/{label}",
-                fn=hotspot_point,
-                kwargs=dict(params, autoscale=autoscale, scale=scale, seed=seed),
-            )
+    return [
+        Point(
+            key=f"sharded/{label}",
+            fn=hotspot_point,
+            kwargs=dict(params, autoscale=autoscale, scale=scale, seed=seed),
         )
-    return points
+        for label, autoscale in (("static", False), ("autoscaled", True))
+    ]
 
 
-# -- figure point lists (declared order == serial order == merge order) -----
+# -- figure params and point lists (declared order == serial order == merge order)
 
 
 def saturation_clients(smoke: bool, scale: BenchScale) -> int:
@@ -1004,88 +932,240 @@ def _cell(key: str, system: str, workload: str, clients: int, cores: int,
     return Point(key=key, fn=fn, kwargs=kwargs)
 
 
-def fig5_points(scale: BenchScale, seed: int, clients: int) -> List[Point]:
+def fig5_params(smoke: bool, scale: BenchScale) -> dict:
+    clients = saturation_clients(smoke, scale)
+    return {"cores": 12, "workloads": list(WORKLOADS), "clients": clients}
+
+
+def fig5_points(params: dict, scale: BenchScale, seed: int) -> List[Point]:
     """System-major, workload-minor.  EPaxos has no leader to saturate
-    and is driven with three times the *clients* of the others."""
+    and is driven with three times the clients of the others."""
+    clients = params["clients"]
     return [
         _cell(f"{system}/{mix}", system, mix,
-              clients * 3 if system == "epaxos" else clients, 12, scale, seed)
+              clients * 3 if system == "epaxos" else clients, params["cores"],
+              scale, seed)
         for system in FIG5_SYSTEMS
-        for mix in WORKLOADS
+        for mix in params["workloads"]
+    ]
+
+
+def fig5ablate_params(_smoke: bool, _scale: BenchScale) -> dict:
+    """Write-only Sift at 24 clients; the grid is in declared (= merge)
+    order: both batching layers off, each alone, then the full stack."""
+    return {
+        "cores": 12,
+        "workload": "write-only",
+        "clients": 24,
+        "grid": [
+            ["plain", False, False],
+            ["doorbell", False, True],
+            ["coalesce", True, False],
+            ["coalesce+doorbell", True, True],
+        ],
+    }
+
+
+def fig5ablate_points(params: dict, scale: BenchScale, seed: int) -> List[Point]:
+    """The 2x2 batching-ablation grid: Sift throughput with the WAL
+    append-coalescing and doorbell-batching layers toggled
+    independently."""
+    return [
+        _cell(f"sift/{key}", "sift", params["workload"], params["clients"],
+              params["cores"], scale, seed,
+              kv_overrides={"coalesce_appends": True} if coalesce else None,
+              sift_overrides={"doorbell_batching": True} if doorbell else None)
+        for key, coalesce, doorbell in params["grid"]
     ]
 
 
 FIG7_SYSTEMS = ("raft-r", "sift", "sift-ec")
 
 
-def fig7_cores_by_f(smoke: bool):
-    """``[[F, core counts], ...]`` of the Fig. 7 grid.  The pinned smoke
-    grid keeps the whole F=1 curve (Table 2's band and fig5's cells are
-    on it) and, of F=2, the 8- and 12-core points its gates read: six
-    points fewer keep bench-smoke's wall time in budget."""
+def fig7_params(smoke: bool, scale: BenchScale) -> dict:
+    """``cores_by_f`` is ``[[F, core counts], ...]`` of the Fig. 7 grid.
+    The pinned smoke grid keeps the whole F=1 curve (Table 2's band and
+    fig5's cells are on it) and, of F=2, the 8- and 12-core points its
+    gates read: six points fewer keep bench-smoke's wall time in budget."""
     swept = [6, 8, 10, 12]  # Table 2's 8/10/12 plus 6
-    return [[1, swept], [2, [8, 12] if smoke else swept]]
+    return {
+        "workload": "read-heavy",
+        "clients": saturation_clients(smoke, scale),
+        "systems": list(FIG7_SYSTEMS),
+        "cores_by_f": [[1, swept], [2, [8, 12] if smoke else swept]],
+        "table2_cores": {
+            "raft-r": TABLE2[("raft", 1)]["node"].cores,
+            "sift": TABLE2[("sift", 1)]["cpu"].cores,
+            "sift-ec": TABLE2[("sift-ec", 1)]["cpu"].cores,
+        },
+    }
 
 
-def fig7_points(scale: BenchScale, seed: int, clients: int, cores_by_f) -> List[Point]:
-    """Read-heavy peak throughput of every (F, system, cores), in that
-    nesting.  The F=1 cells at 12 cores are fig5's read-heavy cells."""
+def fig7_points(params: dict, scale: BenchScale, seed: int) -> List[Point]:
+    """Peak throughput of every (F, system, cores), in that nesting.
+    The F=1 cells at 12 cores are fig5's read-heavy cells."""
     return [
-        _cell(f"{system}/f{f}/c{cores}", system, "read-heavy", clients, cores,
-              scale, seed, f=f)
-        for f, core_counts in cores_by_f
-        for system in FIG7_SYSTEMS
+        _cell(f"{system}/f{f}/c{cores}", system, params["workload"],
+              params["clients"], cores, scale, seed, f=f)
+        for f, core_counts in params["cores_by_f"]
+        for system in params["systems"]
         for cores in core_counts
     ]
 
 
-def knob_sweep_points(
-    workload: str, knob: str, values, clients: int, scale: BenchScale, seed: int
-) -> List[Point]:
-    """Sift at 12 cores under *workload*, one cell per value of the
-    :class:`~repro.kv.config.KvConfig` field *knob* (the cache and
-    applier ablations).  The cell at the field's default is fig5's."""
+def knob_sweep_params(
+    workload: str, knob: str, values, smoke: bool, scale: BenchScale
+) -> dict:
+    """Sift at 12 cores under *workload*, sweeping the
+    :class:`~repro.kv.config.KvConfig` field *knob* over *values* (the
+    cache and applier ablations)."""
+    return {
+        "cores": 12,
+        "workload": workload,
+        "clients": saturation_clients(smoke, scale),
+        "knob": knob,
+        "values": list(values),
+    }
+
+
+def knob_sweep_points(params: dict, scale: BenchScale, seed: int) -> List[Point]:
+    """One cell per swept value.  The cell at the field's default is
+    fig5's."""
+    knob = params["knob"]
     return [
-        _cell(f"sift/{knob}={value}", "sift", workload, clients, 12, scale, seed,
+        _cell(f"sift/{knob}={value}", "sift", params["workload"],
+              params["clients"], params["cores"], scale, seed,
               kv_overrides={knob: value})
-        for value in values
+        for value in params["values"]
     ]
 
 
-def fig6_high_load_clients(smoke: bool) -> int:
+def fig6_params(smoke: bool, _scale: BenchScale) -> dict:
     """Fig. 6's loaded point: the client count that drives Sift to ~90%
     of its mixed-workload peak.  At the pinned smoke scale that is 21
     (312k of a 346k ops/s peak); 8 was a third of saturation and
     queued nothing."""
-    return 21 if smoke else 28
+    return {"cores": 12, "high_load_clients": 21 if smoke else 28}
 
 
-def fig6_points(scale: BenchScale, seed: int, high_load_clients: int) -> List[Point]:
+def fig6_points(params: dict, scale: BenchScale, seed: int) -> List[Point]:
     """System-major, low load then high load."""
     return [
-        _cell(f"{system}/{load}", system, "mixed", clients, 12, scale, seed,
-              fn=latency_point)
+        _cell(f"{system}/{load}", system, "mixed", clients, params["cores"],
+              scale, seed, fn=latency_point)
         for system in FIG6_SYSTEMS
-        for load, clients in (("low", 1), ("high", high_load_clients))
+        for load, clients in (("low", 1), ("high", params["high_load_clients"]))
     ]
 
 
-def _single_run(key: str, fn, scale: BenchScale, seed: int, smoke: bool) -> List[Point]:
-    """The point list of a figure that is one timeline run."""
-    return [Point(key=key, fn=fn, kwargs={"smoke": smoke, "scale": scale, "seed": seed})]
+def fig6path_params(smoke: bool, scale: BenchScale) -> dict:
+    """fig6's, plus the one cell whose raw spans ride along for the
+    committed Perfetto export (the paper's own system at its low-load
+    point) and how many spans are kept, in recording order.  A traced
+    smoke window records tens of thousands of spans; the first N
+    already cover many complete operations and keep the committed trace
+    reviewable."""
+    return dict(fig6_params(smoke, scale), trace_cell="sift/low", trace_span_cap=2000)
 
 
-def fig11_points(scale: BenchScale, seed: int, smoke: bool) -> List[Point]:
-    return _single_run("sift/memnode-failure", memnode_failure_point, scale, seed, smoke)
+def fig6path_points(params: dict, scale: BenchScale, seed: int) -> List[Point]:
+    """The fig6 grid, traced: the same cells through :func:`critpath_point`."""
+    export = {params["trace_cell"]: params["trace_span_cap"]}
+    return [
+        point._replace(
+            fn=critpath_point,
+            kwargs=dict(point.kwargs, export_spans=export.get(point.key, 0)),
+        )
+        for point in fig6_points(params, scale, seed)
+    ]
 
 
-def fig12_points(scale: BenchScale, seed: int, smoke: bool) -> List[Point]:
-    return _single_run(
-        "sift/coordinator-failure", coordinator_failure_point, scale, seed, smoke
-    )
+def fig8_params(_smoke: bool, _scale: BenchScale) -> dict:
+    return {
+        "groups": [10, 100, 500, 1000, 2000, 3000],
+        "backups": [0, 2, 4, 6, 8, 12, 16, 20],
+        "repetitions": 10,
+    }
 
 
-def fig11sweep_points(scale: BenchScale, seed: int, smoke: bool) -> List[Point]:
+def backup_pool_point(groups: List[int], backups: List[int], repetitions: int) -> dict:
+    """Figure 8 whole: ``[[backups, s/fault], ...]`` per group count.
+    One point, since every cell replays the same failure trace."""
+    sweep = sweep_backup_pool(groups, backups, repetitions=repetitions)
+    return {
+        f"{count} groups": [[c.backups, c.recovery_time_per_fault_s] for c in row]
+        for count, row in sweep.items()
+    }
+
+
+def fig8_points(params: dict, _scale: BenchScale, _seed: int) -> List[Point]:
+    return [Point(key="trace-model", fn=backup_pool_point, kwargs=dict(params))]
+
+
+def cost_params(f: int, _smoke: bool, _scale: BenchScale) -> dict:
+    return {"f": f, "providers": ["aws", "gcp"]}
+
+
+def cost_points(params: dict, _scale: BenchScale, _seed: int) -> List[Point]:
+    """Figures 9-10: one exact-arithmetic point per cloud provider."""
+    return [
+        Point(key=provider, fn=relative_costs,
+              kwargs={"provider": provider, "f": params["f"]})
+        for provider in params["providers"]
+    ]
+
+
+def fig11_params(smoke: bool, _scale: BenchScale) -> dict:
+    """The memory-node failure schedule of fig11 and fig11sweep.  Smoke
+    compresses the full-size schedule so CI sees the same three phases
+    (dip, copy-back contention, recovery) in ~1.5 simulated seconds."""
+    return {
+        "cores": 12,
+        "clients": 6 if smoke else 10,
+        "kill_at_us": (0.3 if smoke else 0.6) * SEC,
+        "restart_at_us": (0.45 if smoke else 0.9) * SEC,
+        "duration_us": (1.5 if smoke else 3.0) * SEC,
+        "workload": "read-heavy",
+    }
+
+
+def fig11_points(params: dict, scale: BenchScale, seed: int) -> List[Point]:
+    """One point: the timeline is a single run."""
+    return [
+        Point(key="sift/memnode-failure", fn=memnode_failure_point,
+              kwargs=dict(params, scale=scale, seed=seed))
+    ]
+
+
+def fig12_params(smoke: bool, _scale: BenchScale) -> dict:
+    """The coordinator failure schedule; smoke compresses it the way
+    :func:`fig11_params` does."""
+    return {
+        "cores": 12,
+        "clients": 6 if smoke else 10,
+        "kill_at_us": (0.3 if smoke else 0.6) * SEC,
+        "duration_us": (1.5 if smoke else 4.0) * SEC,
+        "workload": "read-heavy",
+    }
+
+
+def fig12_points(params: dict, scale: BenchScale, seed: int) -> List[Point]:
+    return [
+        Point(key="sift/coordinator-failure", fn=coordinator_failure_point,
+              kwargs=dict(params, scale=scale, seed=seed))
+    ]
+
+
+def fig11sweep_params(smoke: bool, scale: BenchScale) -> dict:
+    """fig11's schedule at Fm = 2 (five memory nodes, four live sources
+    once one fails) so each doubling of ``partitions`` genuinely doubles
+    the source links feeding the rejoining node — with fig11's Fm = 1
+    only two sources exist and the curve would flatten at two
+    partitions."""
+    return {"f": 2, **fig11_params(smoke, scale), "partitions": [1, 2, 4]}
+
+
+def fig11sweep_points(params: dict, scale: BenchScale, seed: int) -> List[Point]:
     """The recovery-time-vs-partitions sweep, plus the exact fig11 point.
 
     The ``sift/memnode-failure`` anchor re-runs fig11's timeline with
@@ -1094,18 +1174,13 @@ def fig11sweep_points(scale: BenchScale, seed: int, smoke: bool) -> List[Point]:
     numbers (``tests/test_recovery_determinism.py`` compares the two
     committed baselines).
     """
-    points = fig11_points(scale, seed, smoke)
-    for partitions in RECOVERY_SWEEP_PARTITIONS:
-        points.append(
-            Point(
-                key=f"sift/recovery-f2-p{partitions}",
-                fn=recovery_sweep_point,
-                kwargs={
-                    "smoke": smoke,
-                    "scale": scale,
-                    "seed": seed,
-                    "partitions": partitions,
-                },
-            )
+    schedule = {k: v for k, v in params.items() if k not in ("f", "partitions")}
+    return fig11_points(schedule, scale, seed) + [
+        Point(
+            key=f"sift/recovery-f2-p{partitions}",
+            fn=recovery_sweep_point,
+            kwargs=dict(schedule, scale=scale, seed=seed, f=params["f"],
+                        partitions=partitions),
         )
-    return points
+        for partitions in params["partitions"]
+    ]

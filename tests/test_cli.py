@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from repro.bench.cli import main
+from repro.api import SYSTEMS
+from repro.bench.cli import _parser, main
 from repro.obs.artifact import load_artifact
 
 
@@ -42,6 +43,16 @@ class TestCli:
     def test_no_experiments_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_system_choices_are_the_api_systems(self, capsys):
+        """The list is stated once: argparse is what rejects an unknown
+        ``--system``, before any point function sees it."""
+        (system,) = [a for a in _parser()._actions if a.dest == "system"]
+        assert system.choices is SYSTEMS
+        with pytest.raises(SystemExit) as rejected:
+            main(["throughput", "--system", "paxos"])
+        assert rejected.value.code == 2
+        assert "invalid choice: 'paxos'" in capsys.readouterr().err
 
     def test_throughput_smoke(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_BENCH_KEYS", "512")

@@ -6,6 +6,12 @@ committed baselines are byte-pinned by CI, so evaluating the gates on
 them here proves each property of the numbers the repo publishes
 without running a figure; one minimal mutation per gate proves each
 gate can fail, and fails alone.
+
+The rest of a figure's declaration (``params``, ``points``, ``shape``,
+``render``) is held to the same bytes, also without a simulation: the
+smoke ``params`` are the committed ones, the points built from them are
+picklable calls of top-level functions, and the renderer prints the
+committed ``simulated`` section whatever order its keys arrive in.
 """
 
 import copy
@@ -14,12 +20,16 @@ import glob
 import inspect
 import json
 import os
+import pickle
 import re
+import sys
+from dataclasses import asdict
 
 import pytest
 
 from repro.bench import cli, points
 from repro.bench.calibration import SMOKE_SCALE
+from repro.bench.parallel import Point
 from repro.obs.artifact import load_artifact
 
 BASELINES = cli._baselines_dir()
@@ -286,45 +296,31 @@ def test_mutation_fails_exactly_its_gate(target):
     assert _failed(name, doc) == [target]
 
 
-def _keys(figure_points):
-    return [point.key for point in figure_points]
-
-
-def _knob_keys(name):
-    params = _committed(name)["params"]
-    return _keys(points.knob_sweep_points(
-        params["workload"], params["knob"], params["values"], params["clients"],
-        SMOKE_SCALE, 1,
-    ))
-
-
-#: ``simulated``'s key order in a live run (insertion order of the
-#: figure's points or cells); a loaded artifact iterates in sorted-key
-#: order.
-DECLARED = {
-    "fig5": list(points.FIG5_SYSTEMS),
-    "fig5ablate": [key for key, _coalesce, _doorbell in points.FIG5ABLATE_GRID],
-    "fig5cache": _knob_keys("fig5cache"),
-    "fig5appliers": _knob_keys("fig5appliers"),
-    "fig6": list(points.FIG6_SYSTEMS),
-    "fig6path": list(points.FIG6_SYSTEMS),
-    "fig7": _keys(points.fig7_points(SMOKE_SCALE, 1, 24, points.fig7_cores_by_f(True))),
+#: What the one point of each ``single``-shaped figure returns, in the
+#: order its point function builds it.
+SINGLE_RUN_KEYS = {
     "fig8": [f"{groups} groups" for groups in _committed("fig8")["params"]["groups"]],
-    "fig8live": _keys(points.fig8live_points(SMOKE_SCALE, 1, True)),
-    "figMclients": _keys(points.figMclients_points(SMOKE_SCALE, 1, True)),
-    "figHotspot": _keys(points.figHotspot_points(SMOKE_SCALE, 1, True)),
-    "fig9": list(cli.PROVIDERS),
-    "fig10": list(cli.PROVIDERS),
     "fig11": ["series", "events", "recovery_s"],
-    "fig11sweep": _keys(points.fig11sweep_points(SMOKE_SCALE, 1, True)),
     "fig12": ["series", "events", "killed_s", "serving_s", "replayed"],
 }
+
+
+def declared_order(name):
+    """``simulated``'s key order in a live run: the figure's own point
+    list through its own shape, built from the committed ``params``.  A
+    loaded artifact iterates in sorted-key order."""
+    figure = cli.FIGURES[name]
+    if figure.shape is cli.single:
+        return SINGLE_RUN_KEYS[name]
+    params = _committed(name)["params"]
+    results = {point.key: {} for point in figure.points(params, SMOKE_SCALE, 1)}
+    return list(figure.shape(results, params))
 
 
 @pytest.mark.parametrize("target", sorted(MUTATIONS))
 def test_verdicts_do_not_depend_on_dict_order(target):
     name = target.split(".")[0]
-    declared = DECLARED[name]
+    declared = declared_order(name)
     clean, broken = _baseline(name), _baseline(name)
     MUTATIONS[target](broken)
     for doc in (clean, broken):
@@ -494,6 +490,67 @@ def test_baseline_figures_are_exactly_the_committed_baselines():
     assert expected == committed
 
 
+# -- the declaration behind each pinned figure, on the committed bytes --------
+
+PINNED = sorted(name for name, figure in cli.FIGURES.items() if figure.baseline)
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_smoke_params_are_the_committed_params(name):
+    """Editing a preset without refreshing the baseline fails here, not
+    only in bench-smoke.  ``params`` are JSON-native, so no round trip."""
+    params = cli.FIGURES[name].params(True, SMOKE_SCALE)
+    assert {**params, "scale": asdict(SMOKE_SCALE)} == _committed(name)["params"]
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_points_are_picklable_calls_of_top_level_functions(name):
+    figure = cli.FIGURES[name]
+    params = _committed(name)["params"]
+    params = {key: value for key, value in params.items() if key != "scale"}
+    figure_points = figure.points(params, SMOKE_SCALE, 1)
+    assert figure_points
+    for point in figure_points:
+        assert pickle.loads(pickle.dumps(point)) == point
+        assert getattr(sys.modules[point.fn.__module__], point.fn.__name__) is point.fn
+        assert "smoke" not in point.kwargs
+        inspect.signature(point.fn).bind(**point.kwargs)  # TypeError on a stray kwarg
+
+
+def _reversed_throughout(node):
+    """*node* with every dict, at every depth, iterating backwards."""
+    if isinstance(node, dict):
+        return {key: _reversed_throughout(node[key]) for key in reversed(list(node))}
+    if isinstance(node, list):
+        return [_reversed_throughout(item) for item in node]
+    return node
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_render_prints_the_committed_bytes_in_any_key_order(name):
+    """The sixteen printers otherwise run only inside bench-smoke."""
+    doc = _committed(name)
+    simulated, params = doc["simulated"], doc["params"]
+    render = cli.FIGURES[name].render
+    table = render(simulated, params)
+    assert isinstance(table, str) and len(table.splitlines()) >= 4
+    declared = {key: simulated[key] for key in declared_order(name)}
+    assert render(declared, params) == table
+    assert render(_reversed_throughout(simulated), _reversed_throughout(params)) == table
+
+
+@pytest.mark.parametrize("name", ["fig9", "fig10", "fig8"])
+def test_run_figure_reproduces_the_baseline_without_a_namespace(name, capsys):
+    """The exact-arithmetic figures are ordinary points: the programmatic
+    entry point returns the committed sections and prints nothing."""
+    doc = _committed(name)
+    simulated, params, spans = cli.run_figure(name, True, SMOKE_SCALE, seed=1)
+    assert simulated == doc["simulated"]
+    assert {**params, "scale": asdict(SMOKE_SCALE)} == doc["params"]
+    assert spans is None
+    assert capsys.readouterr() == ("", "")
+
+
 # -- the one place gates are evaluated: _run_one, feeding main()'s exit code --
 
 
@@ -502,11 +559,19 @@ def _holds(_simulated, params):
     return params["ok"]
 
 
-def _stub(ok):
+def _stub_point(**cell):
+    return cell
+
+
+def _stub(ok, **cell):
+    """A one-point figure whose gate holds iff *ok*; *cell* is what the
+    point returns beside ``x``."""
     return cli.Figure(
-        lambda _args, _scale: {"simulated": {"x": 1}, "params": {"ok": ok}},
+        lambda _smoke, _scale: {"ok": ok, "trace_cell": "stub/x"},
+        lambda _params, _scale, _seed: [Point("stub/x", _stub_point, dict(cell, x=1))],
+        lambda simulated, _params: f"x = {simulated['x']}",
         gates=(_holds,),
-        baseline=True,
+        shape=cli.single,
     )
 
 
@@ -540,7 +605,7 @@ def test_refresh_never_writes_a_baseline_that_fails_its_gates(
     monkeypatch.setattr(cli, "FIGURES", {
         "good": _stub(True),
         "bad": _stub(False),
-        "unpinned": cli.Figure(lambda _args, _scale: pytest.fail("not a baseline")),
+        "unpinned": cli.Command(lambda _args, _scale: pytest.fail("not a baseline")),
     })
     monkeypatch.setattr(cli, "_baselines_dir", lambda: str(tmp_path))
     assert cli.main(["--refresh-baselines"]) == 1
@@ -548,6 +613,29 @@ def test_refresh_never_writes_a_baseline_that_fails_its_gates(
     assert stale.read_text() == "the committed baseline\n"
     assert json.loads((tmp_path / "BENCH_good.json").read_text())["figure"] == "good"
     assert sorted(os.listdir(tmp_path)) == ["BENCH_bad.json", "BENCH_good.json"]
+
+
+#: One span in the shape ``Span.to_dict()`` exports.
+SPAN = {"span_id": 1, "parent_id": None, "name": "op", "start_us": 0.0, "end_us": 1.0,
+        "attrs": {}}
+
+
+def test_the_trace_is_written_after_the_gate_check(monkeypatch, tmp_path, capsys):
+    """A point's exported spans are filed as ``TRACE_<figure>.json`` by
+    ``_run_one`` under the artifact's own condition: a plain run writes
+    it even when a gate fails, ``--refresh-baselines`` leaves the
+    committed trace of a failing figure alone."""
+    monkeypatch.setattr(cli, "FIGURES", {"stub": _stub(False, spans=[SPAN])})
+    monkeypatch.setattr(cli, "_baselines_dir", lambda: str(tmp_path))
+    trace = tmp_path / "TRACE_stub.json"
+    trace.write_text("the committed trace\n")
+    assert cli.main(["--refresh-baselines"]) == 1
+    assert trace.read_text() == "the committed trace\n"
+    assert os.listdir(tmp_path) == ["TRACE_stub.json"]
+    assert cli.main(["stub", "--out-dir", str(tmp_path)]) == 1
+    assert "repro stub/x" in trace.read_text()
+    assert "spans" not in load_artifact(str(tmp_path / "BENCH_stub.json"))["simulated"]
+    capsys.readouterr()
 
 
 def test_nothing_smuggles_failure_through_args():

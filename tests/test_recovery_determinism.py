@@ -13,17 +13,14 @@ Three layers:
 * the run helper behind both figures is replay-deterministic: the same
   seed and geometry produce the identical timeline, twice, in-process.
 
-The in-process runs use tiny timings so this file stays tier-1 fast.
+The in-process runs use a tiny schedule so this file stays tier-1 fast.
 """
 
 import json
 import pathlib
 
-from repro.bench.calibration import BenchScale
-from repro.bench.points import (
-    RECOVERY_SWEEP_PARTITIONS,
-    _memnode_failure_run,
-)
+from repro.bench.calibration import SMOKE_SCALE, BenchScale
+from repro.bench.points import _memnode_failure_run, fig11sweep_params
 from repro.sim.units import MS
 
 BASELINES = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "baselines"
@@ -31,7 +28,14 @@ BASELINES = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "bas
 # Small enough to run in seconds, long enough that the node dies, is
 # detected (the recovery poller ticks every 500 ms), and the copy-back
 # completes inside the window.
-MINI_TIMINGS = (60 * MS, 90 * MS, 800 * MS, 3)
+MINI_SCHEDULE = dict(
+    kill_at_us=60 * MS,
+    restart_at_us=90 * MS,
+    duration_us=800 * MS,
+    clients=3,
+    cores=12,
+    workload="read-heavy",
+)
 
 
 def _mini_scale() -> BenchScale:
@@ -92,12 +96,7 @@ class TestRunHelperDeterminism:
     def test_same_seed_same_timeline(self):
         runs = [
             _memnode_failure_run(
-                True,
-                _mini_scale(),
-                seed=7,
-                f=1,
-                recovery_partitions=2,
-                timings=MINI_TIMINGS,
+                _mini_scale(), seed=7, f=1, recovery_partitions=2, **MINI_SCHEDULE
             )
             for _ in range(2)
         ]
@@ -111,12 +110,7 @@ class TestRunHelperDeterminism:
         # exactly, and every width must complete its recovery.
         runs = {
             p: _memnode_failure_run(
-                True,
-                _mini_scale(),
-                seed=7,
-                f=1,
-                recovery_partitions=p,
-                timings=MINI_TIMINGS,
+                _mini_scale(), seed=7, f=1, recovery_partitions=p, **MINI_SCHEDULE
             )
             for p in (1, 2)
         }
@@ -130,4 +124,5 @@ class TestRunHelperDeterminism:
     def test_sweep_constant_covers_committed_baseline(self):
         with open(BASELINES / "BENCH_fig11sweep.json") as fh:
             sweep = json.load(fh)
-        assert list(RECOVERY_SWEEP_PARTITIONS) == sweep["params"]["partitions"]
+        swept = fig11sweep_params(True, SMOKE_SCALE)["partitions"]
+        assert swept == sweep["params"]["partitions"]
