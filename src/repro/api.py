@@ -87,7 +87,7 @@ class Cluster:
     @classmethod
     def build(
         cls,
-        system: str = "sift",
+        system="sift",
         seed: int = 0,
         fabric: Optional[Fabric] = None,
         scale=None,
@@ -96,10 +96,16 @@ class Cluster:
     ) -> "Cluster":
         """Build and start *system* on a fresh seeded fabric.
 
-        Pass an existing *fabric* to co-locate several systems on one
-        simulation (then *seed* is ignored — the fabric owns the RNG).
+        *system* is a name from :data:`SYSTEMS` or a ready
+        :class:`~repro.bench.systems.SystemSpec` (the figure drivers and
+        the chaos runner hand theirs over; *scale*, *cores* and
+        *options* then do not apply).  Pass an existing *fabric* to
+        co-locate several systems on one simulation (then *seed* is
+        ignored — the fabric owns the RNG).
         """
-        spec = system_spec(system, scale=scale, cores=cores, **options)
+        spec = system
+        if isinstance(system, str):
+            spec = system_spec(system, scale=scale, cores=cores, **options)
         if fabric is None:
             fabric = Fabric(Simulator(), rng=RngStreams(seed=seed))
         return cls(spec, fabric, spec.build(fabric))
@@ -109,22 +115,26 @@ class Cluster:
     # ------------------------------------------------------------------
 
     def client(self, name: Optional[str] = None, cores: int = 4, **kwargs):
-        """A KV client on its own fresh host.
+        """A KV client on host *name* (created with *cores* when new).
 
-        Returns a :class:`~repro.shard.router.ShardRouter` for the
-        sharded service and a :class:`~repro.kv.client.KvClient`
-        otherwise (Raft-R and EPaxos expose the same endpoint surface);
-        *kwargs* reach the client constructor (timeouts, retry policy).
+        Returns the spec's client when it names one, else a
+        :class:`~repro.shard.router.ShardRouter` for a cluster with a
+        ring and a :class:`~repro.kv.client.KvClient` otherwise (Raft-R
+        and EPaxos expose the same endpoint surface); *kwargs* reach the
+        client constructor (timeouts, retry policy).
         """
         from repro.kv.client import KvClient
+        from repro.shard.router import ShardRouter
 
         if name is None:
             # Several Clusters may share one fabric; skip taken names.
             name = f"client-{next(self._client_ids)}"
             while name in self.fabric.hosts:
                 name = f"client-{next(self._client_ids)}"
-        host = self.fabric.add_host(name, cores=cores)
-        factory = self.spec.client_factory or KvClient
+        host = self.fabric.hosts.get(name) or self.fabric.add_host(name, cores=cores)
+        factory = self.spec.client_factory or (
+            KvClient if self.inner.ring is None else ShardRouter
+        )
         return factory(host, self.fabric, self.inner, **kwargs)
 
     # ------------------------------------------------------------------
@@ -227,8 +237,9 @@ class Cluster:
     # ------------------------------------------------------------------
 
     def ready(self):
-        """Process: the spec's readiness condition (compose into scenarios)."""
-        return self.spec.wait_ready(self.inner)
+        """Process: returns (the leader) once the cluster serves, within
+        the spec's readiness budget (compose into scenarios)."""
+        return self.inner.wait_until_serving(timeout_us=self.spec.ready_timeout_us)
 
     def wait_ready(self, deadline_us: float = 30 * SEC):
         """Run the simulator until the cluster serves; returns the leader."""
@@ -236,7 +247,7 @@ class Cluster:
 
     def preload(self, items) -> None:
         """Synchronous §6.2 pre-population of ``(key, value)`` pairs."""
-        self.spec.preload(self.inner, items)
+        self.inner.preload(items)
 
     def run(self, process=None, until: Optional[float] = None, deadline_us: float = 120 * SEC):
         """Drive the simulation.

@@ -19,9 +19,11 @@ the tests are small, so this stays fast.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-__all__ = ["Op", "History", "check_key_history", "check_history"]
+from repro.kv.client import KvRequestFailed
+
+__all__ = ["Op", "History", "RecordingClient", "check_key_history", "check_history"]
 
 PUT = "put"
 GET = "get"
@@ -52,6 +54,62 @@ class History:
         for op in self.ops:
             out.setdefault(op.key, []).append(op)
         return out
+
+
+class RecordingClient:
+    """Any client's ``put``/``get``, with an :class:`Op` recorded per call.
+
+    The one way a run keeps a checkable history (the chaos runner's
+    workload, figHotspot's probe, the migration and recovery tests).  A
+    failed call is recorded as never-responded: it may or may not have
+    taken effect, which the checker treats as optional.  Several
+    recording clients may share one *history*.
+    """
+
+    def __init__(self, client, history: Optional[History] = None):
+        self.client = client
+        self.sim = client.host.sim
+        self.history = History() if history is None else history
+        self.acked: Dict[bytes, bytes] = {}  #: key -> last acknowledged value
+        self.acked_puts = 0
+        self.failures = 0
+
+    def put(self, key: bytes, value: bytes):
+        """Process: a recorded ``client.put``."""
+        yield from self._record("put", key, value, self.client.put(key, value))
+
+    def get(self, key: bytes):
+        """Process: a recorded ``client.get``; returns the value, None
+        when missing or failed."""
+        return (yield from self._record("get", key, None, self.client.get(key)))
+
+    def read_back(self, keys: Optional[Iterable[bytes]] = None, client=None):
+        """Process: one recorded get per key (default: every acked key),
+        through *client* when the wrapped one is too impatient; returns
+        the keys that did not read back their last acked value."""
+        reader = client or self.client
+        lost = []
+        for key in sorted(self.acked) if keys is None else keys:
+            got = yield from self._record("get", key, None, reader.get(key))
+            if got != self.acked.get(key):
+                lost.append(key)
+        return lost
+
+    def _record(self, kind: str, key: bytes, value, call):
+        invoked = self.sim.now
+        try:
+            result = yield from call
+        except KvRequestFailed:
+            self.history.record(Op(key, kind, value, invoked, None))
+            self.failures += 1
+            return None
+        if kind == "get":
+            value = result
+        else:
+            self.acked[key] = value
+            self.acked_puts += 1
+        self.history.record(Op(key, kind, value, invoked, self.sim.now))
+        return result
 
 
 def check_history(history: History, initial: Optional[bytes] = None) -> Tuple[bool, Optional[bytes]]:

@@ -645,9 +645,8 @@ def hotspot_point(
     epilogue reads back every acked probe write plus the hottest data
     keys — the zero-acked-write-loss gate.
     """
-    from repro.bench.lincheck import History, Op, check_history
+    from repro.bench.lincheck import RecordingClient, check_history
     from repro.control import Reconciler, ReconcilerConfig
-    from repro.kv.client import KvRequestFailed
     from repro.workloads.generator import HotspotZipfSampler
     from repro.workloads.openloop import AdmissionControl, OpenLoopEngine
 
@@ -659,12 +658,13 @@ def hotspot_point(
         backups=static_backups if not autoscale else 1,
         provisioning_delay_us=provisioning_delay_us,
     )
-    sim, fabric, service, sampler = boot(
+    cluster, sampler = boot(
         spec,
         scale,
         seed,
         lambda cluster: HotspotZipfSampler(scale.keys, cluster.ring, scale.zipf_theta),
     )
+    sim, fabric, service = cluster.sim, cluster.fabric, cluster.inner
     engine = OpenLoopEngine(
         fabric,
         service,
@@ -683,36 +683,20 @@ def hotspot_point(
     value = b"v" * scale.value_bytes  # what boot() preloaded under every key
 
     # Closed-loop probe client: serialized puts/gets over a small key
-    # set, every outcome recorded for the Wing-Gong checker.  Failed
-    # calls are recorded as never-responded (they may or may not have
-    # taken effect), which the checker treats as optional.
-    probe_host = fabric.add_host("hotspot-probe", cores=2)
-    router = spec.client_factory(probe_host, fabric, service)
-    history = History()
-    acked: dict = {}
-    probe_stats = {"ops": 0, "failures": 0, "running": True}
+    # set, every outcome recorded for the Wing-Gong checker.
+    probe = RecordingClient(cluster.client(name="hotspot-probe", cores=2))
+    probe_host = probe.client.host
+    probing = True
     PROBE_KEYS = [b"probe%02d" % i for i in range(16)]
 
     def probe_loop():
         count = 0
-        while probe_stats["running"]:
+        while probing:
             key = PROBE_KEYS[count % len(PROBE_KEYS)]
-            read = count % 4 == 3
-            payload = None if read else b"p%08d" % count
-            invoked = sim.now
-            try:
-                if read:
-                    result = yield from router.get(key)
-                    history.record(Op(key, "get", result, invoked, sim.now))
-                else:
-                    yield from router.put(key, payload)
-                    history.record(Op(key, "put", payload, invoked, sim.now))
-                    acked[key] = payload
-                probe_stats["ops"] += 1
-            except KvRequestFailed:
-                kind = "get" if read else "put"
-                history.record(Op(key, kind, payload, invoked, None))
-                probe_stats["failures"] += 1
+            if count % 4 == 3:
+                yield from probe.get(key)
+            else:
+                yield from probe.put(key, b"p%08d" % count)
             count += 1
             yield sim.timeout(2 * MS)
 
@@ -776,22 +760,19 @@ def hotspot_point(
     engine.stop()
     if reconciler is not None:
         reconciler.stop()
-    probe_stats["running"] = False
+    probing = False
     sim.run(until=sim.now + 20 * MS)  # drain in-flight ops
 
     # Epilogue: zero-acked-write-loss.  Every acked probe write must
     # read back as its last acked value, and the hottest data keys must
     # still hold the preloaded/engine value after split + migration.
-    readback = {"checked": 0, "lost": 0, "missing": 0}
+    probe_ops = len(probe.history.ops) - probe.failures
+    readback = {"checked": len(probe.acked), "lost": 0, "missing": 0}
 
     def readback_loop():
-        for key, expect in sorted(acked.items()):
-            result = yield from router.get(key)
-            readback["checked"] += 1
-            if result != expect:
-                readback["lost"] += 1
+        readback["lost"] = len((yield from probe.read_back()))
         for index in range(min(64, scale.keys)):
-            result = yield from router.get(sampler.key(index))
+            result = yield from probe.client.get(sampler.key(index))
             if result != value:
                 readback["missing"] += 1
 
@@ -799,7 +780,7 @@ def hotspot_point(
     sim.run_until_settled(check, deadline=30 * SEC)
     if not check.ok:
         raise RuntimeError(f"figHotspot readback failed: {check.exception}")
-    lincheck_ok, offending = check_history(history)
+    lincheck_ok, offending = check_history(probe.history)
 
     def tail(slo: dict, label: str) -> float:
         worst = 0.0
@@ -837,8 +818,8 @@ def hotspot_point(
             "pool_resizes": reconciler.pool_resizes if reconciler else 0,
         },
         "probe": {
-            "ops": probe_stats["ops"],
-            "failures": probe_stats["failures"],
+            "ops": probe_ops,
+            "failures": probe.failures,
             "lincheck_ok": bool(lincheck_ok),
             "offending_key": (
                 offending.decode("ascii", "replace") if offending else None

@@ -18,15 +18,14 @@ from __future__ import annotations
 import gc
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
+from repro.api import Cluster
 from repro.bench.calibration import DEFAULT_SCALE, BenchScale
 from repro.bench.metrics import Metrics
 from repro.bench.systems import SystemSpec
-from repro.net.fabric import Fabric
+from repro.errors import ReproError
 from repro.obs import state as obs_state
 from repro.obs.publish import publish_run
 from repro.obs.trace import Tracer, set_tracer
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngStreams
 from repro.sim.units import MS
 from repro.workloads.clients import ClientPool
 from repro.workloads.generator import (
@@ -112,23 +111,20 @@ def boot(
     the sampler the load will draw from — *sampler_for(cluster)*, chosen
     once the cluster and its ring exist; plain Zipf by default — because
     a striped sampler renders different wire keys than the plain one and
-    reads must hit.  Returns ``(sim, fabric, cluster, sampler)``.
+    reads must hit.  Returns the :class:`repro.api.Cluster` and the sampler.
     """
-    sim = Simulator()
-    fabric = Fabric(sim, rng=RngStreams(seed=seed))
-    cluster = spec.build(fabric)
+    cluster = Cluster.build(spec, seed=seed)
     if sampler_for is None:
         sampler = ZipfSampler(scale.keys, scale.zipf_theta)
     else:
-        sampler = sampler_for(cluster)
-    ready = sim.spawn(spec.wait_ready(cluster), name="wait-ready")
-    ready.add_callback(lambda _ev: None)  # we inspect the outcome below
-    sim.run_until_settled(ready, deadline=spec.ready_timeout_us)
-    if not ready.ok:
-        raise RuntimeError(f"{spec.name} never became ready: {ready.exception}")
+        sampler = sampler_for(cluster.inner)
+    try:
+        cluster.wait_ready(deadline_us=spec.ready_timeout_us)
+    except (ReproError, TimeoutError) as exc:
+        raise RuntimeError(f"{spec.name} never became ready: {exc}") from exc
     value = b"v" * scale.value_bytes
-    spec.preload(cluster, ((sampler.key(i), value) for i in range(scale.keys)))
-    return sim, fabric, cluster, sampler
+    cluster.preload((sampler.key(i), value) for i in range(scale.keys))
+    return cluster, sampler
 
 
 def _drive(
@@ -149,7 +145,8 @@ def _drive(
     flight at install time show up as parentless milestone instants;
     :mod:`repro.obs.critpath` skips those incomplete roots.
     """
-    sim, fabric, cluster, sampler = boot(spec, scale, seed)
+    booted, sampler = boot(spec, scale, seed)
+    sim, fabric, cluster = booted.sim, booted.fabric, booted.inner
     # Derive the reservoir-sampling RNG from the experiment seed: every
     # source of randomness in a run traces back to the one seed argument.
     metrics = Metrics(seed=seed)
@@ -256,11 +253,12 @@ def run_timeline(
     simulated time *at_us* measured from the start of the measurement.
     A :class:`repro.chaos.FaultSchedule` is accepted directly — its
     actions become the event list, injected through a
-    :class:`repro.chaos.adapters.ChaosController`.
+    :class:`repro.chaos.ChaosController`.
     """
     if hasattr(events, "to_timeline_events"):
         events = events.to_timeline_events()
-    sim, fabric, cluster, sampler = boot(spec, scale, seed)
+    booted, sampler = boot(spec, scale, seed)
+    sim, fabric, cluster = booted.sim, booted.fabric, booted.inner
     metrics = Metrics(seed=seed)
     pool = ClientPool(
         fabric, cluster, n_clients, mix, sampler, metrics,
@@ -319,7 +317,8 @@ def run_openloop(
             return StripedZipfSampler(scale.keys, cluster.ring, scale.zipf_theta)
         return ZipfSampler(scale.keys, scale.zipf_theta)
 
-    sim, fabric, cluster, sampler = boot(spec, scale, seed, sampler_for)
+    booted, sampler = boot(spec, scale, seed, sampler_for)
+    sim, fabric, cluster = booted.sim, booted.fabric, booted.inner
     engine = OpenLoopEngine(
         fabric,
         cluster,

@@ -4,32 +4,35 @@ Each spec builds a fresh cluster on a fresh fabric, so the experiment
 drivers in :mod:`repro.bench.runner` can treat Sift, Sift EC, Raft-R,
 EPaxos and the sharded service identically.  A :class:`SystemSpec` is
 data (name, ``build(fabric)``, client constructor, readiness budget);
-everything else is asked of the cluster, and nothing above the four
-cluster classes probes a cluster's type.
+:class:`repro.api.Cluster` stands one up, everything else is asked of
+the cluster, and nothing above the four cluster classes probes a
+cluster's type.
 
 **What a system under test provides** (member: who reads it; DESIGN.md
 §6 spells out the figure, chaos and obs consumers):
 
-* ``fabric``, ``name``, ``cpu_nodes``: clients (endpoints), chaos
-  (crash/restart by index), every label and host name;
-* ``kind``, ``leader_based``, ``durable_across_crash``: what the chaos
-  runner calls the system and which checks it applies (per-term leader
-  uniqueness; lincheck or the no-phantom-value check);
-* ``ring``: None unless sharded; picks router vs ``KvClient``, striped
-  sampler, open-loop lanes, ``Topology.of``/``publish_run``'s ring case;
-* ``memory_nodes``: chaos memory-node faults (``UnsupportedFault`` where
-  empty, i.e. on Raft-R and EPaxos);
-* ``start()``, ``wait_until_serving()``, ``preload(items)``: the
-  build -> ready -> §6.2 pre-population preamble of every driver;
-* ``is_serving()``, ``leaders()``, ``leader_node()``: chaos readiness
-  and liveness, ``LeaderMonitor``, ``LEADER``/``FOLLOWER`` targets,
-  ``Topology`` placement, the obs cache gauges.
+* ``fabric``, ``name``, ``cpu_nodes``: clients (endpoints),
+  ``ChaosController`` (crash/restart by index), every label and host name;
+* ``kind``, ``leader_based``, ``durable_across_crash``: what chaos
+  errors call the system and which checks ``ChaosRunner`` applies
+  (``LeaderMonitor``'s per-term uniqueness; lincheck or no-phantoms);
+* ``ring``: None unless sharded; ``Cluster.client``'s router vs
+  ``KvClient``, striped sampler, open-loop lanes, the ring case of
+  ``Topology.of``/``publish_run`` and of ``crash_coordinator``;
+* ``memory_nodes``: ``ChaosController`` memory-node faults
+  (``UnsupportedFault`` where empty, i.e. on Raft-R and EPaxos);
+* ``start()``, ``wait_until_serving()``, ``preload(items)``: ``Cluster``'s
+  build -> ``wait_ready`` -> ``preload`` preamble of every driver, and
+  the chaos runner's readiness and post-schedule liveness;
+* ``is_serving()``, ``leaders()``, ``leader_node()``: ``LeaderMonitor``,
+  ``ChaosController``'s ``LEADER``/``FOLLOWER`` targets, ``Topology``
+  placement, the obs cache gauges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.baselines.epaxos import EPaxosCluster, EPaxosConfig
 from repro.baselines.raft import RaftCluster, RaftConfig
@@ -51,16 +54,8 @@ class SystemSpec:
     build: Callable[[Fabric], object]  # construct and start the cluster
     #: Client constructor ``(host, fabric, cluster)``; None -> KvClient.
     client_factory: Optional[Callable] = None
-    #: Simulated time :meth:`wait_ready` allows before giving up.
+    #: Simulated time :meth:`repro.api.Cluster.ready` allows before giving up.
     ready_timeout_us: float = 5 * SEC
-
-    def wait_ready(self, cluster):
-        """Process: returns (the leader) once *cluster* serves requests."""
-        return cluster.wait_until_serving(timeout_us=self.ready_timeout_us)
-
-    def preload(self, cluster, items: Iterable[Tuple[bytes, bytes]]) -> None:
-        """Synchronous §6.2 pre-population."""
-        cluster.preload(items)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,15 @@
 """Deterministic fault injection (the repo's chaos layer).
 
 Everything failure-related flows through here: declarative
-:class:`FaultSchedule` plans, the one :mod:`cluster adapter
-<repro.chaos.adapters>`, the invariant-checking :class:`ChaosRunner`,
-and a seeded :mod:`random-schedule explorer <repro.chaos.explorer>`.
-Benchmarks (Figs. 11–12), the fault-matrix regression suite, and the
-backup-pool trace replay all inject through this one mechanism, so a
-failure anywhere is replayable from a single seed.
+:class:`FaultSchedule` plans, the :class:`ChaosController` that applies
+them to any cluster's system protocol, the invariant-checking
+:class:`ChaosRunner`, and a seeded :mod:`random-schedule explorer
+<repro.chaos.explorer>`.  Benchmarks (Figs. 11–12) and the fault-matrix
+regression suite inject through this one mechanism, so a failure
+anywhere is replayable from a single seed.
 """
 
-from repro.chaos.adapters import (
-    ChaosController,
-    ClusterAdapter,
-    UnsupportedFault,
-    adapter_for,
-)
+from repro.chaos.controller import ChaosController, UnsupportedFault
 from repro.chaos.explorer import ChaosSpace, Failure, ScheduleExplorer, random_schedule, shrink
 from repro.chaos.faults import MessageChaos
 from repro.chaos.invariants import (
@@ -32,9 +27,7 @@ __all__ = [
     "LEADER",
     "FOLLOWER",
     "ChaosController",
-    "ClusterAdapter",
     "UnsupportedFault",
-    "adapter_for",
     "MessageChaos",
     "InvariantViolation",
     "LeaderMonitor",

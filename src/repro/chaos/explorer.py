@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import random
 import sys
-from typing import Callable, List, NamedTuple, Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
+from repro.chaos.controller import UnsupportedFault
 from repro.chaos.runner import ChaosError, ChaosRunner
 from repro.chaos.schedule import FOLLOWER, LEADER, FaultSchedule
 from repro.sim.units import MS
@@ -26,7 +27,8 @@ class ChaosSpace(NamedTuple):
     """What the generator is allowed to break."""
 
     nodes: int
-    """Consensus-node count (crash/restart indices are drawn below this)."""
+    """Consensus-node count: no ``FOLLOWER`` target is drawn while fewer
+    than two of them are up by the generator's own bookkeeping."""
 
     memory_nodes: int = 0
     """Sift memory-node count (0 disables memory-node faults)."""
@@ -68,6 +70,12 @@ def random_schedule(seed: int, space: ChaosSpace) -> FaultSchedule:
     if space.memory_nodes:
         kinds += ["crash_memory"]
 
+    def role():
+        # Same draw either way, so seeds that never hit the guard keep
+        # their schedule; a lone survivor has no follower beside it.
+        drawn = rng.choice([LEADER, FOLLOWER])
+        return drawn if space.nodes - len(down) >= 2 else LEADER
+
     times = sorted(
         rng.uniform(0.05 * space.horizon_us, 0.75 * space.horizon_us)
         for _ in range(count)
@@ -75,7 +83,7 @@ def random_schedule(seed: int, space: ChaosSpace) -> FaultSchedule:
     for at_us in times:
         kind = rng.choice(kinds)
         if kind == "crash" and len(down) < space.max_concurrent_crashes:
-            target = rng.choice([LEADER, FOLLOWER])
+            target = role()
             schedule.add(at_us, "crash_node", target)
             down.append(target)
         elif kind == "crash_memory" and len(mem_down) < (space.memory_nodes - 1) // 2:
@@ -84,13 +92,13 @@ def random_schedule(seed: int, space: ChaosSpace) -> FaultSchedule:
                 schedule.crash_memory_node(at_us, index)
                 mem_down.append(index)
         elif kind == "partition" and not partitioned:
-            schedule.partition(at_us, (rng.choice([LEADER, FOLLOWER]),))
+            schedule.partition(at_us, (role(),))
             partitioned = True
         elif kind == "partition_oneway" and not partitioned:
-            schedule.partition_oneway(at_us, rng.choice([LEADER, FOLLOWER]))
+            schedule.partition_oneway(at_us, role())
             partitioned = True
         elif kind == "isolate" and not partitioned:
-            schedule.isolate(at_us, rng.choice([LEADER, FOLLOWER]))
+            schedule.isolate(at_us, role())
             partitioned = True
         elif kind == "drop":
             schedule.drop_messages(at_us, rng.uniform(0.05, 0.3))
@@ -165,6 +173,7 @@ class ScheduleExplorer:
         self.build = build
         self.space = space
         self.runner_kwargs = dict(runner_kwargs or {})
+        self.skipped: List[Tuple[int, str]] = []  #: (seed, unresolvable target)
 
     def _error_for(self, schedule: FaultSchedule, seed: int) -> Optional[str]:
         runner = ChaosRunner(self.build, schedule, seed=seed, **self.runner_kwargs)
@@ -175,14 +184,31 @@ class ScheduleExplorer:
         return None
 
     def run_seed(self, seed: int) -> Optional[Failure]:
-        """Generate, run, and (on failure) shrink one seed's schedule."""
+        """Generate, run, and (on failure) shrink one seed's schedule.
+
+        A generated schedule whose symbolic target cannot resolve when
+        its action fires (the leader it names is not elected yet) is a
+        skip, recorded in :attr:`skipped` and printed, not a failure;
+        hand-written schedules keep raising :class:`UnsupportedFault`
+        out of :meth:`ChaosRunner.run`.
+        """
         schedule = random_schedule(seed, self.space)
-        error = self._error_for(schedule, seed)
+        try:
+            error = self._error_for(schedule, seed)
+        except UnsupportedFault as exc:
+            self.skipped.append((seed, str(exc)))
+            print(f"CHAOS-EXPLORER-SKIP seed={seed}: {exc}", file=sys.stderr)
+            return None
         if error is None:
             return None
-        minimal = shrink(
-            schedule, lambda candidate: self._error_for(candidate, seed) is not None
-        )
+
+        def still_fails(candidate: FaultSchedule) -> bool:
+            try:
+                return self._error_for(candidate, seed) is not None
+            except UnsupportedFault:
+                return False
+
+        minimal = shrink(schedule, still_fails)
         return Failure(seed=seed, schedule=schedule, minimal=minimal, error=error)
 
     def explore(self, seeds) -> Optional[Failure]:

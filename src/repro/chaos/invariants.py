@@ -40,8 +40,9 @@ class LeaderMonitor:
     when the two reigns never overlap a sample.
     """
 
-    def __init__(self, adapter, interval_us: float = 1 * MS):
-        self.adapter = adapter
+    def __init__(self, cluster, interval_us: float = 1 * MS):
+        self.cluster = cluster
+        self.sim = cluster.fabric.sim
         self.interval_us = interval_us
         self.by_term: Dict[int, str] = {}
         self.violations: List[str] = []
@@ -49,30 +50,30 @@ class LeaderMonitor:
         self._stopped = False
 
     def start(self) -> None:
-        if self.adapter.leader_based:
-            self.adapter.sim.spawn(self._watch(), name="chaos-leader-monitor")
+        if self.cluster.leader_based:
+            self.sim.spawn(self._watch(), name="chaos-leader-monitor")
 
     def stop(self) -> None:
         self._stopped = True
 
     def observe(self) -> None:
         """Take one sample now (also called after every injection)."""
-        if not self.adapter.leader_based:
+        if not self.cluster.leader_based:
             return
-        leaders = self.adapter.leaders()
+        leaders = self.cluster.leaders()
         self.max_simultaneous = max(self.max_simultaneous, len(leaders))
         for name, term in leaders:
             holder = self.by_term.setdefault(term, name)
             if holder != name:
                 self.violations.append(
                     f"term {term} led by both {holder} and {name} "
-                    f"at t={self.adapter.sim.now:.0f}us"
+                    f"at t={self.sim.now:.0f}us"
                 )
 
     def _watch(self):
         while not self._stopped:
             self.observe()
-            yield self.adapter.sim.timeout(self.interval_us)
+            yield self.sim.timeout(self.interval_us)
 
 
 def check_linearizable(history: History) -> None:

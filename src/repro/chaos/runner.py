@@ -2,8 +2,8 @@
 
 One run = one fresh simulator.  The runner
 
-1. builds the cluster from a ``build(fabric)`` callable with RNG streams
-   derived from *seed*,
+1. stands the ``build(fabric)`` callable's cluster up through
+   :class:`repro.api.Cluster` with RNG streams derived from *seed*,
 2. starts a small closed-loop KV workload whose every operation is
    recorded as a :class:`~repro.bench.lincheck.Op`,
 3. applies the :class:`~repro.chaos.schedule.FaultSchedule` action by
@@ -23,8 +23,10 @@ from __future__ import annotations
 
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from repro.bench.lincheck import History, Op
-from repro.chaos.adapters import ChaosController, adapter_for
+from repro.api import Cluster
+from repro.bench.lincheck import History, RecordingClient
+from repro.bench.systems import SystemSpec
+from repro.chaos.controller import ChaosController
 from repro.chaos.invariants import (
     InvariantViolation,
     LeaderMonitor,
@@ -32,17 +34,19 @@ from repro.chaos.invariants import (
     check_no_phantoms,
 )
 from repro.chaos.schedule import FaultSchedule
-from repro.kv.client import KvClient, KvRequestFailed
+from repro.errors import ReproError
 from repro.net.fabric import Fabric
 from repro.obs import state as obs_state
 from repro.obs.flight import FlightRecorder, maybe_postmortem
 from repro.obs.publish import publish_run
 from repro.obs.trace import set_tracer
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngStreams
+from repro.sim.engine import SimulationError
 from repro.sim.units import MS, SEC
 
 __all__ = ["ChaosError", "ChaosResult", "ChaosRunner"]
+
+#: Every workload client's patience; the read-back client retries longer.
+_CLIENT = dict(request_timeout_us=10 * MS, retry_backoff_us=5 * MS)
 
 
 class ChaosError(AssertionError):
@@ -71,89 +75,6 @@ class ChaosResult(NamedTuple):
     def fingerprint(self) -> Tuple:
         """Identity for determinism tests: two same-seed runs must match."""
         return self
-
-
-def _client_class(cluster):
-    """KvClient for single-group systems, ShardRouter for the sharded
-    service (a plain KvClient would ignore key ownership and write a
-    key to whichever shard's coordinator answers first)."""
-    if cluster.ring is not None:
-        from repro.shard.router import ShardRouter
-
-        return ShardRouter
-    return KvClient
-
-
-class _ChaosClient:
-    """One closed-loop client owning a private key set.
-
-    Single-writer-per-key keeps per-key histories small (the Wing-Gong
-    checker is exponential) and makes "the acked value must survive"
-    unambiguous.  Failed calls are recorded as pending ops — the checker
-    treats them as "may have happened at any later point", which is
-    exactly the semantics of a timed-out request still in flight.
-    """
-
-    def __init__(self, runner: "ChaosRunner", index: int):
-        self.runner = runner
-        self.index = index
-        host = runner.fabric.add_host(f"chaos-c{index}", cores=2)
-        self.kv = _client_class(runner.cluster)(
-            host,
-            runner.fabric,
-            runner.cluster,
-            request_timeout_us=10 * MS,
-            max_rounds=6,
-            retry_backoff_us=5 * MS,
-        )
-        self.rng = runner.fabric.rng.stream(f"chaos:client:{index}")
-        self.keys = [
-            b"c%d-k%d" % (index, k) for k in range(runner.keys_per_client)
-        ]
-        self.sequence = 0
-        self.done = False
-
-    def loop(self):
-        runner = self.runner
-        while not runner.stop_clients:
-            key = self.keys[self.sequence % len(self.keys)]
-            write = self.rng.random() < runner.write_fraction
-            if write:
-                self.sequence += 1
-                value = b"c%d:%d" % (self.index, self.sequence)
-                yield from self._record("put", key, value, self.kv.put(key, value))
-            else:
-                yield from self._record("get", key, None, self.kv.get(key))
-            yield runner.sim.timeout(runner.op_gap_us)
-        self.done = True
-
-    def read_back(self):
-        """Final verification reads with a patient client."""
-        patient = _client_class(self.runner.cluster)(
-            self.kv.host,
-            self.runner.fabric,
-            self.runner.cluster,
-            request_timeout_us=10 * MS,
-            max_rounds=200,
-            retry_backoff_us=5 * MS,
-        )
-        for key in self.keys:
-            yield from self._record("get", key, None, patient.get(key))
-
-    def _record(self, kind: str, key: bytes, value, call):
-        invoked = self.runner.sim.now
-        try:
-            result = yield from call
-        except KvRequestFailed:
-            self.runner.history.record(Op(key, kind, value, invoked, None))
-            self.runner.failed_ops += 1
-            return
-        responded = self.runner.sim.now
-        if kind == "get":
-            value = result
-        else:
-            self.runner.acked_puts += 1
-        self.runner.history.record(Op(key, kind, value, invoked, responded))
 
 
 class ChaosRunner:
@@ -186,42 +107,54 @@ class ChaosRunner:
         self.check_linearizability = check_linearizability
 
         # Per-run state, populated by run().
-        self.sim: Simulator = None  # type: ignore[assignment]
-        self.fabric: Fabric = None  # type: ignore[assignment]
-        self.cluster = None
+        self.sim = self.fabric = self.cluster = self._booted = None
         self.history = History()
-        self.acked_puts = 0
-        self.failed_ops = 0
+        self.trace: List[Tuple[float, str]] = []
         self.stop_clients = False
 
     # -- internals ---------------------------------------------------------------
 
-    def _fail(self, message: str, trace) -> None:
+    def _fail(self, message: str) -> None:
         path = maybe_postmortem(
             f"chaos {message}",
             extra={
                 "seed": self.seed,
-                "trace": [[t, label] for t, label in trace],
+                "trace": [[t, label] for t, label in self.trace],
             },
         )
         if path is not None:
             message = f"{message}\n  postmortem: {path}"
-        raise ChaosError(message, self.seed, tuple(trace))
+        raise ChaosError(message, self.seed, tuple(self.trace))
 
-    def _await(self, gen, deadline_us: float, what: str, trace) -> None:
-        process = self.sim.spawn(gen, name=f"chaos-{what}")
-        process.add_callback(lambda _ev: None)  # outcome inspected below
-        self.sim.run_until_settled(process, deadline=self.sim.now + deadline_us)
-        if not process.settled or process.failed:
-            reason = process.exception if process.settled else "never settled"
-            self._fail(f"{what} failed: {reason}", trace)
+    def _require(self, what: str, process, deadline_us: float):
+        """Run *process* to completion or fail the run as *what*."""
+        try:
+            return self._booted.run(process, deadline_us=deadline_us)
+        except (ReproError, TimeoutError) as exc:
+            self._fail(f"{what} failed: {exc}")
 
-    def _check_monitor(self, monitor: LeaderMonitor, trace) -> None:
+    def _check_monitor(self, monitor: LeaderMonitor) -> None:
         monitor.observe()
         if monitor.violations:
-            self._fail(
-                "leader uniqueness violated: " + "; ".join(monitor.violations), trace
-            )
+            self._fail("leader uniqueness violated: " + "; ".join(monitor.violations))
+
+    def _client_loop(self, index: int, client: RecordingClient, keys):
+        """One closed-loop client owning a private key set.
+
+        Single-writer-per-key keeps per-key histories small (the
+        Wing-Gong checker is exponential) and makes "the acked value
+        must survive" unambiguous.
+        """
+        rng = self.fabric.rng.stream(f"chaos:client:{index}")
+        sequence = 0
+        while not self.stop_clients:
+            key = keys[sequence % len(keys)]
+            if rng.random() < self.write_fraction:
+                sequence += 1
+                yield from client.put(key, b"c%d:%d" % (index, sequence))
+            else:
+                yield from client.get(key)
+            yield self.sim.timeout(self.op_gap_us)
 
     # -- the run -----------------------------------------------------------------
 
@@ -231,39 +164,50 @@ class ChaosRunner:
         Unless the caller already traces, a bounded :class:`FlightRecorder`
         rides along for the whole run (zero schedule perturbation, O(ring)
         memory) so any invariant failure can dump its final moments via
-        :func:`repro.obs.flight.maybe_postmortem`.
+        :func:`repro.obs.flight.maybe_postmortem`.  A protocol process
+        that dies of an unhandled exception fails the run like any other
+        invariant: seed, trace and postmortem included.
         """
         owns_recorder = obs_state.TRACER is None
         previous = set_tracer(FlightRecorder()) if owns_recorder else None
         try:
             return self._run()
+        except SimulationError as exc:
+            if exc.process is None:
+                raise
+            self._fail(f"process died: {exc.process.name}: {exc.__cause__!r}")
         finally:
             if owns_recorder:
                 set_tracer(previous)
 
     def _run(self) -> ChaosResult:
-        self.sim = Simulator()
-        self.fabric = Fabric(self.sim, rng=RngStreams(seed=self.seed))
-        self.cluster = self.build(self.fabric)
-        adapter = adapter_for(self.cluster)
-        controller = ChaosController(adapter)
         self.history = History()
-        self.acked_puts = 0
-        self.failed_ops = 0
         self.stop_clients = False
-        trace: List[Tuple[float, str]] = []
+        spec = SystemSpec("chaos", self.build, ready_timeout_us=self.ready_timeout_us)
+        self._booted = booted = Cluster.build(spec, seed=self.seed)
+        self.sim, self.fabric, self.cluster = booted.sim, booted.fabric, booted.inner
+        cluster = self.cluster
+        controller = ChaosController(cluster)
+        self.trace = controller.applied  # (sim time, label) of every injection
+        self._require("initial readiness", booted.ready(), self.ready_timeout_us)
 
-        self._await(
-            adapter.wait_ready(self.ready_timeout_us),
-            self.ready_timeout_us,
-            "initial readiness",
-            trace,
-        )
-
-        monitor = LeaderMonitor(adapter)
+        monitor = LeaderMonitor(cluster)
         monitor.start()
-        clients = [_ChaosClient(self, index) for index in range(self.n_clients)]
-        workers = [self.sim.spawn(c.loop(), name=f"chaos-client-{c.index}") for c in clients]
+        indices = range(self.n_clients)
+        clients = [
+            RecordingClient(
+                booted.client(name=f"chaos-c{i}", cores=2, max_rounds=6, **_CLIENT),
+                self.history,
+            )
+            for i in indices
+        ]
+        keys = [[b"c%d-k%d" % (i, k) for k in range(self.keys_per_client)] for i in indices]
+        workers = [
+            self.sim.spawn(
+                self._client_loop(i, clients[i], keys[i]), name=f"chaos-client-{i}"
+            )
+            for i in indices
+        ]
 
         base = self.sim.now
         for action in self.schedule.sorted_actions():
@@ -271,36 +215,36 @@ class ChaosRunner:
             try:
                 controller.apply(action)
             except InvariantViolation as exc:
-                self._fail(str(exc), trace)
-            trace.append((self.sim.now, action.label))
-            self._check_monitor(monitor, trace)
+                self._fail(str(exc))
+            self._check_monitor(monitor)
 
         # Let the tail of the schedule play out, then require recovery.
         self.sim.run(until=base + self.schedule.duration_us + self.settle_us)
-        self._check_monitor(monitor, trace)
+        self._check_monitor(monitor)
         controller.heal_everything()
-        self._await(
-            adapter.wait_ready(self.liveness_timeout_us),
-            self.liveness_timeout_us,
+        self._require(
             "post-schedule liveness",
-            trace,
+            cluster.wait_until_serving(self.liveness_timeout_us),
+            self.liveness_timeout_us,
         )
 
-        # Stop the workload, then verify every key with fresh reads.
+        # Stop the workload, then verify every key with fresh reads
+        # through a patient client on the same host.
         self.stop_clients = True
         for worker in workers:
             self.sim.run_until_settled(worker, deadline=self.sim.now + 2 * SEC)
-        for client in clients:
-            self._await(
-                client.read_back(), 10 * SEC, f"read-back (client {client.index})", trace
+        for i, client in enumerate(clients):
+            patient = booted.client(name=f"chaos-c{i}", max_rounds=200, **_CLIENT)
+            self._require(
+                f"read-back (client {i})", client.read_back(keys[i], patient), 10 * SEC
             )
         monitor.stop()
-        self._check_monitor(monitor, trace)
+        self._check_monitor(monitor)
 
         strict = (
             self.check_linearizability
             if self.check_linearizability is not None
-            else adapter.durable_across_crash
+            else cluster.durable_across_crash
         )
         try:
             if strict:
@@ -308,14 +252,14 @@ class ChaosRunner:
             else:
                 check_no_phantoms(self.history)
         except InvariantViolation as exc:
-            self._fail(str(exc), trace)
+            self._fail(str(exc))
 
         result = ChaosResult(
             seed=self.seed,
-            trace=tuple(trace),
+            trace=tuple(self.trace),
             ops=len(self.history.ops),
-            acked_puts=self.acked_puts,
-            failed_ops=self.failed_ops,
+            acked_puts=sum(client.acked_puts for client in clients),
+            failed_ops=sum(client.failures for client in clients),
             leader_terms=tuple(sorted(monitor.by_term.items())),
             max_simultaneous_leaders=monitor.max_simultaneous,
         )

@@ -5,7 +5,7 @@ records — *what* to break and *when*, with no reference to a live
 cluster.  Schedules are plain data: they can be built fluently, printed,
 compared, generated from a seed (:mod:`repro.chaos.explorer`), shrunk,
 and replayed.  Applying one to a running cluster is the job of
-:class:`repro.chaos.adapters.ChaosController`.
+:class:`repro.chaos.controller.ChaosController`.
 
 Targets may be symbolic: ``"leader"`` and ``"follower"`` resolve against
 the cluster *at injection time*, so a schedule written before the first
@@ -252,36 +252,12 @@ class FaultSchedule:
 
     # -- interop ----------------------------------------------------------------
 
-    @classmethod
-    def from_failure_trace(cls, events, machines_per_group: int = 4) -> "FaultSchedule":
-        """Lift a :mod:`repro.cluster.trace` machine-failure trace into a
-        schedule of ``crash_machine`` actions (times in seconds become
-        microseconds).  The exact source timestamp rides along in the
-        args — seconds->µs->seconds is lossy in floats, and the
-        backup-pool replay must be bit-identical to the raw trace."""
-        schedule = cls()
-        for event in events:
-            schedule.add(
-                event.time_s * 1e6, "crash_machine", int(event.machine), event.time_s
-            )
-        return schedule
-
-    def to_failure_trace(self):
-        """Inverse of :meth:`from_failure_trace` (exact round trip)."""
-        from repro.cluster.trace import FailureEvent
-
-        return [
-            FailureEvent(a.args[1] if len(a.args) > 1 else a.at_us / 1e6, a.args[0])
-            for a in self.sorted_actions()
-            if a.kind == "crash_machine"
-        ]
-
     def to_timeline_events(self):
         """Render as ``(at_us, label, fn)`` triples for
         :func:`repro.bench.runner.run_timeline`.  A single controller is
         created lazily against whatever cluster the runner passes in, so
         benchmarks keep their driver unchanged."""
-        from repro.chaos.adapters import ChaosController
+        from repro.chaos.controller import ChaosController
 
         controllers = {}
 
@@ -289,8 +265,7 @@ class FaultSchedule:
             def fn(cluster):
                 controller = controllers.get(id(cluster))
                 if controller is None:
-                    controller = ChaosController.for_cluster(cluster)
-                    controllers[id(cluster)] = controller
+                    controller = controllers[id(cluster)] = ChaosController(cluster)
                 controller.apply(action)
 
             return fn

@@ -140,14 +140,8 @@ def simulate_backup_pool(
     backups: int,
     rng: random.Random,
 ) -> BackupSimResult:
-    """Replay *events* once with a fresh random placement.
-
-    *events* is a list of :class:`FailureEvent` or a
-    :class:`repro.chaos.FaultSchedule` of ``crash_machine`` actions
-    (the chaos layer's declarative form of the same trace).
-    """
-    if hasattr(events, "to_failure_trace"):
-        events = events.to_failure_trace()
+    """Replay *events* (a :mod:`repro.cluster.trace` failure trace) once
+    with a fresh random placement."""
     if groups * NODES_PER_GROUP > machines:
         raise ValueError(
             f"{groups} groups x {NODES_PER_GROUP} nodes exceed {machines} machines"
@@ -192,15 +186,9 @@ def sweep_backup_pool(
     """Figure 8's sweep: mean recovery time per fault for each cell.
 
     The paper runs 50 repetitions per combination; each repetition uses
-    a fresh random placement over the same trace.  The trace travels as
-    a :class:`repro.chaos.FaultSchedule` so the sweep exercises the same
-    declarative fault representation as the live-cluster chaos tests;
-    the lift/lower round trip is exact, and the per-repetition placement
-    RNG derivation is unchanged, so Figure 8's numbers are unchanged.
+    a fresh random placement over the same trace.
     """
-    from repro.chaos import FaultSchedule
-
-    events = FaultSchedule.from_failure_trace(generate_trace(config, seed=seed))
+    events = generate_trace(config, seed=seed)
     out: Dict[int, List[BackupSimResult]] = {}
     for groups in group_counts:
         row: List[BackupSimResult] = []

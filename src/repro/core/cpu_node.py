@@ -140,21 +140,18 @@ class CpuNode:
     # ------------------------------------------------------------------
 
     def _main(self):
-        try:
-            while True:
-                yield from self._follow()
-                self.role = Role.CANDIDATE
-                won = yield from self._campaign()
-                if won:
-                    self.role = Role.COORDINATOR
-                    self.stats["elections_won"] += 1
-                    yield from self._lead()
-                    self.stats["stepdowns"] += 1
-                else:
-                    self.stats["elections_lost"] += 1
-                self.role = Role.FOLLOWER
-        except ProcessKilled:
-            raise
+        while True:
+            yield from self._follow()
+            self.role = Role.CANDIDATE
+            won = yield from self._campaign()
+            if won:
+                self.role = Role.COORDINATOR
+                self.stats["elections_won"] += 1
+                yield from self._lead()
+                self.stats["stepdowns"] += 1
+            else:
+                self.stats["elections_lost"] += 1
+            self.role = Role.FOLLOWER
 
     # ------------------------------------------------------------------
     # Follower: heartbeat reads
@@ -282,12 +279,16 @@ class CpuNode:
                 yield from repmem.commit_membership(
                     lambda m: Membership(m.epoch + 1, m.members)
                 )
+                manager.start()
+                if self.app_factory is not None:
+                    # Loading structures and replaying the WAL can lose
+                    # the race like any verb above: step down, don't die.
+                    self.app = self.app_factory(self, repmem)
+                    yield from self.app.start()
+            except ProcessKilled:
+                raise
             except Exception:
                 return  # lost the race (revoked / no quorum); step down
-            manager.start()
-            if self.app_factory is not None:
-                self.app = self.app_factory(self, repmem)
-                yield from self.app.start()
             self.serving = True
             yield deposed
         finally:
@@ -305,43 +306,40 @@ class CpuNode:
     def _heartbeat_writer(self, deposed: Event):
         """Renew the lease by CAS on every admin word (§3.2)."""
         config = self.config
-        try:
-            while not deposed.settled:
-                self.timestamp = (self.timestamp + 1) & TS_MAX
-                claim = AdminWord(self.term, self.node_id, self.timestamp)
-                yield from self._ensure_admin_qps()
-                events = {}
-                for n, qp in self._admin_qps.items():
-                    expected = self._last_words.get(n, AdminWord(0, 0, 0))
-                    events[n] = qp.cas(
-                        ADMIN_REGION, ADMIN_WORD_OFFSET, expected.pack(), claim.pack()
-                    )
-                renewed = 0
-                overthrown = 0
-                for n, event in events.items():
-                    expected = self._last_words.get(n, AdminWord(0, 0, 0))
-                    try:
-                        old_raw = yield event
-                    except RdmaError:
-                        self._drop_admin_qp(n)
-                        continue
-                    old = AdminWord.unpack(old_raw)
-                    if old == expected:
-                        renewed += 1
-                        self._last_words[n] = claim
-                    else:
-                        self._last_words[n] = old
-                        if old.term_id > self.term:
-                            overthrown += 1
-                        # A lower term here is a lagging node we have not
-                        # claimed yet; the refreshed expected value will
-                        # claim it next round.
-                if overthrown >= self.config.quorum or renewed < self.config.quorum:
-                    deposed.try_trigger(None)
-                    return
-                yield self.sim.timeout(config.heartbeat_write_interval_us)
-        except ProcessKilled:
-            raise
+        while not deposed.settled:
+            self.timestamp = (self.timestamp + 1) & TS_MAX
+            claim = AdminWord(self.term, self.node_id, self.timestamp)
+            yield from self._ensure_admin_qps()
+            events = {}
+            for n, qp in self._admin_qps.items():
+                expected = self._last_words.get(n, AdminWord(0, 0, 0))
+                events[n] = qp.cas(
+                    ADMIN_REGION, ADMIN_WORD_OFFSET, expected.pack(), claim.pack()
+                )
+            renewed = 0
+            overthrown = 0
+            for n, event in events.items():
+                expected = self._last_words.get(n, AdminWord(0, 0, 0))
+                try:
+                    old_raw = yield event
+                except RdmaError:
+                    self._drop_admin_qp(n)
+                    continue
+                old = AdminWord.unpack(old_raw)
+                if old == expected:
+                    renewed += 1
+                    self._last_words[n] = claim
+                else:
+                    self._last_words[n] = old
+                    if old.term_id > self.term:
+                        overthrown += 1
+                    # A lower term here is a lagging node we have not
+                    # claimed yet; the refreshed expected value will
+                    # claim it next round.
+            if overthrown >= self.config.quorum or renewed < self.config.quorum:
+                deposed.try_trigger(None)
+                return
+            yield self.sim.timeout(config.heartbeat_write_interval_us)
 
     # ------------------------------------------------------------------
     # Admin connections
@@ -359,7 +357,7 @@ class CpuNode:
             if not self.fabric.reachable(self.host.name, node.name):
                 continue
             fresh = QueuePair(self.nic, node.listener, name=f"admin-{self.name}-{n}")
-            attempts.append((n, fresh, self.host.spawn(fresh.connect([ADMIN_REGION]))))
+            attempts.append((n, fresh, self.host.fork(fresh.connect([ADMIN_REGION]))))
         for n, qp, proc in attempts:
             try:
                 yield proc

@@ -443,7 +443,7 @@ class MemoryNodeRecoveryManager:
                 finally:
                     repmem.locks.release(token)
 
-        procs = [repmem.host.spawn(worker(), name=f"copy-{n}") for _ in range(workers)]
+        procs = [repmem.host.fork(worker(), name=f"copy-{n}") for _ in range(workers)]
         for proc in procs:
             try:
                 yield proc
@@ -525,7 +525,7 @@ class MemoryNodeRecoveryManager:
             fragments.reverse()  # consumed via pop() from the front
             pusher = pushers[assignment[part.index]]
             procs = [
-                repmem.host.spawn(
+                repmem.host.fork(
                     reader(fragments, pusher, progress),
                     name=f"copy-{n}-p{part.index}",
                 )
@@ -545,7 +545,7 @@ class MemoryNodeRecoveryManager:
                 pusher = _FragmentPusher(repmem, m, n, budget_us)
                 pushers[m] = pusher
                 opens.append(
-                    (pusher, repmem.host.spawn(pusher.open(), name=f"push-open-{m}-{n}"))
+                    (pusher, repmem.host.fork(pusher.open(), name=f"push-open-{m}-{n}"))
                 )
             for pusher, proc in opens:
                 try:
@@ -556,7 +556,7 @@ class MemoryNodeRecoveryManager:
             if failures:
                 raise failures[0]
             crews = [
-                repmem.host.spawn(crew(part), name=f"copy-crew-{n}-p{part.index}")
+                repmem.host.fork(crew(part), name=f"copy-crew-{n}-p{part.index}")
                 for part in plan
             ]
             for proc in crews:

@@ -188,7 +188,7 @@ class ReplicatedMemory:
             node = self.memory_nodes[n]
             qp = QueuePair(self.nic, node.listener, name=f"repmem-{n}")
             attempts.append(
-                (n, qp, self.host.spawn(qp.connect([REPMEM_REGION, META_REGION])))
+                (n, qp, self.host.fork(qp.connect([REPMEM_REGION, META_REGION])))
             )
         connected = 0
         for n, qp, proc in attempts:

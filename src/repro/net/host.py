@@ -18,6 +18,10 @@ from repro.sim.engine import Event, Process, ProcessGenerator, Simulator
 __all__ = ["Host"]
 
 
+def _joined_later(_process: Event) -> None:
+    """The waiter :meth:`Host.fork` registers on behalf of the spawner."""
+
+
 class Host:
     """A simulated machine."""
 
@@ -48,6 +52,19 @@ class Host:
         if len(self._processes) >= self._prune_at:
             self._processes = [p for p in self._processes if p.alive]
             self._prune_at = max(16, 2 * len(self._processes))
+        return process
+
+    def fork(self, gen: ProcessGenerator, name: str = "") -> Process:
+        """:meth:`spawn` a child the caller will ``yield`` later.
+
+        The spawner is the child's waiter from this moment, not from the
+        moment it reaches that ``yield``: in a fan-out (spawn several,
+        then join them in turn) a child that fails while the parent is
+        still joined on an earlier sibling has its failure delivered at
+        its own join instead of being reported as an unobserved death.
+        """
+        process = self.spawn(gen, name)
+        process.add_callback(_joined_later)
         return process
 
     def execute(self, cost_us: float) -> Event:

@@ -209,8 +209,10 @@ class Tracer:
         return out
 
     def to_dicts(self) -> List[Dict[str, Any]]:
-        """Every span as a JSON-friendly dict, in recording order."""
-        return [s.to_dict() for s in self.spans]
+        """Every span as a JSON-friendly dict, in recording order (of a
+        snapshot: a collector pass finalising an earlier run's dead
+        processes may record ``proc.crash`` here mid-walk)."""
+        return [s.to_dict() for s in tuple(self.spans)]
 
     def render_tree(self, root: Optional[Span] = None, indent: str = "") -> str:
         """ASCII rendering of the causal tree (for humans and tests)."""

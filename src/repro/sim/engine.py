@@ -57,6 +57,9 @@ __all__ = [
 class SimulationError(RuntimeError):
     """Raised when the simulation itself is misused (not a modelled fault)."""
 
+    #: The process that died unobserved, when that is what went wrong.
+    process: Optional["Process"] = None
+
 
 class ProcessKilled(Exception):
     """Thrown into a process generator when :meth:`Process.kill` is called."""
@@ -686,9 +689,11 @@ class Simulator:
             fn(*entry[3])
             if unhandled:
                 process, exc = unhandled[0]
-                raise SimulationError(
+                error = SimulationError(
                     f"process {process.name!r} died of an unhandled exception"
-                ) from exc
+                )
+                error.process = process
+                raise error from exc
         if until is not None and until > self.now:
             self.now = until
         return self.now

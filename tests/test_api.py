@@ -4,7 +4,6 @@ import pytest
 
 from repro.api import SYSTEMS, Cluster, ScenarioFailed, system_spec
 from repro.bench.calibration import SMOKE_SCALE
-from repro.chaos import adapter_for
 from repro.errors import ReproError
 from repro.kv.client import KvClient, KvRequestFailed
 from repro.shard.router import ShardRouter
@@ -54,6 +53,26 @@ class TestBuild:
         cluster = Cluster.build("sift")
         assert isinstance(cluster.client(), KvClient)
 
+    def test_build_takes_a_spec_and_picks_the_client_from_the_ring(self):
+        """What ``runner.boot`` and ``ChaosRunner`` hand over: a spec
+        around a bare ``build(fabric)`` names no client, so a cluster
+        with a ring gets a router and any other a ``KvClient``."""
+        from repro.bench.systems import SystemSpec
+
+        for system, client_class in (("sharded", ShardRouter), ("raft-r", KvClient)):
+            bare = SystemSpec("bare", system_spec(system, scale=SMOKE_SCALE).build)
+            cluster = Cluster.build(bare, seed=7)
+            assert cluster.spec is bare and bare.client_factory is None
+            assert type(cluster.client()) is client_class
+            assert roundtrip(cluster) == b"Ada Lovelace"
+
+    def test_a_second_client_on_a_named_host_shares_it(self):
+        cluster = Cluster.build("sift", seed=7)
+        first = cluster.client(name="app", cores=2)
+        patient = cluster.client(name="app", max_rounds=200)
+        assert patient is not first and patient.host is first.host
+        assert first.host.cpu.cores == 2 and patient.max_rounds == 200
+
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):
             system_spec("spanner")
@@ -95,10 +114,6 @@ class TestSystemProtocol:
         assert all(host in cluster.fabric.hosts for host in topo.placement.values())
 
         assert type(cluster.client()) is (cluster.spec.client_factory or KvClient)
-        adapter = adapter_for(inner)
-        assert adapter.kind == inner.kind
-        assert adapter.leader_based == inner.leader_based
-        assert adapter.durable_across_crash == inner.durable_across_crash
 
         cluster.preload([(b"conf:%d" % i, b"v%d" % i) for i in range(8)])
         client = cluster.client()
@@ -131,7 +146,7 @@ class TestSystemProtocol:
         assert ready.value.value is second
         assert cluster.wait_ready() is second
         second.crash()
-        assert not inner.is_serving() and not adapter_for(inner).is_serving()
+        assert not inner.is_serving()
         with pytest.raises(TimeoutError):
             cluster.wait_ready()
         # The wait polls every 1 ms (and Cluster.run steps in 1 ms slices).

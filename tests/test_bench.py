@@ -102,23 +102,15 @@ class TestRunners:
 
     def test_sift_preload_is_readable_through_the_client(self):
         """The synchronous preloader must be indistinguishable from puts."""
-        from repro.kv.client import KvClient
-        from repro.net.fabric import Fabric
-        from repro.sim.engine import Simulator
-        from repro.sim.rng import RngStreams
+        from repro.api import Cluster
         from repro.workloads.generator import KeySampler
 
         for ec in (False, True):
-            spec = sift_spec(erasure_coding=ec, scale=TINY)
-            sim = Simulator()
-            fabric = Fabric(sim, rng=RngStreams(seed=2))
-            group = spec.build(fabric)
-            ready = sim.spawn(spec.wait_ready(group), name="ready")
-            sim.run_until_settled(ready, deadline=5 * SEC)
-            assert ready.ok
+            cluster = Cluster.build(sift_spec(erasure_coding=ec, scale=TINY), seed=2)
+            cluster.wait_ready(deadline_us=5 * SEC)
             sampler = KeySampler(TINY.keys)
-            spec.preload(group, ((sampler.key(i), b"pre-%d" % i) for i in range(64)))
-            client = KvClient(fabric.add_host("c", cores=2), fabric, group)
+            cluster.preload((sampler.key(i), b"pre-%d" % i) for i in range(64))
+            client = cluster.client(name="c", cores=2)
 
             def check():
                 for i in (0, 13, 63):
@@ -128,10 +120,7 @@ class TestRunners:
                 yield from client.put(sampler.key(13), b"updated")
                 return (yield from client.get(sampler.key(13)))
 
-            process = sim.spawn(check())
-            sim.run_until_settled(process, deadline=20 * SEC)
-            assert process.ok, process.exception
-            assert process.value == b"updated"
+            assert cluster.run(check(), deadline_us=20 * SEC) == b"updated"
 
     def test_timeline_records_event_and_series(self):
         fired = []

@@ -12,7 +12,6 @@ from repro.chaos import (
     MessageChaos,
     ScheduleExplorer,
     UnsupportedFault,
-    adapter_for,
     random_schedule,
     shrink,
 )
@@ -57,13 +56,6 @@ class TestFaultSchedule:
         shrunk = schedule.without(1)
         assert [a.kind for a in shrunk] == ["crash_node"]
         assert len(schedule) == 2  # original untouched
-
-    def test_failure_trace_round_trip(self):
-        from repro.cluster.trace import FailureEvent
-
-        events = [FailureEvent(10.0, 3), FailureEvent(250.0, 7)]
-        schedule = FaultSchedule.from_failure_trace(events)
-        assert schedule.to_failure_trace() == events
 
 
 class _Probe:
@@ -224,14 +216,14 @@ class TestControllerTargeting:
         sim, cluster = self._raft()
         leader = cluster.leader_node()
         assert leader is not None
-        controller = ChaosController.for_cluster(cluster)
+        controller = ChaosController(cluster)
         controller.apply(FaultSchedule().crash_leader(0).sorted_actions()[0])
         assert not leader.host.alive
 
     def test_follower_target_spares_the_leader(self):
         sim, cluster = self._raft()
         leader = cluster.leader_node()
-        controller = ChaosController.for_cluster(cluster)
+        controller = ChaosController(cluster)
         controller.apply(FaultSchedule().crash_follower(0).sorted_actions()[0])
         assert leader.host.alive
         assert sum(1 for n in cluster.nodes if not n.host.alive) == 1
@@ -246,7 +238,7 @@ class TestControllerTargeting:
 
     def test_memory_node_fault_unsupported_on_raft(self):
         _sim, cluster = self._raft()
-        controller = ChaosController.for_cluster(cluster)
+        controller = ChaosController(cluster)
         action = FaultSchedule().crash_memory_node(0, 1).sorted_actions()[0]
         with pytest.raises(UnsupportedFault, match="raft has no memory nodes"):
             controller.apply(action)
@@ -254,18 +246,25 @@ class TestControllerTargeting:
     @pytest.mark.parametrize("kind", ["crash_memory_node", "restart_memory_node"])
     def test_memory_node_faults_unsupported_on_epaxos(self, kind):
         _sim, cluster = self._epaxos()
-        controller = ChaosController.for_cluster(cluster)
+        controller = ChaosController(cluster)
         action = getattr(FaultSchedule(), kind)(0, 1).sorted_actions()[0]
         with pytest.raises(UnsupportedFault, match="epaxos has no memory nodes"):
             controller.apply(action)
 
-    def test_adapter_dispatch(self):
+    def test_controller_reads_the_system_protocol(self):
+        """No adapter in between: the controller resolves targets on the
+        cluster's own members, and a leaderless system has no LEADER."""
         _sim, cluster = self._epaxos()
-        adapter = adapter_for(cluster)
-        assert adapter.kind == "epaxos"
-        assert not adapter.leader_based and not adapter.durable_across_crash
-        with pytest.raises(TypeError):
-            adapter_for(object())
+        controller = ChaosController(cluster)
+        assert controller.cluster is cluster and controller.fabric is cluster.fabric
+        assert controller._node(1) is cluster.cpu_nodes[1]
+        assert controller._node(LEADER) is cluster.leader_node()
+        for replica in cluster.replicas:
+            replica.crash()
+        with pytest.raises(UnsupportedFault, match="no live leader"):
+            controller._node(LEADER)
+        with pytest.raises(AttributeError):
+            ChaosController(object())
 
     def test_restart_crashed_restarts_cpu_nodes_before_memory_nodes(self):
         from repro.testing import make_group
@@ -277,13 +276,13 @@ class TestControllerTargeting:
             node.crash()
             node.restart = lambda name=node.host.name: order.append(name)
         group.memory_nodes[1].host.restart()  # a live node is left alone
-        adapter_for(group).restart_crashed()
+        ChaosController(group).apply(FaultSchedule().restart_crashed(0).sorted_actions()[0])
         assert order == ["e-cpu0", "e-cpu1", "e-mem0", "e-mem2"]
 
     def test_symbolic_targets_on_sharded_service_with_promoted_backup(self):
-        """LEADER/FOLLOWER index the flattened node list (shard order,
-        promoted backups included) exactly as the per-system adapter
-        did: first live coordinator, then first other live node."""
+        """LEADER/FOLLOWER resolve on the flattened node list (shard
+        order, promoted backups included): first live coordinator, then
+        first other live node."""
         from repro.shard import ShardedKvService
 
         sim, fabric = make_sim(seed=7)
@@ -292,22 +291,26 @@ class TestControllerTargeting:
         )
         service.start()
         sim.run(until=300 * MS)
-        controller = ChaosController.for_cluster(service)
-        assert (controller._index(LEADER), controller._index(FOLLOWER)) == (0, 1)
+        controller = ChaosController(service)
+        def targets():
+            nodes = service.cpu_nodes
+            return tuple(nodes.index(controller._node(t)) for t in (LEADER, FOLLOWER))
+
+        assert targets() == (0, 1)
         service.crash_coordinator()  # shard0's only CPU node: the pool promotes
         sim.run(until=sim.now + 500 * MS)
         assert service.pool.promotions == 1 and all(service.coordinators().values())
         names = [node.host.name for node in service.cpu_nodes]
         assert names == ["shard0-cpu0", "shard-pool-0", "shard1-cpu0"]
-        assert (controller._index(LEADER), controller._index(FOLLOWER)) == (1, 2)
-        assert controller.adapter.server_host_names() == names + [
+        assert targets() == (1, 2)
+        assert controller._other_side([]) == names + [
             f"shard{g}-mem{m}" for g in range(2) for m in range(3)
         ]
         # Before the promotion lands, the next shard's coordinator leads.
         service.cpu_nodes[1].crash()
-        assert controller._index(LEADER) == 2
+        assert controller._node(LEADER) is service.cpu_nodes[2]
         with pytest.raises(UnsupportedFault, match="no live follower"):
-            controller._index(FOLLOWER)
+            controller._node(FOLLOWER)
 
 
 class TestSiftDeviceFaults:
@@ -319,7 +322,7 @@ class TestSiftDeviceFaults:
         sim, fabric, group = make_group(seed=8)
         sim.run(until=300 * MS)
         first = group.coordinator()
-        controller = ChaosController.for_cluster(group)
+        controller = ChaosController(group)
         controller.apply(FaultSchedule().fail_nic(0, LEADER).sorted_actions()[0])
         sim.run(until=sim.now + 1 * SEC)
         # The NIC-dead coordinator cannot renew its lease: someone else
@@ -334,7 +337,7 @@ class TestSiftDeviceFaults:
         sim, fabric, group = make_group(seed=8)
         sim.run(until=300 * MS)
         first = group.coordinator()
-        controller = ChaosController.for_cluster(group)
+        controller = ChaosController(group)
         controller.apply(
             FaultSchedule().stall_cpu(0, LEADER, 5 * MS, cores=1).sorted_actions()[0]
         )

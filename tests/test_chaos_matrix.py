@@ -18,7 +18,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.chaos import ChaosRunner, FaultSchedule, LEADER, UnsupportedFault
+from repro.bench.calibration import SMOKE_SCALE
+from repro.bench.systems import sift_spec
+from repro.chaos import (
+    FOLLOWER,
+    LEADER,
+    ChaosError,
+    ChaosRunner,
+    ChaosSpace,
+    FaultSchedule,
+    ScheduleExplorer,
+    UnsupportedFault,
+    random_schedule,
+)
 from repro.sim.units import MS
 
 SEEDS = (1, 2, 3)
@@ -279,3 +291,122 @@ def test_failing_cell_reports_replay_seed(postmortem_dir):
     dumped = Path(message.split("postmortem: ", 1)[1].splitlines()[0])
     assert dumped.is_file()
     assert dumped.parent == postmortem_dir
+
+
+# ---------------------------------------------------------------------------
+# The explorer runs the paper's system
+# ---------------------------------------------------------------------------
+
+SIFT_SPACE = ChaosSpace(nodes=2, memory_nodes=3)
+SIFT_BUILDS = {
+    "matrix": build_sift,
+    "spec": sift_spec(f=1, scale=SMOKE_SCALE).build,  # what every figure builds
+}
+EXPLORER_SEEDS = range(100, 124)
+
+#: Every explorer seed that ends in a ``ChaosError`` on Sift, by the kind
+#: of invariant it breaks.  These are open protocol findings, not test
+#: debt: ROADMAP item 2 carries each one's shrunk schedule.  Checked both
+#: ways: a listed seed that passes and an unlisted seed that fails both
+#: fail :func:`test_explorer_runs_sift`.
+KNOWN_SIFT_FINDINGS = {
+    ("matrix", 107): "liveness",
+    ("matrix", 108): "liveness",
+    ("matrix", 113): "liveness",
+    ("matrix", 116): "liveness",
+    ("matrix", 123): "liveness",
+    ("spec", 107): "liveness",
+    ("spec", 108): "process died",
+    ("spec", 113): "liveness",
+    ("spec", 115): "process died",
+    ("spec", 116): "liveness",
+    ("spec", 123): "linearizability",
+}
+FINDING_KINDS = {
+    "post-schedule liveness failed": "liveness",
+    "history for key": "linearizability",
+    "process died": "process died",
+}
+
+
+@pytest.mark.parametrize("seed", EXPLORER_SEEDS)
+@pytest.mark.parametrize("build", SIFT_BUILDS)
+def test_explorer_runs_sift(build, seed):
+    """Every generated schedule ends as a pass, a skip (a symbolic target
+    with nobody in the role yet) or a ``ChaosError`` carrying its seed
+    and trace; never as a raw exception out of the simulation."""
+    expected = KNOWN_SIFT_FINDINGS.get((build, seed))
+    runner = ChaosRunner(SIFT_BUILDS[build], random_schedule(seed, SIFT_SPACE), seed=seed)
+    try:
+        runner.run()
+    except UnsupportedFault as exc:
+        assert expected is None
+        pytest.skip(str(exc))
+    except ChaosError as exc:
+        message = str(exc)
+        assert exc.seed == seed and exc.trace and f"replay: seed={seed}" in message
+        kinds = [kind for text, kind in FINDING_KINDS.items() if message.startswith(text)]
+        assert kinds == [expected], f"unlisted finding at {(build, seed)}: {message}"
+    else:
+        assert expected is None, f"{(build, seed)} passes: drop it from the table"
+
+
+def test_explorer_counts_and_prints_an_unresolvable_target(capsys):
+    """Seed 102 isolates the leader 55 ms in, before the first election
+    has a winner: a skip of that seed, not a failure of the explorer."""
+    explorer = ScheduleExplorer(build_sift, SIFT_SPACE)
+    assert explorer.explore([102, 104]) is None
+    assert explorer.skipped == [(102, "no live leader to target")]
+    assert "CHAOS-EXPLORER-SKIP seed=102" in capsys.readouterr().err
+
+
+def test_explorer_reports_and_shrinks_a_dead_protocol_process():
+    """A ``kv-applier`` dying of ``QuorumError`` used to abort the run as
+    a raw ``SimulationError``; it is a finding with a seed, a one-action
+    reproducer and a postmortem."""
+    failure = ScheduleExplorer(SIFT_BUILDS["spec"], SIFT_SPACE).run_seed(108)
+    assert failure.error.startswith("process died: sift-cpu0:kv-applier-1: QuorumError")
+    assert "replay: seed=108" in failure.error and "postmortem: " in failure.error
+    assert [a.kind for a in failure.minimal] == ["drop_messages"]
+
+
+def test_generator_targets_no_follower_beside_a_lone_survivor():
+    """``ChaosSpace.nodes`` bounds the symbolic draws: with one of two
+    consensus nodes down there is no follower left to isolate."""
+    for seed in range(200):
+        down = 0
+        for action in random_schedule(seed, SIFT_SPACE):
+            if action.kind == "restart_crashed":
+                down = 0
+            roles = [a for a in action.args if a in (LEADER, FOLLOWER)]
+            roles += [a for arg in action.args if isinstance(arg, tuple) for a in arg]
+            if FOLLOWER in roles:
+                assert SIFT_SPACE.nodes - down >= 2, (seed, action)
+            if action.kind == "crash_node":
+                down += 1
+
+
+def test_failed_app_start_is_a_step_down():
+    """Explorer seed 113's first action, cleared at 600 ms.  Under 5%
+    message loss s-cpu0 wins term 2 and a verb times out while the KV
+    app loads its structures: the node must step down and follow again
+    (it used to die, and ``Simulator.run`` aborted the run), and the
+    group must serve under a later term."""
+    seen = {}
+
+    def look(group):
+        seen["cpu0"] = group.cpu_nodes[0]
+        seen["serving"] = group.is_serving()
+
+    schedule = (
+        FaultSchedule()
+        .drop_messages(507_703, 0.05446847542818685)
+        .clear_message_faults(600 * MS)
+        .probe(1_500 * MS, look, "look")
+    )
+    result = ChaosRunner(build_sift, schedule, seed=113).run()
+    cpu0 = seen["cpu0"]
+    assert (2, "s-cpu0") in result.leader_terms and result.leader_terms[-1][0] > 2
+    assert cpu0.role.value == "follower" and cpu0._main_proc.alive
+    assert cpu0.stats["elections_won"] == cpu0.stats["stepdowns"] == 1
+    assert seen["serving"]

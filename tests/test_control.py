@@ -14,9 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Cluster, ReproError, Topology
-from repro.bench.lincheck import History, Op, check_history
+from repro.bench.lincheck import History, RecordingClient, check_history
 from repro.control import MigrationManager, Reconciler, ReconcilerConfig
-from repro.kv.client import KvRequestFailed
 from repro.kv.config import KvConfig
 from repro.net import Fabric
 from repro.obs.stats import StatsSnapshot, snapshot_of
@@ -286,24 +285,16 @@ def _recorded_client(sim, history, router, keys, stop, gap_us=500.0,
                      max_ops=90):
     # max_ops keeps every per-key history under the exhaustive
     # checker's 64-op limit (ops per key ~= max_ops / len(keys)).
+    client = RecordingClient(router, history)
+
     def loop():
         count = 0
         while not stop["stop"] and count < max_ops:
             key = keys[count % len(keys)]
-            read = count % 3 == 2
-            value = None if read else b"w%05d" % count
-            invoked = sim.now
-            try:
-                if read:
-                    result = yield from router.get(key)
-                    history.record(Op(key, "get", result, invoked, sim.now))
-                else:
-                    yield from router.put(key, value)
-                    history.record(Op(key, "put", value, invoked, sim.now))
-            except KvRequestFailed:
-                history.record(
-                    Op(key, "get" if read else "put", value, invoked, None)
-                )
+            if count % 3 == 2:
+                yield from client.get(key)
+            else:
+                yield from client.put(key, b"w%05d" % count)
             count += 1
             yield sim.timeout(gap_us)
 

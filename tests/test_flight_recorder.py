@@ -122,13 +122,50 @@ class TestPostmortem:
         assert [s["name"] for s in doc["spans"]] == ["last.span"]
 
 
+    def test_dump_survives_spans_recorded_while_it_runs(self, postmortem_dir):
+        """A collector pass can finalise an earlier run's dead processes
+        mid-dump, and they record ``proc.crash`` into the installed
+        tracer: the dump walks a snapshot of the ring."""
+
+        with tracing(FlightRecorder(capacity=4)) as recorder:
+            for i in range(4):
+                recorder.instant(f"tick.{i}", float(i))
+            victim = recorder.spans[1]
+            plain = type(victim).to_dict
+
+            class Appending(type(victim)):
+                __slots__ = ()
+
+                def to_dict(self):
+                    recorder.instant("proc.crash", 9.0)  # evicts from the full ring
+                    return plain(self)
+
+            recorder.spans[1] = Appending(
+                recorder, victim.span_id, victim.parent_id, victim.name,
+                victim.start_us, victim.attrs,
+            )
+            path = maybe_postmortem("mutated mid-dump")
+        assert [s["name"] for s in _read(path)["spans"]] == [
+            "tick.0", "tick.1", "tick.2", "tick.3",
+        ]
+
+    def test_maybe_postmortem_never_raises(self, postmortem_dir):
+        class Broken(FlightRecorder):
+            def to_dicts(self):
+                raise RuntimeError("deque mutated during iteration")
+
+        with tracing(Broken()):
+            assert maybe_postmortem("the caller's error matters more") is None
+
+
 class TestChaosFailurePath:
     def test_fail_references_postmortem_when_traced(self, postmortem_dir):
         runner = ChaosRunner(lambda fabric: None, FaultSchedule(), seed=7)
         with tracing(FlightRecorder()) as recorder:
             recorder.instant("pre.failure", 1.0)
             with pytest.raises(ChaosError) as excinfo:
-                runner._fail("invariant broken", [(0.0, "crash leader")])
+                runner.trace = [(0.0, "crash leader")]
+                runner._fail("invariant broken")
         message = str(excinfo.value)
         assert "postmortem:" in message
         path = message.split("postmortem:", 1)[1].splitlines()[0].strip()
@@ -140,7 +177,7 @@ class TestChaosFailurePath:
     def test_fail_untraced_raises_plain_error(self, postmortem_dir):
         runner = ChaosRunner(lambda fabric: None, FaultSchedule(), seed=7)
         with pytest.raises(ChaosError) as excinfo:
-            runner._fail("invariant broken", [])
+            runner._fail("invariant broken")
         assert "postmortem" not in str(excinfo.value)
         assert list(postmortem_dir.iterdir()) == []
 

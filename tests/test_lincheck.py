@@ -2,10 +2,20 @@
 end-to-end consistency check of the Sift KV store under failover."""
 
 
-from repro.bench.lincheck import DELETE, GET, PUT, History, Op, check_history, check_key_history
+from repro.bench.lincheck import (
+    DELETE,
+    GET,
+    PUT,
+    History,
+    Op,
+    RecordingClient,
+    check_history,
+    check_key_history,
+)
 from repro.core import SiftGroup
 from repro.kv import KvClient, KvConfig, kv_app_factory
 from repro.kv.client import KvRequestFailed
+from repro.testing import make_sim
 from repro.net import Fabric
 from repro.sim import MS, SEC, Simulator
 
@@ -107,6 +117,74 @@ class TestChecker:
         assert not ok and offender == b"b"
 
 
+class _FlakyStore:
+    """A client whose calls fail while ``down``; ``put`` acks by returning."""
+
+    def __init__(self, host):
+        self.host = host
+        self.values = {}
+        self.down = False
+
+    def _call(self, effect):
+        yield self.host.sim.timeout(10.0)
+        if self.down:
+            raise KvRequestFailed("no coordinator answered")
+        return effect()
+
+    def put(self, key, value):
+        return self._call(lambda: self.values.__setitem__(key, value))
+
+    def get(self, key):
+        return self._call(lambda: self.values.get(key))
+
+
+class TestRecordingClient:
+    def test_records_each_call_and_a_failure_as_never_responded(self):
+        sim, fabric = make_sim()
+        store = _FlakyStore(fabric.add_host("c"))
+        client = RecordingClient(store)
+
+        def scenario():
+            yield from client.put(b"k", b"v1")
+            assert (yield from client.get(b"k")) == b"v1"
+            store.down = True
+            yield from client.put(b"k", b"v2")
+            assert (yield from client.get(b"k")) is None
+            store.down = False
+            return (yield from client.read_back())
+
+        assert sim.run_process(scenario()) == []
+        assert client.history.ops == [
+            Op(b"k", PUT, b"v1", 0.0, 10.0),
+            Op(b"k", GET, b"v1", 10.0, 20.0),
+            Op(b"k", PUT, b"v2", 20.0, None),
+            Op(b"k", GET, None, 30.0, None),
+            Op(b"k", GET, b"v1", 40.0, 50.0),  # the read-back is history too
+        ]
+        assert client.acked == {b"k": b"v1"}
+        assert (client.acked_puts, client.failures) == (1, 2)
+        assert check_history(client.history) == (True, None)
+
+    def test_read_back_names_lost_keys_and_can_use_a_patient_client(self):
+        sim, fabric = make_sim()
+        host = fabric.add_host("c")
+        store, patient = _FlakyStore(host), _FlakyStore(host)
+        shared = History()
+        client = RecordingClient(store, shared)
+
+        def scenario():
+            yield from client.put(b"a", b"1")
+            yield from client.put(b"b", b"2")
+            patient.values = {b"a": b"1"}  # b's acked write is gone
+            store.down = True  # only the patient client gets through
+            yield sim.timeout(1.0)  # strictly after the acks
+            return (yield from client.read_back([b"b", b"a", b"c"], patient))
+
+        assert sim.run_process(scenario()) == [b"b"]
+        assert client.history is shared and len(shared.ops) == 5
+        assert check_history(shared) == (False, b"b")
+
+
 class TestNemesis:
     def test_kv_history_linearizable_across_coordinator_crash(self):
         """Concurrent clients + a coordinator crash: the full observed
@@ -125,25 +203,14 @@ class TestNemesis:
 
         def client_loop(tag):
             host = fabric.add_host(f"nc{tag}", cores=2)
-            client = KvClient(host, fabric, group)
+            client = RecordingClient(KvClient(host, fabric, group), history)
             rng = fabric.rng.stream(f"nemesis:{tag}")
             for round_number in range(25):
                 key = b"key-%d" % rng.randrange(4)
                 if rng.random() < 0.5:
-                    value = b"%d:%d" % (tag, round_number)
-                    invoked = sim.now
-                    try:
-                        yield from client.put(key, value)
-                        history.record(Op(key, PUT, value, invoked, sim.now))
-                    except KvRequestFailed:
-                        history.record(Op(key, PUT, value, invoked, None))
+                    yield from client.put(key, b"%d:%d" % (tag, round_number))
                 else:
-                    invoked = sim.now
-                    try:
-                        got = yield from client.get(key)
-                        history.record(Op(key, GET, got, invoked, sim.now))
-                    except KvRequestFailed:
-                        pass  # a failed read constrains nothing
+                    yield from client.get(key)
 
         def scenario():
             yield from group.wait_until_serving(timeout_us=2 * SEC)

@@ -4,8 +4,13 @@ cluster it was handed.
 The four cluster classes say what they are through one set of members
 (the table in :mod:`repro.bench.systems`), so a ``hasattr`` /
 ``getattr`` / ``isinstance`` on a cluster is a consumer re-deriving an
-answer the cluster already gives.  The one allowed site is
-``adapter_for``'s "is this a cluster at all" check.
+answer the cluster already gives; no site is exempt.
+
+Two sibling guards keep the layer above the clusters single-pathed:
+only :mod:`repro.api` (and the test scaffolding) stands up a
+``Simulator``, so every driver boots through ``Cluster``; and only
+:mod:`repro.bench.lincheck` records an ``Op``, so every checked history
+comes from its ``RecordingClient``.
 """
 
 import ast
@@ -18,7 +23,24 @@ PROBES = {"hasattr", "getattr", "isinstance"}
 CLUSTER_EXPRESSIONS = {
     "cluster", "inner", "self.cluster", "self.inner", "runner.cluster",
 }
-ALLOWED = {("repro/chaos/adapters.py", "adapter_for")}
+ALLOWED = set()
+#: The modules that may construct a ``Simulator``.
+SIMULATOR_BUILDERS = {"repro/api.py", "repro/testing.py"}
+
+
+def sources():
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), path.read_text(encoding="utf-8")
+
+
+def calls_in(source: str, name: str):
+    """Line of every call of *name* (``name(...)`` or ``x.name(...)``)."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+    ]
 
 
 def probes_in(source: str):
@@ -45,9 +67,8 @@ def probes_in(source: str):
 
 def test_no_module_probes_a_clusters_type():
     violations = []
-    for path in sorted((SRC / "repro").rglob("*.py")):
-        relative = path.relative_to(SRC).as_posix()
-        for function, line in probes_in(path.read_text(encoding="utf-8")):
+    for relative, source in sources():
+        for function, line in probes_in(source):
             if (relative, function) not in ALLOWED:
                 violations.append(f"{relative}:{line}")
     assert violations == [], (
@@ -64,3 +85,31 @@ def test_guard_flags_a_probe():
         "    return getattr(sampler, 'n_shards', None)\n"
     )
     assert probes_in(source) == [("pick", 2), ("pick", 3)]
+
+
+def test_only_the_front_door_builds_a_simulator():
+    builders = {
+        relative for relative, source in sources() if calls_in(source, "Simulator")
+    }
+    assert builders == SIMULATOR_BUILDERS, (
+        "stand the system up through repro.api.Cluster instead"
+    )
+
+
+def test_only_lincheck_records_an_op():
+    recorders = [
+        relative
+        for relative, source in sources()
+        for call in ast.walk(ast.parse(source))
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "attr", None) == "record"
+        and call.args
+        and isinstance(call.args[0], ast.Call)
+        and getattr(call.args[0].func, "id", None) == "Op"
+    ]
+    assert set(recorders) == {"repro/bench/lincheck.py"}
+
+
+def test_guard_flags_a_simulator_call():
+    assert calls_in("sim = Simulator()\nx = engine.Simulator()\ny: Simulator\n",
+                    "Simulator") == [1, 2]

@@ -15,7 +15,7 @@ from repro.rdma import (
     Rnic,
 )
 from repro.rdma.qp import QpState
-from repro.sim import Simulator
+from repro.sim import SimulationError, Simulator
 
 
 @pytest.fixture
@@ -223,6 +223,44 @@ class TestQueuePair:
             return region.read(0, 4)
 
         assert sim.run_process(proc()) == (49).to_bytes(4, "little")
+
+
+class TestConnectFanOut:
+    """Spawn one connect per target, then join them in turn (the shape
+    of ``ReplicatedMemory.connect`` and ``CpuNode._ensure_admin_qps``)."""
+
+    def _fan_out(self, sim, fabric, start):
+        requester, _target, _listener, _region, nic, first = _make_pair(fabric)
+        cut_off = fabric.add_host("cut-off", cores=1)
+        listener = RdmaListener(cut_off)
+        listener.export(MemoryRegion("data", 4096))
+        fabric.block("requester", "cut-off")
+        second = QueuePair(nic, listener)
+
+        def parent():
+            children = [
+                start(requester)(qp.connect(["data"])) for qp in (first, second)
+            ]
+            connected = []
+            for qp, child in zip((first, second), children):
+                try:
+                    yield child
+                except Exception:
+                    continue
+                connected.append(qp)
+            return connected
+
+        return first, sim.run_process(parent())
+
+    def test_second_child_failing_first_is_delivered_at_its_join(self, sim, fabric):
+        """The connect behind the partition fails at once, while the
+        first is still in flight and the parent is joined on that one."""
+        first, connected = self._fan_out(sim, fabric, lambda host: host.fork)
+        assert connected == [first] and first.state is QpState.CONNECTED
+
+    def test_a_plain_spawn_has_no_waiter_yet(self, sim, fabric):
+        with pytest.raises(SimulationError, match="unhandled exception"):
+            self._fan_out(sim, fabric, lambda host: host.spawn)
 
 
 class TestExclusiveRegions:

@@ -12,13 +12,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.bench.lincheck import GET, PUT, History, Op, check_history
+from repro.bench.lincheck import History, RecordingClient, check_history
 from repro.core import SiftConfig, SiftGroup
 from repro.core.errors import RecoveryIntegrityError
 from repro.core.membership import RESERVED_BYTES
 from repro.core.recovery import MemoryNodeRecoveryManager, PartitionProgress
 from repro.kv import KvClient, KvConfig, kv_app_factory
-from repro.kv.client import KvRequestFailed
 from repro.net import Fabric
 from repro.rdma.errors import RdmaConnectionRevoked
 from repro.rdma.listener import RdmaListener
@@ -456,25 +455,14 @@ class TestLincheckDuringPartitionedRecovery:
 
         def client_loop(tag):
             host = fabric.add_host(f"lc{tag}", cores=2)
-            client = KvClient(host, fabric, group)
+            client = RecordingClient(KvClient(host, fabric, group), history)
             rng = fabric.rng.stream(f"linrec:{tag}")
             for round_number in range(25):
                 key = b"key-%d" % rng.randrange(4)
                 if rng.random() < 0.5:
-                    value = b"%d:%d" % (tag, round_number)
-                    invoked = sim.now
-                    try:
-                        yield from client.put(key, value)
-                        history.record(Op(key, PUT, value, invoked, sim.now))
-                    except KvRequestFailed:
-                        history.record(Op(key, PUT, value, invoked, None))
+                    yield from client.put(key, b"%d:%d" % (tag, round_number))
                 else:
-                    invoked = sim.now
-                    try:
-                        got = yield from client.get(key)
-                        history.record(Op(key, GET, got, invoked, sim.now))
-                    except KvRequestFailed:
-                        pass  # a failed read constrains nothing
+                    yield from client.get(key)
 
         def scenario():
             coord = yield from group.wait_until_serving(timeout_us=2 * SEC)

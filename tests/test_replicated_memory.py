@@ -181,6 +181,21 @@ class TestWalFlowControl:
 
 
 class TestNodeFailureHandling:
+    def test_connect_survives_a_target_cut_off_mid_fan_out(self):
+        """One connect fails at once behind a partition while an earlier
+        one is still in flight: the fan-out proceeds with the others
+        instead of aborting the simulation on an unobserved death."""
+        from repro.core.replicated_memory import ReplicatedMemory
+
+        sim, fabric, group = make_group()
+        standby = group.cpu_nodes[1]
+        fabric.block(standby.host.name, group.memory_nodes[1].name)
+        repmem = ReplicatedMemory(
+            standby.host, standby.nic, standby.config, group.memory_nodes
+        )
+        assert run(sim, repmem.connect()) == 2
+        assert sorted(repmem.qps) == [0, 2]
+
     def test_writes_survive_one_node_death(self):
         sim, _fabric, group = make_group()
 

@@ -221,7 +221,7 @@ class TestChaosIntegration:
         """ChaosRunner reads the service as kind "sharded", routes its workload
         through a ShardRouter, and the history stays linearizable while
         the pool replaces a crashed coordinator."""
-        from repro.chaos import ChaosRunner, FaultSchedule, adapter_for
+        from repro.chaos import ChaosRunner, FaultSchedule
         from repro.kv import KvConfig
 
         def build(fabric):
@@ -241,9 +241,8 @@ class TestChaosIntegration:
         schedule = FaultSchedule().crash_node(200 * MS, 0)
         runner = ChaosRunner(build, schedule, seed=3)
         result = runner.run()
-        adapter = adapter_for(runner.cluster)
-        assert adapter.kind == "sharded"
-        assert not adapter.leader_based
+        assert runner.cluster.kind == "sharded"
+        assert not runner.cluster.leader_based
         assert runner.cluster.pool.promotions == 1
         assert result.acked_puts > 0
 
