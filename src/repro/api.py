@@ -214,7 +214,7 @@ class Cluster:
         *to*: merge *shard*'s whole range into the running group *to*.
         Drives the simulator until the forwarding window closes and
         returns the :class:`~repro.control.migrate.MigrationManager`
-        (``.stats``, ``.cutover_at``, ``.snapshot()``).
+        (``.stats``, ``.cutover_at``, ``.moved_arcs``, ``.done``).
         """
         from repro.control.migrate import MigrationManager
 

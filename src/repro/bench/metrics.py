@@ -10,29 +10,10 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.registry import percentile
 from repro.sim.units import MS
 
 __all__ = ["Metrics", "percentile"]
-
-
-def percentile(samples: List[float], p: float, default: float = 0.0) -> float:
-    """The *p*-th percentile (0..100) by linear interpolation.
-
-    An empty sample list returns *default* (0.0) instead of raising: a
-    100 ms timeline window that completes zero operations mid-failover
-    (Figs. 11-12 under aggressive chaos schedules) is a legitimate
-    observation, not an error.
-    """
-    if not samples:
-        return default
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (p / 100.0) * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    frac = rank - low
-    return ordered[low] * (1 - frac) + ordered[high] * frac
 
 
 class Metrics:

@@ -525,7 +525,7 @@ def openloop_point(
     from repro.workloads.openloop import AdmissionControl
 
     spec = system_spec("sharded", scale=scale, cores=cores, shards=shards)
-    result = run_openloop(
+    return run_openloop(
         spec,
         WORKLOADS[workload],
         offered_ops_per_sec=offered_ops_per_sec,
@@ -539,20 +539,6 @@ def openloop_point(
             rate_ops_per_sec=rate_ops_per_sec,
         ),
     )
-    return {
-        "offered_ops_per_sec": result.offered_ops_per_sec,
-        "achieved_ops_per_sec": result.achieved_ops_per_sec,
-        "generated": result.generated,
-        "admitted": result.admitted,
-        "completed": result.completed,
-        "errors": result.errors,
-        "retries": result.retries,
-        "shed": result.shed,
-        "clients_active": result.clients_active,
-        "clients_population": result.clients_population,
-        "inflight_peaks": result.inflight_peaks,
-        "slo": result.slo,
-    }
 
 
 def figMclients_params(smoke: bool, _scale: BenchScale) -> dict:

@@ -41,7 +41,6 @@ __all__ = [
     "ThroughputResult",
     "LatencyResult",
     "TimelineResult",
-    "OpenLoopResult",
     "run_throughput",
     "run_latency",
     "run_timeline",
@@ -69,24 +68,6 @@ class LatencyResult(NamedTuple):
     write_p50: Optional[float]
     write_p95: Optional[float]
     ops_per_sec: float
-
-
-class OpenLoopResult(NamedTuple):
-    """One figMclients data point: an offered-load level on one spec."""
-
-    system: str
-    offered_ops_per_sec: float  #: configured arrival rate
-    achieved_ops_per_sec: float  #: completions over the measured window
-    generated: int  #: arrivals drawn (the realised offered load)
-    admitted: int  #: arrivals that made it into a shard queue
-    completed: int
-    errors: int
-    retries: int
-    shed: dict  #: {reason: count} — "throttle" and "queue"
-    clients_active: int  #: distinct simulated clients that issued an op
-    clients_population: int
-    inflight_peaks: dict  #: {shard: peak concurrently issued ops}
-    slo: dict  #: {shard: {op: p50/p99/p99.9 summary}}
 
 
 class TimelineResult(NamedTuple):
@@ -297,8 +278,8 @@ def run_openloop(
     window_us: float = None,
     admission: Optional[AdmissionControl] = None,
     retry: Optional[RetryPolicy] = None,
-) -> OpenLoopResult:
-    """Open-loop arrivals at a fixed offered rate (figMclients).
+) -> dict:
+    """Open-loop arrivals at a fixed offered rate: one figMclients cell.
 
     Same build -> preload -> warmup -> measure flow as :func:`_drive`,
     but the load comes from :class:`~repro.workloads.openloop.
@@ -307,7 +288,8 @@ def run_openloop(
     client coroutines.  Sharded clusters get a
     :class:`StripedZipfSampler` over the service ring so each arrival's
     shard is one vectorized modulo; anything else runs single-lane with
-    the plain Zipf sampler.
+    the plain Zipf sampler.  ``generated`` counts the arrivals drawn (the
+    realised offered load), ``shed`` maps reason to count.
     """
     if window_us is None:
         window_us = 1 * MS
@@ -340,18 +322,17 @@ def run_openloop(
     if obs_state.REGISTRY is not None:
         engine.publish(obs_state.REGISTRY)
         publish_run(obs_state.REGISTRY, fabric, cluster)
-    return OpenLoopResult(
-        system=spec.name,
-        offered_ops_per_sec=offered_ops_per_sec,
-        achieved_ops_per_sec=engine.achieved_ops_per_sec(),
-        generated=engine.counts["offered"],
-        admitted=engine.counts["admitted"],
-        completed=engine.counts["completed"],
-        errors=engine.counts["errors"],
-        retries=engine.counts["retries"],
-        shed=dict(engine.shed),
-        clients_active=engine.clients_active,
-        clients_population=engine.generator.n_clients,
-        inflight_peaks=engine.inflight_peaks(),
-        slo=engine.slo_summary(),
-    )
+    return {
+        "offered_ops_per_sec": offered_ops_per_sec,
+        "achieved_ops_per_sec": engine.achieved_ops_per_sec(),
+        "generated": engine.counts["offered"],
+        "admitted": engine.counts["admitted"],
+        "completed": engine.counts["completed"],
+        "errors": engine.counts["errors"],
+        "retries": engine.counts["retries"],
+        "shed": dict(engine.shed),
+        "clients_active": engine.clients_active,
+        "clients_population": engine.generator.n_clients,
+        "inflight_peaks": engine.inflight_peaks(),
+        "slo": engine.slo_summary(),
+    }

@@ -42,7 +42,6 @@ from repro.kv.client import KvClient
 from repro.net.fabric import Fabric
 from repro.net.rpc import Reply
 from repro.obs import state as obs_state
-from repro.obs.stats import StatsSnapshot
 from repro.shard.hashing import key_point, ranges_contain
 from repro.sim.units import MS, SEC
 
@@ -300,19 +299,6 @@ class MigrationManager:
             "cutover_at_us": self.cutover_at,
             **self.stats,
         }
-
-    def snapshot(self) -> StatsSnapshot:
-        """Migration progress under the shared stats protocol."""
-        return StatsSnapshot(
-            kind="migration",
-            name=f"{self.source}->{self.dest}",
-            counters={field: float(value) for field, value in self.stats.items()},
-            gauges={
-                "done": 1.0 if self.done else 0.0,
-                "cutover_at_us": -1.0 if self.cutover_at is None else self.cutover_at,
-                "arcs": float(len(self.moved_arcs)),
-            },
-        )
 
     def __repr__(self) -> str:
         return (

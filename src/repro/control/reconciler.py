@@ -30,7 +30,6 @@ from repro.cluster.backups import desired_pool_size
 from repro.control.migrate import MigrationManager
 from repro.net.fabric import Fabric
 from repro.obs import state as obs_state
-from repro.obs.stats import StatsSnapshot
 from repro.sim.units import MS, SEC
 
 __all__ = ["Reconciler", "ReconcilerConfig"]
@@ -213,28 +212,6 @@ class Reconciler:
         self.service.retire_group(shard)
         self._last_totals = self.service.group_op_totals()
         return result
-
-    # ------------------------------------------------------------------
-    # Diagnostics
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> StatsSnapshot:
-        """Reconciler activity under the shared stats protocol."""
-        return StatsSnapshot(
-            kind="reconciler",
-            name=self.service.name,
-            counters={
-                "rounds": float(self.rounds),
-                "splits": float(self.splits),
-                "merges": float(self.merges),
-                "pool_resizes": float(self.pool_resizes),
-            },
-            gauges={
-                "running": 1.0 if self.running else 0.0,
-                "shards": float(len(self.service.ring.shards)),
-                "pool_capacity": float(self.service.pool.capacity),
-            },
-        )
 
     def __repr__(self) -> str:
         return (

@@ -17,7 +17,6 @@ from repro.errors import ReproError
 from repro.net.fabric import Fabric
 from repro.net.host import Host
 from repro.net.rpc import RpcClient
-from repro.obs.stats import StatsSnapshot
 from repro.sim.units import MS
 
 __all__ = ["KvClient", "KvRequestFailed"]
@@ -61,23 +60,6 @@ class KvClient:
         """Seed the preferred-CPU-node cache (modulo the group size)."""
         cpu_nodes = self.group.cpu_nodes
         self._preferred = index % max(1, len(cpu_nodes))
-
-    def snapshot(self) -> StatsSnapshot:
-        """This client's counters under the shared stats protocol."""
-        stats = self.stats
-        return StatsSnapshot(
-            kind="kv_client",
-            name=f"{self.host.name}->{self.group.name}",
-            counters={
-                "requests": float(stats["requests"]),
-                "retries": float(stats["retries"]),
-                "failures": float(stats["failures"]),
-            },
-            gauges={
-                "inflight": float(stats["inflight"]),
-                "inflight_peak": float(stats["inflight_peak"]),
-            },
-        )
 
     # -- public API (all processes) ---------------------------------------------
 

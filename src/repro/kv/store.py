@@ -161,6 +161,10 @@ class KvServer:
             "chain_reads": 0,
             "applies": 0,
             "replayed": 0,
+            "migrate_stale": 0,
+            "migrate_imports": 0,
+            "coalesced_appends": 0,
+            "apply_drops": 0,
         }
 
     # ------------------------------------------------------------------
@@ -468,10 +472,10 @@ class KvServer:
         key = bytes(key)
         recorded = self._import_seqs.get(key, -1)
         if src_seq <= recorded:
-            self.stats["migrate_stale"] = self.stats.get("migrate_stale", 0) + 1
+            self.stats["migrate_stale"] += 1
             return Reply(("ok", 0), 32)
         self._import_seqs[key] = src_seq
-        self.stats["migrate_imports"] = self.stats.get("migrate_imports", 0) + 1
+        self.stats["migrate_imports"] += 1
         if value is None:
             seq = yield from self._local_delete(key)
         else:
@@ -591,9 +595,7 @@ class KvServer:
                     image = b"".join(
                         img.ljust(slot_bytes, b"\0") for _, img, _ in extent[:-1]
                     ) + extent[-1][1]
-                    self.stats["coalesced_appends"] = (
-                        self.stats.get("coalesced_appends", 0) + len(extent) - 1
-                    )
+                    self.stats["coalesced_appends"] += len(extent) - 1
                     try:
                         yield from self.repmem.direct_write(addr, image)
                     except Exception as exc:
@@ -631,7 +633,7 @@ class KvServer:
                 # Admission control should make this unreachable; if it
                 # ever happens, dropping the record is the only option
                 # left (the client was already acked).
-                self.stats["apply_drops"] = self.stats.get("apply_drops", 0) + 1
+                self.stats["apply_drops"] += 1
             except Exception:
                 if not self.running:
                     return  # deposed mid-apply; successor replays the WAL

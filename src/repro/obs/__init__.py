@@ -58,7 +58,7 @@ from repro.obs.registry import (
     current_registry,
     set_registry,
 )
-from repro.obs.stats import StatsSnapshot, snapshot_of
+from repro.obs.stats import StatsSnapshot
 from repro.obs.trace import (
     Span,
     Tracer,
@@ -94,7 +94,6 @@ __all__ = [
     "publish_run",
     "set_registry",
     "set_tracer",
-    "snapshot_of",
     "span_sort_key",
     "state",
     "tracing",

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.registry import percentile
 from repro.obs.trace import Span, Tracer, span_sort_key
 
 __all__ = [
@@ -53,23 +54,6 @@ STAGES = ("rpc_in", "wal_write", "fanout", "quorum", "apply", "serve", "ack")
 
 #: Root spans this module understands: client-observed KV operations.
 _OP_PREFIX = "rpc.kv."
-
-
-def _percentile(ordered: Sequence[float], p: float) -> float:
-    """Linear-interpolation percentile over pre-sorted samples.
-
-    Mirrors :meth:`repro.obs.registry.Histogram.percentile` so figure
-    sections and registry summaries agree digit for digit.
-    """
-    if not ordered:
-        return 0.0
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (p / 100.0) * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    frac = rank - low
-    return ordered[low] * (1 - frac) + ordered[high] * frac
 
 
 def _children_index(tracer: Tracer) -> Dict[int, List[Span]]:
@@ -233,14 +217,12 @@ def aggregate(breakdowns: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         stage_sum = 0.0
         for sample in samples:
             stage_sum += sample
-        ordered = sorted(samples)
         stages[stage] = {
             "count": len(samples),
             "mean_us": stage_sum / len(samples),
-            "p99_us": _percentile(ordered, 99.0),
+            "p99_us": percentile(samples, 99.0),
             "share": (stage_sum / total_all) if total_all else 0.0,
         }
-    ordered_durations = sorted(durations)
     duration_sum = 0.0
     for duration in durations:
         duration_sum += duration
@@ -248,8 +230,8 @@ def aggregate(breakdowns: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         "count": len(durations),
         "duration_us": {
             "mean": (duration_sum / len(durations)) if durations else 0.0,
-            "p50": _percentile(ordered_durations, 50.0),
-            "p99": _percentile(ordered_durations, 99.0),
+            "p50": percentile(durations, 50.0),
+            "p99": percentile(durations, 99.0),
         },
         "stages": stages,
     }

@@ -28,11 +28,32 @@ __all__ = [
     "Histogram",
     "SloHistogram",
     "MetricsRegistry",
+    "percentile",
     "percentile_labels",
     "current_registry",
     "set_registry",
     "collecting",
 ]
+
+
+def percentile(samples: Sequence[float], p: float, default: float = 0.0) -> float:
+    """The *p*-th percentile (0..100) by linear interpolation.
+
+    An empty sample list returns *default* (0.0) instead of raising: a
+    100 ms timeline window that completes zero operations mid-failover
+    (Figs. 11-12 under aggressive chaos schedules) is a legitimate
+    observation, not an error.
+    """
+    if not samples:
+        return default
+    ordered = sorted(samples)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (p / 100.0) * (len(ordered) - 1)
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    frac = rank - low
+    return ordered[low] * (1 - frac) + ordered[high] * frac
 
 
 def percentile_labels(percentiles: Sequence[float]) -> Dict[str, float]:
@@ -91,8 +112,7 @@ class Histogram:
     """A sample distribution summarised as count/sum/min/max/percentiles.
 
     Samples are kept exactly (benchmark runs are bounded); the summary
-    computes percentiles by the same linear interpolation as
-    :func:`repro.bench.metrics.percentile`.
+    computes percentiles with :func:`percentile`.
     """
 
     __slots__ = ("key", "samples")
@@ -117,16 +137,7 @@ class Histogram:
 
     def percentile(self, p: float) -> float:
         """The *p*-th percentile, 0.0 when no samples were recorded."""
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (p / 100.0) * (len(ordered) - 1)
-        low = int(rank)
-        high = min(low + 1, len(ordered) - 1)
-        frac = rank - low
-        return ordered[low] * (1 - frac) + ordered[high] * frac
+        return percentile(self.samples, p)
 
     def summary(self) -> Dict[str, float]:
         """The JSON-friendly digest embedded in artifacts."""

@@ -1,35 +1,34 @@
-"""One shape for every "how is this component doing?" surface.
+"""The value type of a component reading that has a reader outside it.
 
-Before the control plane existed, observed state lived in four ad-hoc
-shapes: ``KvClient.stats`` (a plain dict), ``ShardRouter.stats`` (a
-summed dict plus ``inflight_peaks()``), the ``BackupPool`` occupancy
-gauges, and the open-loop engine's ``counts``/``shed``/``ops``
-accounting.  The reconciler needs to read all of them; so do the
-figures.  :class:`StatsSnapshot` is the single protocol: any component
-with a ``snapshot()`` method returns one — monotonic event totals in
-``counters``, instantaneous levels in ``gauges`` — and
-:func:`snapshot_of` collects from anything that conforms.
+A component's own counters are its stats surface: callers read its
+``stats`` dict or its named counters (``pool.promotions``,
+``engine.counts``, ``reconciler.splits``) where they count, and the
+reconciler reads ``ShardedKvService.group_op_totals()`` and
+``pool.request_log``.  Two readings are packaged as a
+:class:`StatsSnapshot` because a reader needs them frozen at one
+instant:
 
-Snapshots are plain frozen data: diffing two of them (the reconciler's
-observe step) is dictionary arithmetic, publishing one into a
-:class:`~repro.obs.registry.MetricsRegistry` is a loop.
+* ``BackupPool.snapshot()`` is :attr:`repro.control.topology.Topology.pool`,
+  read by ``Cluster.topology()`` callers (the public API,
+  ``examples/shared_backup_fleet.py``);
+* ``OpenLoopEngine.snapshot()`` is the open-loop account the
+  end-to-end benchmark reads (``benchmarks/e2e/scenarios.py``).
 """
 
 from __future__ import annotations
 
 from typing import Dict, NamedTuple
 
-__all__ = ["StatsSnapshot", "snapshot_of"]
+__all__ = ["StatsSnapshot"]
 
 
 class StatsSnapshot(NamedTuple):
     """A point-in-time reading of one component.
 
-    *kind* names the component type (``"kv_client"``, ``"router"``,
-    ``"backup_pool"``, ``"openloop"``, ...); *name* the instance.
-    ``counters`` hold monotonically non-decreasing totals (requests,
-    promotions, sheds); ``gauges`` hold instantaneous levels (idle
-    spares, inflight ops, achieved rate).
+    *kind* names the component type (``"backup_pool"``, ``"openloop"``);
+    *name* the instance.  ``counters`` hold monotonically non-decreasing
+    totals (promotions, sheds); ``gauges`` hold instantaneous levels
+    (idle spares, active clients).
     """
 
     kind: str
@@ -42,32 +41,3 @@ class StatsSnapshot(NamedTuple):
 
     def gauge(self, key: str, default: float = 0.0) -> float:
         return self.gauges.get(key, default)
-
-    def delta(self, earlier: "StatsSnapshot") -> Dict[str, float]:
-        """Counter increments since *earlier* (missing keys count as 0)."""
-        return {
-            key: value - earlier.counters.get(key, 0.0)
-            for key, value in self.counters.items()
-        }
-
-
-def snapshot_of(component) -> StatsSnapshot:
-    """The :class:`StatsSnapshot` of any conforming component.
-
-    Raises :class:`TypeError` for objects without a ``snapshot()``
-    method — the protocol is deliberately explicit, not duck-typed off
-    a ``stats`` dict, so every surface migrates to one shape.
-    """
-    method = getattr(component, "snapshot", None)
-    if method is None:
-        raise TypeError(
-            f"{type(component).__name__} does not implement the StatsSnapshot "
-            "protocol (no snapshot() method)"
-        )
-    found = method()
-    if not isinstance(found, StatsSnapshot):
-        raise TypeError(
-            f"{type(component).__name__}.snapshot() returned "
-            f"{type(found).__name__}, expected StatsSnapshot"
-        )
-    return found

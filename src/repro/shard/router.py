@@ -17,7 +17,6 @@ from repro.kv.client import KvClient
 from repro.net.fabric import Fabric
 from repro.net.host import Host
 from repro.obs import state as obs_state
-from repro.obs.stats import StatsSnapshot
 from repro.shard.service import ShardedKvService
 from repro.sim.units import MS
 
@@ -150,26 +149,6 @@ class ShardRouter:
             shard: client.stats["inflight_peak"]
             for shard, client in self.clients.items()
         }
-
-    def snapshot(self) -> StatsSnapshot:
-        """Aggregated router counters under the shared stats protocol."""
-        totals = self.stats
-        return StatsSnapshot(
-            kind="shard_router",
-            name=self.host.name,
-            counters={
-                "requests": float(totals.get("requests", 0)),
-                "retries": float(totals.get("retries", 0)),
-                "failures": float(totals.get("failures", 0)),
-                "cache_invalidations": float(self.cache_invalidations),
-            },
-            gauges={
-                "inflight": float(totals.get("inflight", 0)),
-                "inflight_peak": float(totals.get("inflight_peak", 0)),
-                "ring_version": float(self.ring_version),
-                "shards": float(len(self.clients)),
-            },
-        )
 
     def __repr__(self) -> str:
         return f"<ShardRouter {self.host.name} -> {len(self.clients)} shards>"

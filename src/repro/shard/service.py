@@ -304,10 +304,11 @@ class ShardedKvService:
         out: Dict[str, int] = {}
         for group in self.groups:
             coordinator = group.serving_coordinator()
-            stats = getattr(getattr(coordinator, "app", None), "stats", None) or {}
-            out[group.name] = (
-                stats.get("puts", 0) + stats.get("gets", 0) + stats.get("deletes", 0)
-            )
+            if coordinator is None:
+                out[group.name] = 0
+                continue
+            stats = coordinator.app.stats
+            out[group.name] = stats["puts"] + stats["gets"] + stats["deletes"]
         return out
 
     def crash_coordinator(

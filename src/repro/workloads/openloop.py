@@ -480,7 +480,7 @@ class OpenLoopEngine:
         return {lane.name: lane.inflight_peak for lane in self.lanes}
 
     def snapshot(self):
-        """Engine accounting under the shared stats protocol."""
+        """Engine accounting frozen for the end-to-end benchmark's reader."""
         from repro.obs.stats import StatsSnapshot
 
         counters = {key: float(value) for key, value in self.counts.items()}

@@ -11,6 +11,8 @@ from repro.bench import (
     run_timeline,
     sift_spec,
 )
+from repro.bench.runner import run_openloop
+from repro.bench.systems import sharded_spec
 from repro.bench.metrics import percentile
 from repro.bench.report import bar_table, kv_table, series_table, sparkline
 from repro.sim.units import MS, SEC
@@ -141,3 +143,20 @@ class TestRunners:
         assert result.events[0][1] == "kill"
         assert len(result.series) >= 4
         assert sum(ops for _t, ops in result.series) > 0
+
+    def test_openloop_returns_the_figMclients_cell(self):
+        cell = run_openloop(
+            sharded_spec(scale=TINY),
+            WORKLOADS["read-heavy"],
+            offered_ops_per_sec=20_000.0,
+            n_clients=1_000,
+            scale=TINY,
+        )
+        assert list(cell) == [
+            "offered_ops_per_sec", "achieved_ops_per_sec", "generated",
+            "admitted", "completed", "errors", "retries", "shed",
+            "clients_active", "clients_population", "inflight_peaks", "slo",
+        ]
+        assert cell["completed"] > 0
+        assert cell["clients_population"] == 1_000
+        assert set(cell["shed"]) == {"throttle", "queue"}

@@ -1,11 +1,13 @@
 """Tests for the elastic control plane (repro.control, repro.api).
 
-Covers the ISSUE's required cases: ring-version monotonicity as a
-property suite over random split/merge sequences, linearizability under
-live key migration (concurrent recorded clients across a split and a
-merge), coordinator-failover and source-crash cells mid-migration, the
-redesigned ``Cluster.topology()/scale()/migrate()`` surface, the
-unified :class:`StatsSnapshot` protocol, and ring-version-aware chaos
+Covers ring-version monotonicity as a property suite over random
+split/merge sequences, linearizability under live key migration
+(concurrent recorded clients across a split and a merge),
+coordinator-failover and source-crash cells mid-migration, the
+redesigned ``Cluster.topology()/scale()/migrate()`` surface, the two
+:class:`StatsSnapshot` readings and the readers that depend on them
+(the open-loop account of ``benchmarks/e2e`` and ``Topology.pool`` of
+``examples/shared_backup_fleet.py``), and ring-version-aware chaos
 targeting.
 """
 
@@ -18,11 +20,16 @@ from repro.bench.lincheck import History, RecordingClient, check_history
 from repro.control import MigrationManager, Reconciler, ReconcilerConfig
 from repro.kv.config import KvConfig
 from repro.net import Fabric
-from repro.obs.stats import StatsSnapshot, snapshot_of
 from repro.shard import HashRing, ShardRouter, ShardedKvService
 from repro.shard.hashing import key_point, ranges_contain
 from repro.sim import MS, SEC, Simulator
 from repro.sim.rng import RngStreams
+from repro.workloads import (
+    WORKLOADS,
+    AdmissionControl,
+    OpenLoopEngine,
+    StripedZipfSampler,
+)
 
 SMALL_KV = KvConfig(max_keys=512, wal_entries=256)
 
@@ -233,34 +240,44 @@ class TestTopologyApi:
 
 
 class TestStatsProtocol:
-    def test_every_surface_speaks_snapshot(self):
+    def test_readings_match_their_readers(self):
         sim, fabric, service = make_service()
         serve(sim, service)
-        cluster = _wrap(sim, fabric, service)
-        router = cluster.client()
-        run(sim, router.put(b"stats", b"v"))
-        manager = cluster.migrate(service.ring.shards[0])
-        reconciler = Reconciler(fabric, service)
+        engine = OpenLoopEngine(
+            fabric,
+            service,
+            WORKLOADS["mixed"],
+            StripedZipfSampler(256, service.ring),
+            offered_ops_per_sec=20_000.0,
+            n_clients=1_000,
+            admission=AdmissionControl(max_inflight=4, queue_limit=64),
+        )
+        engine.start()
+        engine.begin_measurement()
+        sim.run(until=sim.now + 30 * MS)
+        engine.end_measurement()
+        engine.stop()
 
-        surfaces = [
-            service.pool,
-            router,
-            router.clients[service.ring.shards[0]],
-            manager,
-            reconciler,
-        ]
-        kinds = set()
-        for surface in surfaces:
-            snap = snapshot_of(surface)
-            assert isinstance(snap, StatsSnapshot)
-            assert snap.name
-            for value in {**snap.counters, **snap.gauges}.values():
-                assert isinstance(value, float)
-            kinds.add(snap.kind)
-        assert kinds == {
-            "backup_pool", "shard_router", "kv_client", "migration",
-            "reconciler",
+        # The counters and gauge benchmarks/e2e's _open_loop_account reads.
+        snap = engine.snapshot()
+        account = {
+            "offered": engine.counts["offered"],
+            "admitted": engine.counts["admitted"],
+            "completed": engine.counts["completed"],
+            "errors": engine.counts["errors"],
+            "retries": engine.counts["retries"],
+            "shed_queue": engine.shed["queue"],
+            "shed_throttle": engine.shed["throttle"],
         }
+        assert account["completed"] > 0
+        for key, value in account.items():
+            assert snap.counter(key, default=-1.0) == value, key
+        assert snap.gauge("clients_active", default=-1.0) == engine.clients_active
+
+        # The gauges examples/shared_backup_fleet.py prints.
+        pool = _wrap(sim, fabric, service).topology().pool
+        assert pool.gauges["idle"] == service.pool.idle_backups
+        assert pool.gauges["capacity"] == service.pool.capacity
 
     def test_router_cache_invalidation_follows_ring_version(self):
         sim, fabric, service = make_service()

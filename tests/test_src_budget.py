@@ -19,8 +19,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: outside this count, are gone), 20,876 after PR 22 (a figure is
 #: declared once; the sixteen ``cmd_*`` drivers went), 20,773 after
 #: PR 23 (the chaos adapter, the runner's private harness and the
-#: failure-trace round trip went; four robustness fixes came).
-SRC_LINE_CEILING = 20_773
+#: failure-trace round trip went; four robustness fixes came), and
+#: 20,610 once a component's own counters became its one stats surface
+#: (four unread ``snapshot()`` methods, the open-loop result tuple and
+#: two of three percentile functions went).
+SRC_LINE_CEILING = 20_610
 
 
 def test_src_line_total_is_within_budget():
