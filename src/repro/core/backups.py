@@ -24,19 +24,19 @@ from __future__ import annotations
 from itertools import count
 from typing import Dict, List, NamedTuple, Optional
 
-from repro.core.cpu_node import CpuNode
+from repro.core import rules
+from repro.core.cpu_node import CpuNode, read_admin_words
 from repro.core.group import SiftGroup
 from repro.net.fabric import Fabric
 from repro.net.host import Host
 from repro.obs import state as obs_state
 from repro.obs.stats import StatsSnapshot
-from repro.rdma.errors import RdmaError
 from repro.rdma.nic import Rnic
 from repro.rdma.qp import QpState, QueuePair
 from repro.sim.engine import Event
 from repro.sim.units import SEC
 from repro.storage.admin import AdminWord
-from repro.storage.memory_node import ADMIN_REGION, ADMIN_WORD_OFFSET
+from repro.storage.memory_node import ADMIN_REGION
 
 __all__ = ["BackupPool", "Promotion"]
 
@@ -72,7 +72,9 @@ class _GroupWatcher:
         self._qps: Dict[int, QueuePair] = {}
         self._last_words: Dict[int, AdminWord] = {}
 
-    def _ensure_qps(self):
+    def poll(self):
+        """Process: (re)connect one node at a time, then one heartbeat-read
+        round; returns #nodes with progress."""
         for index, node in enumerate(self.group.memory_nodes):
             qp = self._qps.get(index)
             if qp is not None and qp.state is QpState.CONNECTED:
@@ -85,28 +87,7 @@ class _GroupWatcher:
             except Exception:
                 continue
             self._qps[index] = fresh
-
-    def poll(self):
-        """Process: one heartbeat-read round; returns #nodes with progress."""
-        yield from self._ensure_qps()
-        events = {
-            index: qp.read_word(ADMIN_REGION, ADMIN_WORD_OFFSET)
-            for index, qp in self._qps.items()
-        }
-        changed = 0
-        for index, event in events.items():
-            try:
-                raw = yield event
-            except RdmaError:
-                qp = self._qps.pop(index, None)
-                if qp is not None:
-                    qp.close()
-                continue
-            word = AdminWord.unpack(raw)
-            if self._last_words.get(index) != word:
-                changed += 1
-            self._last_words[index] = word
-        return changed
+        return (yield from read_admin_words(self._qps, self._last_words))
 
 
 class BackupPool:
@@ -296,27 +277,20 @@ class BackupPool:
 
     def _monitor(self, group: SiftGroup, watcher: _GroupWatcher):
         config = group.config
-        interval = config.heartbeat_read_interval_us
-        stale_rounds = 0
+        stale = 0
         while self.running:
-            yield self.sim.timeout(interval)
+            yield self.sim.timeout(config.heartbeat_read_interval_us)
             if group.name in self._retired:
                 return
             changed = yield from watcher.poll()
-            if changed >= config.quorum:
-                stale_rounds = 0
+            stale = rules.stale_rounds(stale, changed, config.quorum)
+            if stale <= config.missed_heartbeats_allowed:
                 continue
-            stale_rounds += 1
-            if stale_rounds <= config.missed_heartbeats_allowed:
-                continue
-            if any(cpu.host.alive for cpu in group.cpu_nodes):
-                # The group still has its own CPU node(s); its election
-                # machinery will act (the stale reads mean it is mid-
-                # election or briefly stalled, not abandoned).
-                stale_rounds = 0
-                continue
-            yield from self._promote(group)
-            stale_rounds = 0
+            # A group that still has its own CPU node(s) is mid-election or
+            # briefly stalled, not abandoned: its election machinery acts.
+            if not any(cpu.host.alive for cpu in group.cpu_nodes):
+                yield from self._promote(group)
+            stale = 0
 
     def _promote(self, group: SiftGroup):
         """Process: hand an idle spare to *group* (waiting for one if needed).

@@ -8,14 +8,11 @@ reads the circular logs from all reachable memory nodes, merges them into
 "a consistent, up-to-date version of the log", repairs nodes whose logs
 differ from the majority, and replays the merged log so that "all
 previously committed writes have been applied to the replicated memory".
-The merge uses two rules beyond the paper's prose, both forced by the
-same races Raft handles:
-
-* at equal log index, the entry with the higher *term* wins (a deposed
-  coordinator may have left a divergent entry on a minority node);
-* entries beyond the last index of the highest term present are dropped
-  (an old coordinator's unacknowledged suffix must not resurrect after
-  the newer coordinator has served conflicting state).
+The merge adds two rules to the paper's prose, both forced by the same
+races Raft handles: at equal log index the higher *term* wins, and
+entries after the newest term's last one are dropped.  Both live in
+:func:`repro.core.rules.merge_logs` (§4.3's KV WAL replay uses the same
+merge), and :func:`repro.core.rules.repairs` picks what to rewrite.
 
 **Memory-node recovery, §3.4.2.**  A background thread polls failed
 nodes; when one reconnects, the coordinator incrementally read-locks
@@ -46,6 +43,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
+from repro.core import rules
 from repro.core.errors import (
     GroupUnavailable,
     RecoveryIntegrityError,
@@ -70,10 +68,7 @@ from repro.storage.memory_node import (
 from repro.storage.wal import WalEntry
 
 __all__ = [
-    "recover_log",
-    "RecoveryResult",
-    "MemoryNodeRecoveryManager",
-    "PartitionProgress",
+    "recover_log", "scan_log", "RecoveryResult", "MemoryNodeRecoveryManager", "PartitionProgress",
 ]
 
 PUSH_DESCRIPTOR_BYTES = 64
@@ -132,46 +127,23 @@ def recover_log(repmem: ReplicatedMemory):
     #    entries that survive the merge rules below.
     node_entries: Dict[int, Dict[int, WalEntry]] = {}
     for n in connected:
-        raw = bytearray()
-        offset = 0
         try:
-            while offset < layout.total_bytes:
-                take = min(_WAL_READ_CHUNK, layout.total_bytes - offset)
-                data = yield repmem.qps[n].read(REPMEM_REGION, offset, take)
-                raw += data
-                offset += take
+            entries = yield from scan_log(
+                repmem.qps[n], 0, layout.entry_count, layout.slot_bytes, repmem.codec.decode
+            )
         except RdmaError:
             repmem.mark_node_dead(n)
             trusted.discard(n)
             continue
         yield repmem.host.execute(costs.apply_entry_us)  # header scan pass
-        entries: Dict[int, WalEntry] = {}
-        for slot in range(layout.entry_count):
-            begin = slot * layout.slot_bytes
-            entry = repmem.codec.decode(bytes(raw[begin : begin + layout.slot_bytes]))
-            if entry is not None:
-                entries[entry.log_index] = entry
-        node_entries[n] = entries
+        node_entries[n] = {entry.log_index: entry for entry in entries}
     if len(node_entries) < config.quorum:
         raise GroupUnavailable("lost quorum while reading WALs")
 
-    # 2. Merge: per index keep the max-term entry; truncate stale suffixes.
-    merged: Dict[int, WalEntry] = {}
-    for entries in node_entries.values():
-        for index, entry in entries.items():
-            best = merged.get(index)
-            if best is None or entry.term > best.term:
-                merged[index] = entry
-    authoritative: List[WalEntry] = []
-    if merged:
-        max_term = max(entry.term for entry in merged.values())
-        last_index = max(
-            index for index, entry in merged.items() if entry.term == max_term
-        )
-        authoritative = [
-            merged[index] for index in sorted(merged) if index <= last_index
-        ]
-        repmem.next_index = last_index + 1
+    # 2. Merge (log indices start at 1, so floor 0 keeps every entry).
+    authoritative = rules.merge_logs(node_entries.values())
+    if authoritative:
+        repmem.next_index = authoritative[-1].log_index + 1
 
     # 3. Bootstrap: nobody initialised and nothing logged means a fresh
     #    group; adopt the connected set and stamp everyone.
@@ -221,15 +193,12 @@ def recover_log(repmem: ReplicatedMemory):
         trusted |= salvaged
 
     # 5. Repair lagging logs on the nodes that will serve (§3.4.1).
-    repair_acks = []
-    for n in sorted(live):
-        entries = node_entries.get(n, {})
-        for entry in authoritative:
-            if entries.get(entry.log_index) == entry:
-                continue
-            image = repmem.codec.encode(entry)
-            offset = layout.slot_offset(entry.log_index)
-            repair_acks.append(repmem.qps[n].write(REPMEM_REGION, offset, image))
+    repair_acks = [
+        repmem.qps[n].write(
+            REPMEM_REGION, layout.slot_offset(entry.log_index), repmem.codec.encode(entry)
+        )
+        for n, entry in rules.repairs(authoritative, node_entries, live)
+    ]
     if repair_acks:
         yield all_of(repmem.sim, repair_acks)
 
@@ -266,6 +235,21 @@ def recover_log(repmem: ReplicatedMemory):
 
     repmem.membership = membership
     return RecoveryResult(membership, live, False, len(authoritative))
+
+
+def scan_log(qp: QueuePair, offset: int, count: int, slot_bytes: int, decode: Callable):
+    """Process: read *count* log slots at *offset* of a node's replicated region
+    in bounded chunks; returns, in slot order, each slot *decode* does not reject."""
+    raw = bytearray()
+    total = count * slot_bytes
+    while len(raw) < total:
+        take = min(_WAL_READ_CHUNK, total - len(raw))
+        raw += yield qp.read(REPMEM_REGION, offset + len(raw), take)
+    return [
+        entry
+        for begin in range(0, total, slot_bytes)
+        if (entry := decode(bytes(raw[begin : begin + slot_bytes]))) is not None
+    ]
 
 
 def _try_salvage(repmem: ReplicatedMemory, membership: Membership, live: Set[int], trusted: Set[int]):

@@ -24,9 +24,9 @@ chunks and half-old after a crash, and only the non-encoded
 replicated-memory WAL can repair that (§5.1's stated modification).
 
 Recovery (§4.3) loads the index table and bitmap, merges the KV WAL from
-all live memory nodes (per-sequence max-term, truncated at the newest
-term's last record — the same divergence rules as the consensus log),
-replays records above the persisted watermark, and only then serves.
+all live memory nodes with the consensus log's own merge
+(:func:`repro.core.rules.merge_logs`, keyed by sequence number), replays
+records above the persisted watermark, and only then serves.
 The cache fills during replay, so the store restarts warm (§6.5).
 """
 
@@ -36,11 +36,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core import rules
 from repro.core.cpu_node import CpuNode
 from repro.core.errors import Deposed, GroupUnavailable
 from repro.core.locks import BlockLockTable, LockMode
+from repro.core.recovery import scan_log
 from repro.core.replicated_memory import NodeState, ReplicatedMemory
-from repro.storage.memory_node import REPMEM_REGION
 from repro.kv.cache import ValueCache
 from repro.kv.config import KvConfig
 from repro.kv.layout import (
@@ -55,7 +56,7 @@ from repro.net.rpc import Reply, RpcEndpoint
 from repro.obs import state as obs_state
 from repro.sim.engine import Event
 
-__all__ = ["KvServer", "KvError", "kv_app_factory", "merge_wal_records"]
+__all__ = ["KvServer", "KvError", "kv_app_factory"]
 
 _STRUCTURE_READ_CHUNK = 256 * 1024
 _WAL_FLOW_SLACK = 64
@@ -63,33 +64,6 @@ _WAL_FLOW_SLACK = 64
 
 class KvError(Exception):
     """Client-visible KV failure (full store, oversized record, ...)."""
-
-
-def merge_wal_records(
-    per_node: List[Dict[int, WalRecord]], floor_seq: int
-) -> List[WalRecord]:
-    """Merge per-node KV WAL scans into the authoritative record list.
-
-    Keeps, per sequence number, the record with the highest term, then
-    truncates everything after the newest term's last record (a deposed
-    coordinator's unacknowledged suffix).  Only records with
-    ``seq > floor_seq`` (the persisted watermark) are returned, in order.
-    """
-    merged: Dict[int, WalRecord] = {}
-    for records in per_node:
-        for seq, record in records.items():
-            best = merged.get(seq)
-            if best is None or record.term > best.term:
-                merged[seq] = record
-    if not merged:
-        return []
-    max_term = max(record.term for record in merged.values())
-    last_seq = max(seq for seq, record in merged.items() if record.term == max_term)
-    return [
-        merged[seq]
-        for seq in sorted(merged)
-        if floor_seq < seq <= last_seq
-    ]
 
 
 class KvServer:
@@ -239,40 +213,18 @@ class KvServer:
         return bytes(out)
 
     def _replay_wal(self):
-        layout = self.layout
-        config = self.config
-        wal_bytes = config.wal_entries * layout.wal_slot_bytes
+        repmem, config, layout = self.repmem, self.config, self.layout
+        wal_at = repmem.amap.raw_extent(layout.wal_offset)
         per_node: List[Dict[int, WalRecord]] = []
-        live = [
-            n
-            for n, s in self.repmem.states.items()
-            if s == NodeState.LIVE and n in self.repmem.qps
-        ]
-        for n in live:
-            raw = bytearray()
-            offset = 0
-            while offset < wal_bytes:
-                take = min(_STRUCTURE_READ_CHUNK, wal_bytes - offset)
-                data = yield self.repmem.qps[n].read(
-                    REPMEM_REGION,
-                    self.repmem.amap.raw_extent(layout.wal_offset + offset),
-                    take,
-                )
-                raw += data
-                offset += take
+        for n in [n for n, s in repmem.states.items() if s == NodeState.LIVE and n in repmem.qps]:
+            records = yield from scan_log(
+                repmem.qps[n], wal_at, config.wal_entries, layout.wal_slot_bytes,
+                layout.decode_wal_record,
+            )
             yield self.host.execute(config.wal_entries * 0.02)  # slot scan
-            records: Dict[int, WalRecord] = {}
-            for slot in range(config.wal_entries):
-                begin = slot * layout.wal_slot_bytes
-                record = layout.decode_wal_record(
-                    bytes(raw[begin : begin + layout.wal_slot_bytes])
-                )
-                if record is not None:
-                    records[record.seq] = record
-            per_node.append(records)
+            per_node.append({record.seq: record for record in records})
 
-        records = merge_wal_records(per_node, self.applied_seq)
-        for record in records:
+        for record in rules.merge_logs(per_node, self.applied_seq):
             yield from self._apply_record(record)
             self.applied_seq = record.seq
             if record.op == OP_PUT:
