@@ -1,10 +1,11 @@
 """Coordinator election tests (§3.2): safety and liveness scenarios."""
 
 
-from repro.core import Role
+from repro.core import Role, rules
 from repro.core.membership import RESERVED_BYTES
 from repro.net import PartitionController
 from repro.sim import MS, SEC
+from repro.storage.admin import AdminWord
 from repro.testing import make_group
 
 BASE = RESERVED_BYTES
@@ -151,6 +152,29 @@ class TestSafetyUnderPartition:
         # Either the write was rejected, or this repmem was already torn
         # down (deposed) — it must never be silently "accepted".
         assert process.value in ("Deposed", "GroupUnavailable", "QuorumError")
+
+    def test_unanswered_round_keeps_its_term(self):
+        """A round fewer than a quorum of admin words answered was no
+        contest: retry it at the same term, not the next one."""
+        lagging = AdminWord(1, 1, 7)
+        assert rules.campaign_verdict(5, 0, [], 2) == rules.UNANSWERED
+        assert rules.campaign_verdict(5, 1, [], 2) == rules.UNANSWERED
+        assert rules.campaign_verdict(5, 1, [lagging], 2) == rules.RETRY
+        assert rules.campaign_verdict(5, 0, [lagging, lagging], 2) == rules.RETRY
+
+    def test_cut_off_candidate_does_not_inflate_its_term(self):
+        """A CPU node cut off from every memory node used to bump its term
+        once per back-off (~475 a second), toward the admin word's 16-bit
+        term overflow; unanswered rounds now retry at the same term."""
+        sim, fabric, group = make_group()
+        sim.run(until=300 * MS)
+        follower = next(node for node in group.cpu_nodes if not node.is_coordinator)
+        newest = group.coordinator().term  # the follower has read it in the admin words
+        controller = PartitionController(fabric)
+        controller.split([follower.host.name], [node.name for node in group.memory_nodes])
+        sim.run(until=sim.now + 1 * SEC)
+        assert follower.role is Role.CANDIDATE
+        assert follower.term == newest + 1  # one campaign's first round, then no more
 
     def test_minority_cpu_partition_makes_no_progress(self):
         """With a majority of memory nodes unreachable, nobody leads."""
