@@ -43,6 +43,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.core import rules
 from repro.core.errors import (
     GroupUnavailable,
@@ -239,17 +241,26 @@ def recover_log(repmem: ReplicatedMemory):
 
 def scan_log(qp: QueuePair, offset: int, count: int, slot_bytes: int, decode: Callable):
     """Process: read *count* log slots at *offset* of a node's replicated region
-    in bounded chunks; returns, in slot order, each slot *decode* does not reject."""
-    raw = bytearray()
+    in bounded chunks; returns, in slot order, each slot *decode* does not reject.
+
+    Each chunk is scanned as it arrives, a slot cut by the chunk boundary
+    carried into the next one.  Only slots whose leading 8-byte index word
+    is non-zero reach *decode*: both log codecs reject a zero one, so the
+    host work follows what the log holds, not its capacity."""
+    entries = []
+    carry = b""
     total = count * slot_bytes
-    while len(raw) < total:
-        take = min(_WAL_READ_CHUNK, total - len(raw))
-        raw += yield qp.read(REPMEM_REGION, offset + len(raw), take)
-    return [
-        entry
-        for begin in range(0, total, slot_bytes)
-        if (entry := decode(bytes(raw[begin : begin + slot_bytes]))) is not None
-    ]
+    for start in range(0, total, _WAL_READ_CHUNK):
+        take = min(_WAL_READ_CHUNK, total - start)
+        chunk = carry + (yield qp.read(REPMEM_REGION, offset + start, take))
+        whole = len(chunk) - len(chunk) % slot_bytes
+        slots = np.frombuffer(chunk, np.uint8, whole).reshape(-1, slot_bytes)
+        for slot in np.flatnonzero(slots[:, :8].any(axis=1)).tolist():
+            begin = slot * slot_bytes
+            if (entry := decode(chunk[begin : begin + slot_bytes])) is not None:
+                entries.append(entry)
+        carry = chunk[whole:]
+    return entries
 
 
 def _try_salvage(repmem: ReplicatedMemory, membership: Membership, live: Set[int], trusted: Set[int]):

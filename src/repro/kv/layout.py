@@ -91,7 +91,9 @@ class KvLayout:
         wal_end = self.wal_offset + config.wal_entries * self.wal_slot_bytes
         self.direct_bytes = _round_up(wal_end, block)
         self.index_offset = self.direct_bytes
-        self.index_bytes = _round_up(config.index_buckets * 8, block)
+        buckets = config.index_buckets
+        self.bucket_mask = buckets - 1
+        self.index_bytes = _round_up(buckets * 8, block)
         self.bitmap_offset = self.index_offset + self.index_bytes
         self.bitmap_bytes = _round_up((config.max_keys + 7) // 8, block)
         self.blocks_offset = self.bitmap_offset + self.bitmap_bytes
@@ -124,7 +126,7 @@ class KvLayout:
 
     def bucket_of(self, key: bytes) -> int:
         """Hash a key to its bucket (stable across processes)."""
-        return zlib.crc32(key) & (self.config.index_buckets - 1)
+        return zlib.crc32(key) & self.bucket_mask
 
     # -- block codec -----------------------------------------------------------
 

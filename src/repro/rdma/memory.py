@@ -20,6 +20,7 @@ from repro.rdma.errors import RdmaProtectionError
 __all__ = ["MemoryRegion"]
 
 PAGE_BYTES = 4096
+_ZERO_PAGE = bytes(PAGE_BYTES)  # stands in for a page never written
 
 
 class MemoryRegion:
@@ -46,16 +47,10 @@ class MemoryRegion:
             if page is None:
                 return bytes(length)
             return bytes(page[page_offset : page_offset + length])
-        out = bytearray(length)
-        position = 0
-        while position < length:
-            page_index, page_offset = divmod(offset + position, PAGE_BYTES)
-            take = min(length - position, PAGE_BYTES - page_offset)
-            page = self._pages.get(page_index)
-            if page is not None:
-                out[position : position + take] = page[page_offset : page_offset + take]
-            position += take
-        return bytes(out)
+        last = (offset + length - 1) // PAGE_BYTES
+        pages = self._pages
+        joined = b"".join([pages.get(i, _ZERO_PAGE) for i in range(page_index, last + 1)])
+        return joined[page_offset : page_offset + length]
 
     def write(self, offset: int, data: bytes) -> None:
         """Overwrite the bytes at *offset* with *data*."""

@@ -1,9 +1,9 @@
-"""Shared test configuration (see :mod:`repro.testing` for the helpers
-this suite and the benchmark suite both use)."""
+"""Shared test configuration (see :mod:`tests.testing` for the helpers
+this suite uses)."""
 
 import pytest
 
-from repro.testing import register_hypothesis_profile
+from tests.testing import register_hypothesis_profile
 
 register_hypothesis_profile()
 

@@ -20,7 +20,7 @@ from repro.net.latency import FixedLatency
 from repro.rdma.errors import RdmaTimeout
 from repro.rdma.nic import Rnic
 from repro.sim import MS, SEC
-from repro.testing import make_sim
+from tests.testing import make_sim
 
 
 class TestFaultSchedule:
@@ -267,7 +267,7 @@ class TestControllerTargeting:
             ChaosController(object())
 
     def test_restart_crashed_restarts_cpu_nodes_before_memory_nodes(self):
-        from repro.testing import make_group
+        from tests.testing import make_group
 
         sim, _fabric, group = make_group(seed=4, fc=1)
         sim.run(until=200 * MS)
@@ -317,7 +317,7 @@ class TestSiftDeviceFaults:
     """NIC failure and CPU stall applied to a live Sift group end-to-end."""
 
     def test_coordinator_nic_failure_forces_failover(self):
-        from repro.testing import make_group
+        from tests.testing import make_group
 
         sim, fabric, group = make_group(seed=8)
         sim.run(until=300 * MS)
@@ -332,7 +332,7 @@ class TestSiftDeviceFaults:
         assert not first.is_coordinator
 
     def test_cpu_stall_delays_but_does_not_depose(self):
-        from repro.testing import make_group
+        from tests.testing import make_group
 
         sim, fabric, group = make_group(seed=8)
         sim.run(until=300 * MS)

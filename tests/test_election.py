@@ -6,7 +6,7 @@ from repro.core.membership import RESERVED_BYTES
 from repro.net import PartitionController
 from repro.sim import MS, SEC
 from repro.storage.admin import AdminWord
-from repro.testing import make_group
+from tests.testing import make_group
 
 BASE = RESERVED_BYTES
 

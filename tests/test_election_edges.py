@@ -10,7 +10,7 @@ words; its simultaneous-campaign case rides along here for symmetry.
 
 from repro.baselines.raft import RaftCluster, RaftConfig, _AppendEntries, _RequestVote
 from repro.sim import MS, SEC
-from repro.testing import make_group, make_sim
+from tests.testing import make_group, make_sim
 
 
 def make_raft(seed=0, f=1):

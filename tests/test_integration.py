@@ -4,8 +4,8 @@
 from repro.core.replicated_memory import NodeState
 from repro.kv import KvClient
 from repro.sim import MS, SEC
-from repro.testing import make_kv_stack as make_stack
-from repro.testing import run_scenario as run
+from tests.testing import make_kv_stack as make_stack
+from tests.testing import run_scenario as run
 
 
 class TestCombinedFailures:

@@ -15,7 +15,7 @@ from repro.bench.lincheck import (
 from repro.core import SiftGroup
 from repro.kv import KvClient, KvConfig, kv_app_factory
 from repro.kv.client import KvRequestFailed
-from repro.testing import make_sim
+from tests.testing import make_sim
 from repro.net import Fabric
 from repro.sim import MS, SEC, Simulator
 

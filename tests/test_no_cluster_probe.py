@@ -7,8 +7,9 @@ The four cluster classes say what they are through one set of members
 answer the cluster already gives; no site is exempt.
 
 Two sibling guards keep the layer above the clusters single-pathed:
-only :mod:`repro.api` (and the test scaffolding) stands up a
-``Simulator``, so every driver boots through ``Cluster``; and only
+only :mod:`repro.api` stands up a ``Simulator`` under ``src/`` (the
+test scaffolding in ``tests/testing.py`` is outside it), so every
+driver boots through ``Cluster``; and only
 :mod:`repro.bench.lincheck` records an ``Op``, so every checked history
 comes from its ``RecordingClient``.
 """
@@ -25,7 +26,7 @@ CLUSTER_EXPRESSIONS = {
 }
 ALLOWED = set()
 #: The modules that may construct a ``Simulator``.
-SIMULATOR_BUILDERS = {"repro/api.py", "repro/testing.py"}
+SIMULATOR_BUILDERS = {"repro/api.py"}
 
 
 def sources():

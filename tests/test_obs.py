@@ -6,7 +6,7 @@ from repro.obs import observe
 from repro.obs import state as obs_state
 from repro.obs.registry import MetricsRegistry, collecting, current_registry
 from repro.obs.trace import Tracer, current_tracer, tracing
-from repro.testing import make_kv_stack, run_scenario
+from tests.testing import make_kv_stack, run_scenario
 
 
 class TestTracer:

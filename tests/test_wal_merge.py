@@ -11,7 +11,7 @@ from repro.core.membership import RESERVED_BYTES
 from repro.kv.layout import OP_PUT, WalRecord
 from repro.sim import SEC
 from repro.storage.wal import WalEntry
-from repro.testing import make_group, run_scenario
+from tests.testing import make_group, run_scenario
 
 merge_logs = rules.merge_logs
 
