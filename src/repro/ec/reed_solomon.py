@@ -55,13 +55,16 @@ class CauchyRSCode:
 
     # -- encoding ------------------------------------------------------------
 
-    def encode(self, block: bytes) -> List[bytes]:
-        """Split *block* and return all ``k + m`` chunks in shard order."""
-        size = self.chunk_size(len(block))
-        padded = np.frombuffer(
-            block + bytes(size * self.data_shards - len(block)), dtype=np.uint8
-        )
-        data = padded.reshape(self.data_shards, size)
+    def encode(self, run: bytes, blocks: int = 1) -> List[bytes]:
+        """All ``k + m`` shards of *run*, *blocks* equal blocks end to end:
+        shard *i* is each block's *i*-th chunk, in block order (the matmul
+        is column-independent, so this is exactly per-block encoding)."""
+        block_len = len(run) // blocks  # the reshape rejects unequal blocks
+        size = self.chunk_size(block_len)
+        padded = np.zeros((blocks, size * self.data_shards), dtype=np.uint8)
+        padded[:, :block_len] = np.frombuffer(run, dtype=np.uint8).reshape(blocks, block_len)
+        data = padded.reshape(blocks, self.data_shards, size).transpose(1, 0, 2)
+        data = data.reshape(self.data_shards, blocks * size)
         if self.parity_shards:
             parity = gf_matmul(self.matrix[self.data_shards :], data)
             shards = np.concatenate([data, parity], axis=0)

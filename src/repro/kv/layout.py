@@ -140,9 +140,8 @@ class KvLayout:
                 f"value of {len(image.value)}B exceeds {config.value_bytes}B"
             )
         header = _BLOCK_HEADER.pack(image.next_ptr, len(image.key), len(image.value))
-        key = image.key + bytes(config.key_bytes - len(image.key))
-        value = image.value + bytes(config.value_bytes - len(image.value))
-        return header + key + value
+        key = image.key.ljust(config.key_bytes, b"\0")
+        return header + key + image.value.ljust(config.value_bytes, b"\0")
 
     def decode_block(self, raw: bytes) -> Optional[BlockImage]:
         """Parse a data block; None when lengths are implausible."""

@@ -58,7 +58,7 @@ from repro.sim.engine import Event
 
 __all__ = ["KvServer", "KvError", "kv_app_factory"]
 
-_STRUCTURE_READ_CHUNK = 256 * 1024
+_BULK_CHUNK = 256 * 1024  # a structure read; a preload store run
 _WAL_FLOW_SLACK = 64
 
 
@@ -203,7 +203,7 @@ class KvServer:
         out = bytearray()
         offset = 0
         while offset < length:
-            take = min(_STRUCTURE_READ_CHUNK, length - offset)
+            take = min(_BULK_CHUNK, length - offset)
             data = yield from self.repmem.read(addr + offset, take)
             # Parsing/copy cost for bulk structure loads (Fig. 12's "loading
             # the index table and bitmap" phase).
@@ -248,59 +248,53 @@ class KvServer:
         experiment" (§6.2): writes blocks, index and bitmap straight into
         every active node's memory region and the coordinator caches,
         exactly as if the puts had been applied, without burning
-        wall-clock on millions of simulated RPCs.  Must run after
-        :meth:`start` and before any traffic.
+        wall-clock on millions of simulated RPCs.  Adjacent blocks are
+        stored in bounded runs (up to 256 KiB, one region write per node).
+        Must run after :meth:`start` and before any traffic.
         """
-        repmem = self.repmem
-        ec = repmem.config.erasure_coding
+        repmem, layout = self.repmem, self.layout
         regions = [
             (n, repmem.memory_nodes[n].repmem_region)
             for n in sorted(repmem.states)
             if repmem.states[n] != "dead" and n in repmem.qps
         ]
         cache_budget = self.cache.capacity if warm_cache else 0
-        for key, value in items:
-            key = bytes(key)
-            value = bytes(value)
-            self._check_record(key, value)
-            block_number = self._allocate_block()
-            addr = self.layout.block_addr(block_number)
-            bucket = self.layout.bucket_of(key)
-            head = int(self.index[bucket])
-            image = self.layout.encode_block(BlockImage(head, key, value))
-            self.index[bucket] = addr
-            self._raw_store(regions, addr, image, ec)
-            if cache_budget > 0:
-                self.cache.fill(key, value, addr)
-                cache_budget -= 1
+        run, run_addr, run_end = [], 0, 0
+        try:
+            for key, value in items:
+                key, value = bytes(key), bytes(value)
+                self._check_record(key, value)
+                addr = layout.block_addr(self._allocate_block())
+                bucket = layout.bucket_of(key)
+                image = layout.encode_block(BlockImage(int(self.index[bucket]), key, value))
+                self.index[bucket] = addr
+                if addr != run_end or run_end - run_addr >= _BULK_CHUNK:
+                    self._store_run(regions, run_addr, run)
+                    run, run_addr = [], addr
+                run.append(image)
+                run_end = addr + layout.block_bytes
+                if cache_budget > 0:
+                    self.cache.fill(key, value, addr)
+                    cache_budget -= 1
+        finally:  # a refused item still leaves every block before it stored
+            self._store_run(regions, run_addr, run)
         # Flush the index table and bitmap wholesale.
-        self._raw_store_range(
-            regions, self.layout.index_offset, self.index.tobytes(), ec
-        )
-        self._raw_store_range(
-            regions, self.layout.bitmap_offset, bytes(self.bitmap), ec
-        )
+        self._store_run(regions, layout.index_offset, [self.index.tobytes()])
+        self._store_run(regions, layout.bitmap_offset, [bytes(self.bitmap)])
 
-    def _raw_store(self, regions, addr: int, data: bytes, ec: bool) -> None:
-        amap = self.repmem.amap
-        if not ec:
-            offset = amap.raw_extent(addr)
-            for _n, region in regions:
-                region.write(offset, data)
+    def _store_run(self, regions, addr: int, pieces: List[bytes]) -> None:
+        """Store *pieces* end to end, zero-padded to whole blocks, from block-aligned
+        *addr* into every region: one encode (EC) and one write per node."""
+        data = b"".join(pieces)
+        if not data:
             return
-        block = amap.block_index(addr)
-        offset = amap.chunk_extent(block)
-        chunks = self.repmem.rs.encode(data)
+        amap, block_bytes = self.repmem.amap, self.repmem.config.block_bytes
+        data = data.ljust(-(-len(data) // block_bytes) * block_bytes, b"\0")
+        ec = self.repmem.config.erasure_coding
+        offset = amap.chunk_extent(amap.block_index(addr)) if ec else amap.raw_extent(addr)
+        shards = self.repmem.rs.encode(data, len(data) // block_bytes) if ec else None
         for n, region in regions:
-            region.write(offset, chunks[n])
-
-    def _raw_store_range(self, regions, addr: int, data: bytes, ec: bool) -> None:
-        block_bytes = self.repmem.config.block_bytes
-        for begin in range(0, len(data), block_bytes):
-            piece = data[begin : begin + block_bytes]
-            if len(piece) < block_bytes:
-                piece = piece + bytes(block_bytes - len(piece))
-            self._raw_store(regions, addr + begin, piece, ec)
+            region.write(offset, shards[n] if ec else data)
 
     # ------------------------------------------------------------------
     # RPC handlers

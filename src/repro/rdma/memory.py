@@ -47,9 +47,11 @@ class MemoryRegion:
             if page is None:
                 return bytes(length)
             return bytes(page[page_offset : page_offset + length])
-        last = (offset + length - 1) // PAGE_BYTES
+        span = range(page_index, (offset + length - 1) // PAGE_BYTES + 1)
         pages = self._pages
-        joined = b"".join([pages.get(i, _ZERO_PAGE) for i in range(page_index, last + 1)])
+        if pages.keys().isdisjoint(span):  # never written: no join to build
+            return bytes(length)
+        joined = b"".join([pages.get(i, _ZERO_PAGE) for i in span])
         return joined[page_offset : page_offset + length]
 
     def write(self, offset: int, data: bytes) -> None:
@@ -61,19 +63,20 @@ class MemoryRegion:
         if page_offset + length <= PAGE_BYTES:  # single-page fast path
             page = self._pages.get(page_index)
             if page is None:
-                page = bytearray(PAGE_BYTES)
-                self._pages[page_index] = page
+                page = self._pages[page_index] = bytearray(PAGE_BYTES)
             page[page_offset : page_offset + length] = data
             return
-        position = 0
+        pages, view, position = self._pages, memoryview(data), 0
         while position < length:
             page_index, page_offset = divmod(offset + position, PAGE_BYTES)
             take = min(length - position, PAGE_BYTES - page_offset)
-            page = self._pages.get(page_index)
-            if page is None:
-                page = bytearray(PAGE_BYTES)
-                self._pages[page_index] = page
-            page[page_offset : page_offset + take] = data[position : position + take]
+            if take == PAGE_BYTES:  # covered whole: one copy, no zero-fill
+                pages[page_index] = bytearray(view[position : position + PAGE_BYTES])
+            else:
+                page = pages.get(page_index)
+                if page is None:
+                    page = pages[page_index] = bytearray(PAGE_BYTES)
+                page[page_offset : page_offset + take] = view[position : position + take]
             position += take
 
     def fill(self, value: int = 0) -> None:

@@ -31,6 +31,10 @@ ARTIFACT = {
                 "net.rpc_calls_per_op": 1.0,  # a counter, not a package's calls
                 "kv.put_calls_per_op": 1.0,
                 "sim.events_per_op": 41.46,
+                "bench.build_s": 0.0263,
+                "bench.preload_s": 0.0297,
+                "bench.loadgen_build_s": 0.0008,
+                "bench.warmup_s": 0.12,  # not a part of setup_s
             },
         }
     },
@@ -52,6 +56,11 @@ def test_appends_one_line_per_artifact(tmp_path):
     assert (workload["attempted"], workload["failed"]) == (9375, 0)
     assert workload["calls_per_op"] == {"net": 84.48, "sim": 280.5443}
     assert workload["self_share"] == {"sim": 0.3122}
+    assert workload["setup"] == {
+        "bench.build_s": 0.0263,
+        "bench.preload_s": 0.0297,
+        "bench.loadgen_build_s": 0.0008,
+    }
 
 
 def test_refuses_a_file_that_is_not_the_benchmarks(tmp_path):

@@ -210,6 +210,30 @@ class TestCauchyRSCode:
         subset = {i: chunks[i] for i in range(m, k + m)}
         assert code.decode(subset, len(data)) == data
 
+    @given(
+        k=st.integers(1, 5),
+        m=st.integers(0, 4),
+        block_len=st.integers(0, 300),
+        blocks=st.integers(1, 9),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=80)
+    def test_a_run_encodes_to_its_blocks_chunks_concatenated_per_shard(
+        self, k, m, block_len, blocks, seed
+    ):
+        import random
+
+        code = CauchyRSCode(k, m)
+        rng = random.Random(seed)
+        run = [rng.randbytes(block_len) for _ in range(blocks)]
+        per_block = [code.encode(block) for block in run]
+        expected = [b"".join(chunks[shard] for chunks in per_block) for shard in range(k + m)]
+        assert code.encode(b"".join(run), blocks) == expected
+
+    def test_a_run_must_split_into_equal_blocks(self):
+        with pytest.raises(ValueError):
+            CauchyRSCode(2, 1).encode(b"x" * 10, 3)
+
 
 class TestSeededErasureRoundTrips:
     """Property-style round trips under *random* erasure patterns.

@@ -5,7 +5,13 @@ word is non-zero, and ``MemoryRegion.read`` joins whole pages instead of
 copying them one at a time.  Both must return exactly what the plain
 loops they replaced returned; those loops are kept here as the
 references.  The filter is sound only because both log codecs reject a
-zero leading word, which the last property pins.
+zero leading word, which a property pins.
+
+``MemoryRegion.write`` copies a page it covers whole in one step, and a
+read of a never-written range returns zeros without joining zero pages.
+The zero-filling write and the joining read they replaced are kept here
+too: the region must hold the same pages with the same bytes, and no
+read may materialize a page.
 """
 
 import random
@@ -188,3 +194,79 @@ def test_sparse_read_matches_the_page_loop(pages, short, written, ranges, seed):
             got = reader.read(offset, length)
             assert type(got) is bytes
             assert got == expected
+
+
+def reference_write(region, offset, data):
+    """The write that zero-filled every page before assigning into it
+    (an empty write inside one page materializes that page)."""
+    if not data:
+        region._pages.setdefault(offset // PAGE_BYTES, bytearray(PAGE_BYTES))
+    position = 0
+    while position < len(data):
+        page_index, page_offset = divmod(offset + position, PAGE_BYTES)
+        take = min(len(data) - position, PAGE_BYTES - page_offset)
+        page = region._pages.get(page_index)
+        if page is None:
+            page = region._pages[page_index] = bytearray(PAGE_BYTES)
+        page[page_offset : page_offset + take] = data[position : position + take]
+        position += take
+
+
+def reference_join_read(region, offset, length):
+    """The read that joined a zero page for every page never written."""
+    first, page_offset = divmod(offset, PAGE_BYTES)
+    last = (offset + length - 1) // PAGE_BYTES
+    pages = [region._pages.get(i, bytes(PAGE_BYTES)) for i in range(first, last + 1)]
+    return b"".join(pages)[page_offset : page_offset + length]
+
+
+def materialized(region):
+    """``{page: bytes}``, checking every page is a whole-page ``bytearray``."""
+    assert all(type(page) is bytearray and len(page) == PAGE_BYTES for page in region._pages.values())
+    return {index: bytes(page) for index, page in region._pages.items()}
+
+
+def span(at, length, aligned, size):
+    """An ``(offset, length)`` inside *size*; *aligned* snaps it to whole pages."""
+    offset = int(at * size)
+    if aligned:
+        offset -= offset % PAGE_BYTES
+        length = -(-length // PAGE_BYTES) * PAGE_BYTES
+    return offset, min(length, size - offset)
+
+
+@settings(max_examples=150)
+@given(
+    pages=st.integers(1, 12),
+    short=st.integers(0, PAGE_BYTES - 1),
+    writes=st.lists(
+        st.tuples(st.floats(0, 1), st.integers(0, 4 * PAGE_BYTES), st.booleans()), max_size=8
+    ),
+    reads=st.lists(
+        st.tuples(st.floats(0, 1), st.integers(0, 6 * PAGE_BYTES), st.booleans()),
+        min_size=1,
+        max_size=8,
+    ),
+    seed=st.integers(0, 2**32),
+)
+def test_region_matches_the_zero_fill_write_and_the_join_read(pages, short, writes, reads, seed):
+    size = pages * PAGE_BYTES - short
+    rng = random.Random(seed)
+    region = MemoryRegion("r", size)
+    view = region.alias("view")
+    reference = MemoryRegion("reference", size)
+    for at, length, aligned in writes:  # mid-page pieces and whole-page spans
+        offset, length = span(at, length, aligned, size)
+        data = rng.choice((bytes, bytearray))(rng.randbytes(length))
+        rng.choice((region, view)).write(offset, data)
+        reference_write(reference, offset, data)
+    assert materialized(region) == materialized(reference)
+    before = materialized(region)
+    for at, length, aligned in reads:
+        offset, length = span(at, length, aligned, size)
+        expected = reference_join_read(reference, offset, length)
+        for reader in (region, view):
+            got = reader.read(offset, length)
+            assert type(got) is bytes
+            assert got == expected
+    assert materialized(region) == before  # no read materializes a page

@@ -4,9 +4,9 @@
 ``benchmarks/e2e/run.py --seed 1 --out bench_artifacts/e2e`` overwrites
 one snapshot (``e2e.json``); this keeps what a PR needs of each snapshot
 as one line of ``benchmarks/perf/history.jsonl``: the git sha, and per
-workload the six end-to-end metrics, ``attempted`` / ``failed``, and
-every package's ``self_share`` and ``calls_per_op``.  Run from the repo
-root after the benchmark::
+workload the six end-to-end metrics, the three parts of ``setup_s``,
+``attempted`` / ``failed``, and every package's ``self_share`` and
+``calls_per_op``.  Run from the repo root after the benchmark::
 
     python tools/e2e_history.py bench_artifacts/e2e/e2e.json --label "PR 13"
 
@@ -25,6 +25,8 @@ from typing import Dict, List, Optional
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_HISTORY = os.path.join(REPO_ROOT, "benchmarks", "perf", "history.jsonl")
+#: The parts ``setup_s`` sums, filed beside it to show which one moved.
+SETUP_PARTS = ("bench.build_s", "bench.preload_s", "bench.loadgen_build_s")
 
 
 def _by_package(per_layer: Dict[str, float], suffix: str) -> Dict[str, float]:
@@ -46,6 +48,7 @@ def history_line(artifact: dict, label: str = "") -> dict:
             "attempted": result["attempted"],
             "failed": result["failed"],
             "end_to_end": result["end_to_end"],
+            "setup": {name: per_layer[name] for name in SETUP_PARTS if name in per_layer},
             "self_share": _by_package(per_layer, "self_share"),
             "calls_per_op": _by_package(per_layer, "calls_per_op"),
         }
