@@ -30,11 +30,9 @@ __all__ = ["Point", "run_points"]
 def _quiet_collect() -> None:
     """Drain cyclic garbage with instrumentation muted.
 
-    Finalising a dead simulator's process graph executes old engine
-    teardown code, which would charge ``cpu.core_us`` counters and
-    ``proc.crash`` spans into whatever registry/tracer happens to be
-    installed.  Those charges belong to no experiment, so the drain
-    runs with observability off.
+    Finalising a dead simulator's process graph runs its ``finally``
+    blocks; any counters they charge belong to no experiment, so the
+    drain runs with observability off.
     """
     previous_registry = obs_state.REGISTRY
     previous_tracer = obs_state.TRACER
@@ -63,14 +61,11 @@ def _execute_point(point: Point) -> Tuple[Any, Dict[str, Any]]:
     """Run one point under a private registry; return (value, dump).
 
     Automatic GC is paused for the point's duration: collecting a
-    *previous* point's dead process graph mid-run executes old engine
-    teardown code, which charges instrumented costs (``cpu.core_us``,
-    ``proc.crash`` spans) into the *current* point's registry/tracer at
-    GC-timing-dependent moments — making results depend on how many
-    points this process ran before.  Garbage is drained (muted) at both
-    point boundaries instead, so every point's dump is a function of
-    its own arguments only and serial and ``--jobs N`` runs merge to
-    identical bytes.
+    *previous* point's dead process graph mid-run runs its ``finally``
+    blocks, which mutate shared state at GC-timing-dependent moments.
+    Garbage is drained (muted) at both point boundaries instead, so
+    every point's dump is a function of its own arguments only and
+    serial and ``--jobs N`` runs merge to identical bytes.
     """
     _quiet_collect()
     gc_was_enabled = gc.isenabled()

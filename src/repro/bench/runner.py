@@ -140,15 +140,10 @@ def _drive(
     previous = None
     gc_was_enabled = False
     if tracer is not None:
-        # Collector-driven teardown of an *earlier* run's dead process
-        # graph (a previous figure point in this worker) can execute old
-        # engine code mid-window — e.g. a closed generator's cleanup
-        # resumes another dead process, which crashes and records a
-        # ``proc.crash`` instant into the freshly installed tracer.
-        # That injects spans at GC-timing-dependent positions, making
-        # the span stream depend on worker history.  Drain the garbage
-        # now and keep automatic collection off for the window so the
-        # trace depends on the simulated schedule only.
+        # Collecting an earlier point's dead process graph mid-window runs
+        # its ``finally`` blocks, which mutate shared state (lock tables,
+        # counters) at GC-timing-dependent moments.  Drain it now and keep
+        # automatic GC off, so the trace depends on the schedule only.
         gc.collect()
         gc_was_enabled = gc.isenabled()
         gc.disable()

@@ -243,13 +243,13 @@ class KvServer:
     def preload(self, items, warm_cache: bool = True) -> None:
         """Synchronously pre-populate the store (no simulated time).
 
-        Experiment scaffolding for the paper's "each system is
-        pre-populated with all of the keys at the start of each
-        experiment" (§6.2): writes blocks, index and bitmap straight into
-        every active node's memory region and the coordinator caches,
-        exactly as if the puts had been applied, without burning
-        wall-clock on millions of simulated RPCs.  Adjacent blocks are
-        stored in bounded runs (up to 256 KiB, one region write per node).
+        Experiment scaffolding for the paper's "each system is pre-populated
+        with all of the keys at the start of each experiment" (§6.2): writes
+        blocks, index and bitmap straight into every active node's memory
+        region and the coordinator caches, exactly as if the puts had been
+        applied, without burning wall-clock on millions of simulated RPCs.
+        Adjacent blocks are stored in bounded runs (up to 256 KiB, one region
+        write per node), each built in one reused buffer.
         Must run after :meth:`start` and before any traffic.
         """
         repmem, layout = self.repmem, self.layout
@@ -259,7 +259,7 @@ class KvServer:
             if repmem.states[n] != "dead" and n in repmem.qps
         ]
         cache_budget = self.cache.capacity if warm_cache else 0
-        run, run_addr, run_end = [], 0, 0
+        run, used, run_addr = bytearray(_BULK_CHUNK + layout.block_bytes), 0, 0
         try:
             for key, value in items:
                 key, value = bytes(key), bytes(value)
@@ -268,28 +268,28 @@ class KvServer:
                 bucket = layout.bucket_of(key)
                 image = layout.encode_block(BlockImage(int(self.index[bucket]), key, value))
                 self.index[bucket] = addr
-                if addr != run_end or run_end - run_addr >= _BULK_CHUNK:
-                    self._store_run(regions, run_addr, run)
-                    run, run_addr = [], addr
-                run.append(image)
-                run_end = addr + layout.block_bytes
+                if addr != run_addr + used or used >= _BULK_CHUNK:
+                    self._store_run(regions, run_addr, memoryview(run)[:used])
+                    run_addr, used = addr, 0
+                run[used : used + len(image)] = image
+                used += len(image)
                 if cache_budget > 0:
                     self.cache.fill(key, value, addr)
                     cache_budget -= 1
         finally:  # a refused item still leaves every block before it stored
-            self._store_run(regions, run_addr, run)
+            self._store_run(regions, run_addr, memoryview(run)[:used])
         # Flush the index table and bitmap wholesale.
-        self._store_run(regions, layout.index_offset, [self.index.tobytes()])
-        self._store_run(regions, layout.bitmap_offset, [bytes(self.bitmap)])
+        self._store_run(regions, layout.index_offset, self.index.tobytes())
+        self._store_run(regions, layout.bitmap_offset, bytes(self.bitmap))
 
-    def _store_run(self, regions, addr: int, pieces: List[bytes]) -> None:
-        """Store *pieces* end to end, zero-padded to whole blocks, from block-aligned
+    def _store_run(self, regions, addr: int, data) -> None:
+        """Store the bytes-like *data*, zero-padded to whole blocks, from block-aligned
         *addr* into every region: one encode (EC) and one write per node."""
-        data = b"".join(pieces)
         if not data:
             return
         amap, block_bytes = self.repmem.amap, self.repmem.config.block_bytes
-        data = data.ljust(-(-len(data) // block_bytes) * block_bytes, b"\0")
+        if len(data) % block_bytes:
+            data = bytes(data).ljust(-(-len(data) // block_bytes) * block_bytes, b"\0")
         ec = self.repmem.config.erasure_coding
         offset = amap.chunk_extent(amap.block_index(addr)) if ec else amap.raw_extent(addr)
         shards = self.repmem.rs.encode(data, len(data) // block_bytes) if ec else None

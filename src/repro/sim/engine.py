@@ -28,12 +28,19 @@ is pinned by ``tests/test_sim_fastpath.py``):
 * ``AnyOf``/``AllOf``/``QuorumEvent`` drop their child-event references
   once settled, so a long-lived combinator does not pin every child
   (and its buffers) for the rest of the run.
+
+One rule for dead simulations: no process is resumed inside a
+generator's close (while ``GeneratorExit`` is handled).  Only the
+collector closes a suspended process generator, and a waiter stepped
+from its ``finally`` allocates into the dead graph, which then counts
+as resurrected and survives the collection.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
+from sys import exc_info
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.obs import state as obs_state
@@ -383,6 +390,8 @@ class Process(Event):
             return
         if event is not self._waiting_on:
             return  # stale callback from an event we no longer wait on
+        if exc_info()[0] is GeneratorExit:
+            return  # a collected generator's cleanup: see the module docstring
         if obs_state.TRACER is not None:
             if event.ok:
                 self._step_ctx(event._value, None)

@@ -4,10 +4,15 @@ import pytest
 
 from repro.api import SYSTEMS, Cluster, ScenarioFailed, system_spec
 from repro.bench.calibration import SMOKE_SCALE
+from repro.bench.metrics import Metrics
+from repro.bench.runner import boot
 from repro.errors import ReproError
 from repro.kv.client import KvClient, KvRequestFailed
 from repro.shard.router import ShardRouter
 from repro.sim import MS, SEC
+from repro.workloads.clients import ClientPool
+from repro.workloads.generator import WORKLOADS
+from tests.testing import collect_once
 
 
 def roundtrip(cluster):
@@ -205,6 +210,27 @@ class TestRun:
         target = cluster.sim.now + 1 * SEC
         cluster.run(until=target)
         assert cluster.sim.now == target
+
+
+class TestCollectedCluster:
+    @pytest.mark.parametrize("mix", ["write-only", "read-heavy"])
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_one_collection_frees_a_finished_cluster(self, system, mix):
+        def build():
+            spec = system_spec(system, scale=SMOKE_SCALE, cores=12)
+            cluster, sampler = boot(spec, SMOKE_SCALE, seed=1)
+            metrics = Metrics(seed=1)
+            pool = ClientPool(
+                cluster.fabric, cluster.inner, 12, WORKLOADS[mix], sampler, metrics,
+                value_bytes=SMOKE_SCALE.value_bytes, client_factory=spec.client_factory,
+            )
+            pool.start()
+            metrics.begin(cluster.sim.now)
+            cluster.run(until=cluster.sim.now + 3 * MS)
+            pool.stop()
+            return metrics.completed
+
+        assert collect_once(build) > 0
 
 
 class TestLegacyKeywordsGone:

@@ -12,7 +12,9 @@ from repro.sim import (
     any_of,
     quorum,
 )
+from repro.core.locks import BlockLockTable, LockMode
 from repro.sim.engine import QuorumError
+from tests.testing import collect_once
 
 
 @pytest.fixture
@@ -252,6 +254,58 @@ class TestProcesses:
 
         with pytest.raises(SimulationError):
             sim.run_process(proc())
+
+
+class TestCollectedSimulation:
+    """A dead simulation is freed by one collection: the ``finally``
+    blocks the collector runs never resume another process."""
+
+    def test_lock_released_by_a_collected_holder_wakes_no_waiter(self):
+        stepped = []
+
+        def build():
+            sim = Simulator()
+            locks = BlockLockTable(sim)
+
+            def holder():
+                token = yield from locks.acquire([7], LockMode.WRITE)
+                try:
+                    yield sim.event()  # never settles
+                finally:
+                    locks.release(token)
+
+            def waiter():
+                yield from locks.acquire([7], LockMode.WRITE)
+                stepped.append(True)
+                yield sim.timeout(1.0)  # protocol code: allocates into the graph
+
+            sim.spawn(holder())
+            sim.spawn(waiter())
+            sim.run()
+            assert stepped == [] and locks.held(7)
+            return sim._unhandled
+
+        assert collect_once(build) == []
+        assert stepped == []
+
+    def test_inner_finally_settling_the_outer_wait_resumes_nothing(self):
+        def build():
+            sim = Simulator()
+
+            def inner(done):
+                try:
+                    yield done
+                finally:
+                    done.try_trigger(None)
+
+            def outer():
+                yield from inner(sim.event())
+
+            sim.spawn(outer())
+            sim.run()
+            return sim._unhandled
+
+        assert collect_once(build) == []
 
 
 class TestCombinators:

@@ -7,7 +7,8 @@ ad-hoc RNGs, so two runs with the same seed are bit-identical.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import gc
+from typing import Callable, Optional, Tuple, TypeVar
 
 from repro.net.fabric import Fabric
 from repro.sim.engine import Simulator
@@ -20,7 +21,10 @@ __all__ = [
     "make_group",
     "make_kv_stack",
     "run_scenario",
+    "collect_once",
 ]
+
+T = TypeVar("T")
 
 
 def register_hypothesis_profile() -> None:
@@ -96,3 +100,28 @@ def run_scenario(sim: Simulator, gen, until: float = 120 * SEC, message: Optiona
     if process.failed:
         raise process.exception
     return process.value
+
+
+def _live_simulators() -> int:
+    # Counted, not weakref'd: CPython clears weakrefs before it runs the
+    # finalizers that would resurrect a graph.
+    return sum(isinstance(obj, Simulator) for obj in gc.get_objects())
+
+
+def collect_once(build: Callable[[], T]) -> T:
+    """Run *build* (which drops every simulator it makes) with automatic GC
+    off, collect exactly once, and assert no new :class:`Simulator` is left;
+    returns what *build* returned."""
+    gc.collect()
+    gc.collect()  # whatever earlier tests left, resurrected graphs included
+    before = _live_simulators()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = build()
+        gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert _live_simulators() == before, "one collection left a dead simulator"
+    return result
