@@ -288,6 +288,28 @@ class TestCollectedSimulation:
         assert collect_once(build) == []
         assert stepped == []
 
+    def test_lock_released_by_a_killed_holder_still_wakes_the_waiter(self, sim):
+        """The rule is about the collector only: a live ``kill`` throws
+        ``ProcessKilled``, and the waiter it unblocks runs on."""
+        locks, stepped = BlockLockTable(sim), []
+
+        def holder():
+            token = yield from locks.acquire([7], LockMode.WRITE)
+            try:
+                yield sim.event()
+            finally:
+                locks.release(token)
+
+        def waiter():
+            yield from locks.acquire([7], LockMode.WRITE)
+            stepped.append(sim.now)
+
+        held = sim.spawn(holder())
+        sim.spawn(waiter())
+        sim.schedule(5.0, held.kill)
+        sim.run()
+        assert stepped == [5.0]
+
     def test_inner_finally_settling_the_outer_wait_resumes_nothing(self):
         def build():
             sim = Simulator()
