@@ -10,6 +10,7 @@ snapshot-based memory-node recovery alternative).
 Run:  python examples/persistent_store.py
 """
 
+import shutil
 import tempfile
 
 from repro.core import SiftGroup
@@ -22,7 +23,13 @@ from repro.sim import SEC, Simulator
 def main() -> None:
     workdir = tempfile.mkdtemp(prefix="sift-persist-")
     print(f"persistent store directory: {workdir}")
+    try:
+        run(workdir)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
 
+
+def run(workdir: str) -> None:
     sim = Simulator()
     fabric = Fabric(sim)
     kv_config = KvConfig(max_keys=2_048, wal_entries=512)

@@ -192,8 +192,7 @@ def _memnode_failure_run(
     """One Figure-11-style timeline: kill memory node 2, restart it,
     watch the copy-back finish.
 
-    Shared by the fig11 point (``f=1``, single-stream recovery — the
-    schedule must stay byte-identical to the pre-partitioning runs) and
+    Shared by the fig11 point (``f=1``, recovery through the coordinator) and
     the fig11sweep points (``f=2`` so four source links exist, sweeping
     ``recovery_partitions``).  The schedule arguments are the fields of
     :func:`fig11_params`; tests pass a tiny one.

@@ -125,25 +125,16 @@ class SiftConfig:
     recovery_partitions: int = 1
     """Partition count for RAMCloud-style parallel memory-node recovery.
 
-    ``1`` (the default) preserves the paper's single coordinator-driven
-    copy stream — the §3.4.2 path, byte-for-byte.  Values above one
+    ``1`` (the default) copies through the coordinator, which reads
+    each fragment and writes it to the node (§3.4.2).  Values above one
     split the node image into that many contiguous ranges (see
     :mod:`repro.core.partition`) and stream each range from a live
     source node *directly* to the rejoining node, so the aggregate copy
     bandwidth scales with the number of source links instead of being
     bottlenecked on the coordinator's NIC.  Erasure-coded groups always
-    use the coordinator-driven stream regardless of this knob, because
+    copy through the coordinator regardless of this knob, because
     only the coordinator can decode and re-encode the target's chunks.
     """
-
-    recovery_order: str = "sequential"
-    """Memory-node recovery copy order: ``sequential`` (the paper's
-    implementation) or ``popularity`` — the §6.5 proposal: "a more
-    efficient recovery approach could identify the most popular memory
-    blocks and copy them in order of increasing popularity to reduce the
-    effective performance impact".  Popularity is tracked from the
-    coordinator's remote-read counters, and the hottest chunks are copied
-    *last* so the workload keeps its fast path for most of the copy."""
 
     max_apply_inflight: int = 16
     """Outstanding background apply verbs per memory node."""
@@ -235,12 +226,10 @@ class SiftConfig:
                 "heartbeat writes too slow for the election timeout: a live "
                 "coordinator would be deposed"
             )
-        if self.recovery_partitions < 1:
+        for knob in ("recovery_partitions", "recovery_parallelism", "recovery_chunk_bytes"):
+            if getattr(self, knob) < 1:
+                raise ValueError(f"{knob} must be >= 1, got {getattr(self, knob)}")
+        if self.memnode_poll_interval_us <= 0:
             raise ValueError(
-                f"recovery_partitions must be >= 1, got {self.recovery_partitions}"
-            )
-        if self.recovery_order not in ("sequential", "popularity"):
-            raise ValueError(
-                f"unknown recovery_order: {self.recovery_order!r} "
-                "(expected 'sequential' or 'popularity')"
+                f"memnode_poll_interval_us must be > 0, got {self.memnode_poll_interval_us}"
             )

@@ -58,9 +58,8 @@ def plan_fragments(
 ) -> List[Tuple[int, int]]:
     """The ``(addr, length)`` copy units covering ``[0, data_bytes)``.
 
-    Identical to the pre-partitioning copy plan: walk the address space
-    in ``chunk_bytes`` steps, clamping the fragment that would straddle
-    the direct/encoded boundary.
+    Walks the address space in ``chunk_bytes`` steps, clamping the
+    fragment that would straddle the direct/encoded boundary.
     """
     if chunk_bytes <= 0:
         raise ValueError(f"chunk_bytes must be positive, got {chunk_bytes}")

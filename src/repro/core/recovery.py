@@ -41,7 +41,8 @@ hundred microseconds; we document rather than defend against it.)
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -380,57 +381,72 @@ class MemoryNodeRecoveryManager:
     def _copy_all(self, n: int, qp: QueuePair):
         """Incrementally copy the whole logical space to node *n*.
 
-        Dispatches on ``recovery_partitions``: ``1`` — or any
-        erasure-coded group, since only the coordinator can decode and
-        re-encode the target's chunks — runs the paper's single
-        coordinator-driven stream (§3.4.2).  Above one, the image is
-        split by :func:`repro.core.partition.plan_partitions` and each
-        partition streams source→target in parallel, RAMCloud-style.
+        With ``recovery_partitions=1`` — and in any erasure-coded group,
+        since only the coordinator can decode and re-encode the target's
+        chunks — one crew runs inline and moves each fragment through the
+        coordinator (§3.4.2).  Above one, the image is split by
+        :func:`repro.core.partition.plan_partitions` and each partition's
+        crew has a source node push its fragments, RAMCloud-style.
         Either way the copy ends with a pure-local verify step proving
         the copied fragments tile the address space exactly, *before*
         the caller stamps the status word.
         """
         repmem = self.repmem
-        partitions = max(1, repmem.config.recovery_partitions)
+        config = repmem.config
         started_us = repmem.sim.now
-        if partitions > 1 and repmem.rs is None:
-            progresses = yield from self._copy_partitioned(n, partitions)
+        failures: List[BaseException] = []
+        if config.recovery_partitions > 1 and repmem.rs is None:
+            progresses = yield from self._copy_partitioned(n, failures)
         else:
-            progresses = yield from self._copy_single(n, qp)
+            fragments = plan_fragments(
+                config.data_bytes, config.recovery_chunk_bytes, config.direct_bytes
+            )
+            progresses = [PartitionProgress(0, None, 0, config.data_bytes, started_us)]
+            yield from self._crew(
+                n, progresses[0], fragments, partial(self._copy_range, n, qp),
+                f"copy-{n}", failures,
+            )
+        if failures:
+            raise failures[0]
         if not repmem.running or repmem.deposed:
             return
         self._verify_copy(n, progresses)
         self._record_copy(n, progresses, started_us)
 
-    def _copy_single(self, n: int, qp: QueuePair):
-        """Process: the single coordinator-driven copy stream (§3.4.2).
+    def _crew(
+        self,
+        n: int,
+        progress: "PartitionProgress",
+        fragments: Sequence[Tuple[int, int]],
+        move: Callable,
+        name: str,
+        failures: List[BaseException],
+    ):
+        """Process: copy *fragments* to node *n* with ``recovery_parallelism``
+        readers, in address order.
 
-        ``recovery_parallelism`` chunk copies run concurrently — the
-        paper's aggressive strategy, whose bandwidth use is what dents
-        workload throughput in Figure 11.  This path is schedule-identical
-        to the pre-partitioning implementation: every verb, lock
-        acquisition, and yield happens in the same order, so
-        ``recovery_partitions=1`` reproduces the Figure 11 numbers
-        byte-for-byte.  The progress bookkeeping added for the verify
-        step is pure local state.
+        Each reader holds a fragment's block read locks while ``move(addr,
+        length)`` runs, so no background apply can touch a range while it
+        is copied; a reader that fails records the error in *failures* and
+        stops.  The concurrent readers are the paper's aggressive copy,
+        whose bandwidth use is what dents workload throughput in Figure 11.
         """
         repmem = self.repmem
-        plan = self._copy_plan()
-        plan.reverse()  # consumed via pop() from the front of the order
-        progress = PartitionProgress(
-            0, None, 0, repmem.config.data_bytes, repmem.sim.now
-        )
-        span = self._partition_span(n, progress)
-        workers = max(1, repmem.config.recovery_parallelism)
-        failures: List[BaseException] = []
+        pending = list(reversed(fragments))  # popped from the front of the order
+        span = None
+        if obs_state.TRACER is not None:
+            span = obs_state.TRACER.span(
+                "recovery.partition", repmem.sim.now, node=n, partition=progress.index,
+                source=progress.source, start=progress.start, end=progress.end,
+            )
 
-        def worker():
-            while plan and repmem.running and not repmem.deposed:
-                addr, length = plan.pop()
+        def reader():
+            while pending and repmem.running and not repmem.deposed:
+                addr, length = pending.pop()
                 blocks = repmem.amap.blocks_of(addr, length)
                 token = yield from repmem.locks.acquire(blocks, LockMode.READ)
                 try:
-                    yield from self._copy_range(n, qp, addr, length)
+                    yield from move(addr, length)
                     self._note_fragment(n, progress, addr, length)
                 except BaseException as exc:
                     failures.append(exc)
@@ -438,37 +454,38 @@ class MemoryNodeRecoveryManager:
                 finally:
                     repmem.locks.release(token)
 
-        procs = [repmem.host.fork(worker(), name=f"copy-{n}") for _ in range(workers)]
-        for proc in procs:
+        readers = [
+            repmem.host.fork(reader(), name=name)
+            for _ in range(repmem.config.recovery_parallelism)
+        ]
+        for proc in readers:
             try:
                 yield proc
             except Exception as exc:
                 failures.append(exc)
-        if failures:
-            raise failures[0]
         progress.finished_us = repmem.sim.now
-        self._close_span(span, progress)
-        return [progress]
+        if span is not None:
+            span.annotate(fragments=len(progress.done), bytes=progress.bytes_done)
+            span.finish(repmem.sim.now)
 
-    def _copy_partitioned(self, n: int, num_partitions: int):
-        """Process: RAMCloud-style partitioned copy (P > 1, replication).
+    def _copy_partitioned(self, n: int, failures: List[BaseException]):
+        """Process: open a push channel per source, then run one crew per
+        partition (P > 1, replication); returns the partitions' progress.
 
-        The node image is split into contiguous partitions, each streamed
-        by its own crew of ``recovery_parallelism`` readers, and the
-        fragment payloads flow **source → target** over per-source push
-        channels instead of through the coordinator's NIC — aggregate
-        copy bandwidth scales with the number of source links.  The
-        coordinator keeps the lock discipline: a fragment is pushed only
-        while the coordinator holds its blocks' read locks, and the push
-        command travels the same RC-ordered channel as the background
-        applies, so the source's bytes are current when the push begins.
+        Fragment payloads flow **source → target** instead of through the
+        coordinator's NIC, so aggregate copy bandwidth scales with the
+        number of source links.  The coordinator keeps the lock
+        discipline: a fragment is pushed only while its crew holds the
+        blocks' read locks, and the push command travels the same
+        RC-ordered channel as the background applies, so the source's
+        bytes are current when the push begins.
         """
         repmem = self.repmem
         config = repmem.config
         plan = plan_partitions(
             config.data_bytes,
             config.recovery_chunk_bytes,
-            num_partitions,
+            config.recovery_partitions,
             direct_bytes=config.direct_bytes,
             block_bytes=config.block_bytes,
         )
@@ -481,79 +498,49 @@ class MemoryNodeRecoveryManager:
             raise GroupUnavailable("partitioned recovery needs a live source node")
         assignment = {part.index: sources[part.index % len(sources)] for part in plan}
 
-        readers = max(1, config.recovery_parallelism)
         nic = repmem.memory_nodes[sources[0]].nic
         serialise_us = (
             config.recovery_chunk_bytes / nic.bytes_per_us + nic.verb_overhead_us
         )
         # Worst case every in-flight fragment queues behind one source
         # NIC; double that for propagation/ack slack.
-        budget_us = PUSH_TIMEOUT_FLOOR_US + 2.0 * len(plan) * readers * serialise_us
-
-        pushers: Dict[int, _FragmentPusher] = {}
+        budget_us = (
+            PUSH_TIMEOUT_FLOOR_US
+            + 2.0 * len(plan) * config.recovery_parallelism * serialise_us
+        )
+        pushers = {
+            m: _FragmentPusher(repmem, m, n, budget_us)
+            for m in sorted(set(assignment.values()))
+        }
         progresses: List[PartitionProgress] = []
-        failures: List[BaseException] = []
-
-        def reader(fragments, pusher, progress):
-            while fragments and repmem.running and not repmem.deposed:
-                addr, length = fragments.pop()
-                blocks = repmem.amap.blocks_of(addr, length)
-                token = yield from repmem.locks.acquire(blocks, LockMode.READ)
-                try:
-                    yield from pusher.push(addr, length)
-                    self._note_fragment(n, progress, addr, length)
-                except BaseException as exc:
-                    failures.append(exc)
-                    self._note_untrusted_source(pusher, exc)
-                    return
-                finally:
-                    repmem.locks.release(token)
-
-        def crew(part):
-            progress = PartitionProgress(
-                part.index, assignment[part.index], part.start, part.end,
-                repmem.sim.now,
-            )
-            progresses.append(progress)
-            span = self._partition_span(n, progress)
-            fragments = self._order_fragments(list(part.fragments))
-            fragments.reverse()  # consumed via pop() from the front
-            pusher = pushers[assignment[part.index]]
-            procs = [
-                repmem.host.fork(
-                    reader(fragments, pusher, progress),
-                    name=f"copy-{n}-p{part.index}",
-                )
-                for _ in range(readers)
-            ]
-            for proc in procs:
-                try:
-                    yield proc
-                except Exception as exc:
-                    failures.append(exc)
-            progress.finished_us = repmem.sim.now
-            self._close_span(span, progress)
-
         try:
-            opens = []
-            for m in sorted(set(assignment.values())):
-                pusher = _FragmentPusher(repmem, m, n, budget_us)
-                pushers[m] = pusher
-                opens.append(
-                    (pusher, repmem.host.fork(pusher.open(), name=f"push-open-{m}-{n}"))
-                )
+            opens = [
+                (pusher, repmem.host.fork(pusher.open(), name=f"push-open-{m}-{n}"))
+                for m, pusher in pushers.items()
+            ]
             for pusher, proc in opens:
                 try:
                     yield proc
                 except Exception as exc:
                     failures.append(exc)
-                    self._note_untrusted_source(pusher, exc)
+                    # The source refused because it restarted unnoticed:
+                    # mark it dead so the poller recovers it first.
+                    if isinstance(exc, UntrustedSourceError):
+                        repmem.mark_node_dead(pusher.source.node_index)
             if failures:
                 raise failures[0]
-            crews = [
-                repmem.host.fork(crew(part), name=f"copy-crew-{n}-p{part.index}")
-                for part in plan
-            ]
+            crews = []
+            for part in plan:
+                source = assignment[part.index]
+                progress = PartitionProgress(
+                    part.index, source, part.start, part.end, repmem.sim.now
+                )
+                progresses.append(progress)
+                crew = self._crew(
+                    n, progress, part.fragments, pushers[source].push,
+                    f"copy-{n}-p{part.index}", failures,
+                )
+                crews.append(repmem.host.fork(crew, name=f"copy-crew-{n}-p{part.index}"))
             for proc in crews:
                 try:
                     yield proc
@@ -562,22 +549,7 @@ class MemoryNodeRecoveryManager:
         finally:
             for pusher in pushers.values():
                 pusher.close()
-        if failures:
-            raise failures[0]
         return progresses
-
-    def _note_untrusted_source(
-        self, pusher: "_FragmentPusher", exc: BaseException
-    ) -> None:
-        """A source refused to serve because it is itself unrecovered.
-
-        That refusal is the first (and possibly only) signal that the
-        node restarted — no apply has failed toward it yet — so mark it
-        dead here: the poller then recovers the source first, and the
-        retried copy of the original node finds trustworthy sources.
-        """
-        if isinstance(exc, UntrustedSourceError):
-            self.repmem.mark_node_dead(pusher.source.node_index)
 
     # -- verify / bookkeeping ----------------------------------------------------
 
@@ -669,49 +641,6 @@ class MemoryNodeRecoveryManager:
                         "recovery.partition_bytes_per_us", node=n, partition=p.index
                     ).set(p.bytes_done / p.duration_us)
 
-    def _partition_span(self, n: int, progress: "PartitionProgress"):
-        if obs_state.TRACER is None:
-            return None
-        return obs_state.TRACER.span(
-            "recovery.partition",
-            self.repmem.sim.now,
-            node=n,
-            partition=progress.index,
-            source=progress.source,
-            start=progress.start,
-            end=progress.end,
-        )
-
-    def _close_span(self, span, progress: "PartitionProgress") -> None:
-        if span is None:
-            return
-        span.annotate(fragments=len(progress.done), bytes=progress.bytes_done)
-        span.finish(self.repmem.sim.now)
-
-    def _copy_plan(self):
-        """The chunk ranges to copy, in the configured order.
-
-        ``sequential`` walks the address space (the paper's aggressive
-        default).  ``popularity`` implements the §6.5 proposal: copy in
-        order of *increasing* read popularity, so the hottest ranges
-        stay writable (and their write locks uncontended) for most of
-        the recovery window.
-        """
-        config = self.repmem.config
-        ranges = plan_fragments(
-            config.data_bytes, config.recovery_chunk_bytes, config.direct_bytes
-        )
-        return self._order_fragments(ranges)
-
-    def _order_fragments(self, ranges: List[Tuple[int, int]]):
-        """Apply the configured copy order to address-sorted *ranges*."""
-        config = self.repmem.config
-        if config.recovery_order == "popularity":
-            step = config.recovery_chunk_bytes
-            popularity = self.repmem.read_popularity
-            ranges.sort(key=lambda r: popularity.get(r[0] // step, 0))
-        return ranges
-
     def _copy_range(self, n: int, qp: QueuePair, addr: int, length: int):
         repmem = self.repmem
         if not repmem.amap.is_encoded(addr, length):
@@ -731,9 +660,9 @@ class MemoryNodeRecoveryManager:
 class PartitionProgress:
     """Pure-local copy bookkeeping for one partition (no sim effects).
 
-    The single-stream path uses one instance with ``source=None``
-    (fragments flow coordinator→target); the partitioned path uses one
-    per partition with ``source`` naming the pushing memory node.
+    A coordinator-driven copy has one, with ``source=None`` (fragments
+    flow coordinator→target); a partitioned copy has one per partition,
+    with ``source`` naming the pushing memory node.
     """
 
     __slots__ = (
@@ -809,31 +738,18 @@ class _FragmentPusher:
 
     def open(self):
         """Process: command the source to connect its push channel."""
-        ready = Event(self.repmem.sim)
         source, target = self.source, self.target
 
-        def start_connect() -> None:
+        def connect():
             qp = QueuePair(
                 source.nic,
                 target.listener,
                 name=f"push-{source.node_index}-{target.node_index}",
             )
+            yield from qp.connect([RECOVERY_REGION])
+            self.qp = qp
 
-            def run():
-                try:
-                    self._attest_initialised()
-                    yield from qp.connect([RECOVERY_REGION])
-                except ProcessKilled:
-                    raise
-                except BaseException as exc:
-                    self._answer(ready, error=exc)
-                    return
-                self.qp = qp
-                self._answer(ready)
-
-            source.host.spawn(run(), name=f"push-connect-{target.node_index}")
-
-        yield self._guarded(ready, self._command(start_connect, "recovery_open"), "open")
+        yield self._request("open", connect, f"push-connect-{target.node_index}")
 
     def push(self, addr: int, length: int):
         """Process: stream one read-locked fragment source→target.
@@ -842,37 +758,28 @@ class _FragmentPusher:
         RC write ack has been relayed back to the coordinator).
         """
         repmem = self.repmem
-        done = Event(repmem.sim)
         offset = repmem.amap.raw_extent(addr)
         source = self.source
 
-        def start_push() -> None:
-            def run():
-                qp = self.qp
-                try:
-                    self._attest_initialised()
-                    if qp is None or qp.state is not QpState.CONNECTED:
-                        raise RdmaError(
-                            f"push channel to {self.target.name} not connected"
-                        )
-                    data = source.repmem_region.read(offset, length)
-                    yield source.host.execute(repmem.costs.rdma_post_us)
-                    yield qp.write(
-                        RECOVERY_REGION, offset, data, timeout_us=self.budget_us
-                    )
-                except ProcessKilled:
-                    raise
-                except BaseException as exc:
-                    self._answer(done, error=exc)
-                    return
-                self._answer(done, value=length)
+        def write():
+            qp = self.qp
+            if qp is None or qp.state is not QpState.CONNECTED:
+                raise RdmaError(f"push channel to {self.target.name} not connected")
+            data = source.repmem_region.read(offset, length)
+            yield source.host.execute(repmem.costs.rdma_post_us)
+            yield qp.write(RECOVERY_REGION, offset, data, timeout_us=self.budget_us)
 
-            source.host.spawn(
-                run(), name=f"push-{source.node_index}-{self.target.node_index}"
+        try:
+            yield self._request(
+                "push", write, f"push-{source.node_index}-{self.target.node_index}"
             )
-
-        yield self._guarded(done, self._command(start_push, "recovery_push"), "push")
-        return length
+        except UntrustedSourceError:
+            # The refusal is the first (and possibly only) signal that the
+            # source restarted — no apply has failed toward it yet — so mark
+            # it dead: the poller recovers it first, and the retried copy of
+            # this node finds trustworthy sources.
+            repmem.mark_node_dead(source.node_index)
+            raise
 
     def close(self) -> None:
         """Drop the push channel (bookkeeping only, as with QP close)."""
@@ -890,7 +797,7 @@ class _FragmentPusher:
         UNINITIALISED — were it to serve pushes it would feed zeroed
         pages to the rejoining node (the verify step only proves the
         fragments *tile*, not that their bytes were trustworthy).  The
-        single-stream path is immune because it rides QPs established
+        coordinator-driven copy is immune because it rides QPs established
         with the old incarnation, which a restart revokes; commands are
         issued fresh, so the source must attest its own status instead.
         """
@@ -901,40 +808,55 @@ class _FragmentPusher:
                 "serve recovery fragments"
             )
 
-    def _command(self, on_arrival: Callable[[], None], verb: str) -> Event:
-        """One small descriptor verb to the source, RC-ordered after
-        every apply the coordinator has already posted toward it."""
+    def _request(self, what: str, body: Callable, name: str) -> Event:
+        """Run ``body()`` as process *name* on the source once a command
+        verb reaches it; returns the event that settles with its outcome.
+
+        The command is one small descriptor verb, RC-ordered after every
+        apply the coordinator has already posted toward the source.  The
+        source attests its status before running *body*, and relays the
+        result back.  The wait fails fast when the command verb errors,
+        and gives up after the deterministic push budget.
+        """
+        repmem = self.repmem
+        sim = repmem.sim
         source = self.source
         incarnation = self._incarnation
+        answer = Event(sim)
+
+        def run():
+            try:
+                self._attest_initialised()
+                yield from body()
+            except ProcessKilled:
+                raise
+            except BaseException as exc:
+                self._answer(answer, error=exc)
+                return
+            self._answer(answer)
 
         def apply_remote() -> None:
             if source.host.incarnation != incarnation:
                 raise RdmaError(f"recovery source {source.name} restarted")
-            on_arrival()
+            source.host.spawn(run(), name=name)
 
         # The command's ack serialises through the source's transmit
         # queue, behind any fragment writes already in flight there, so
         # it needs the same queue-aware budget as the pushes themselves —
         # the NIC's default verb timeout is sized for an idle link.
-        return self.repmem.nic.transfer(
+        command = repmem.nic.transfer(
             source.host,
             PUSH_DESCRIPTOR_BYTES,
             ACK_WIRE_BYTES,
             apply_remote,
             timeout_us=self.budget_us,
-            verb=verb,
+            verb=f"recovery_{what}",
         )
-
-    def _guarded(self, answer: Event, command: Event, what: str) -> Event:
-        """Bound the wait for *answer*: fail fast when the command verb
-        errors, and give up after the deterministic push budget."""
-        sim = self.repmem.sim
         guard = sim.schedule(
             self.budget_us,
             lambda: answer.try_fail(
                 RdmaTimeout(
-                    f"recovery {what} via {self.source.name} exceeded "
-                    f"{self.budget_us}us"
+                    f"recovery {what} via {source.name} exceeded {self.budget_us}us"
                 )
             ),
         )
@@ -947,8 +869,8 @@ class _FragmentPusher:
         command.add_callback(forward)
         return answer
 
-    def _answer(self, event: Event, value=None, error=None) -> None:
-        """Relay a pusher-side completion back to the coordinator."""
+    def _answer(self, event: Event, error=None) -> None:
+        """Relay a source-side completion back to the coordinator."""
         repmem = self.repmem
         source = self.source
         if not source.host.alive:
@@ -958,7 +880,7 @@ class _FragmentPusher:
             if error is not None:
                 event.try_fail(error)
             else:
-                event.try_trigger(value)
+                event.try_trigger(None)
 
         repmem.nic.fabric.deliver(
             source.host,

@@ -153,9 +153,6 @@ class ReplicatedMemory:
         self._membership_busy = False
         self._membership_waiters: List[Event] = []
         self._read_rr = 0
-        # Remote-read popularity per recovery chunk, feeding the §6.5
-        # popularity-ordered recovery option (config.recovery_order).
-        self.read_popularity: Dict[int, int] = {}
         self.running = False
         self.deposed = False
         self.on_deposed: Optional[Callable[[], None]] = None
@@ -539,12 +536,7 @@ class ReplicatedMemory:
             data = yield from self._raw_read(addr, length)
         return data
 
-    def _note_read_popularity(self, addr: int) -> None:
-        chunk = addr // self.config.recovery_chunk_bytes
-        self.read_popularity[chunk] = self.read_popularity.get(chunk, 0) + 1
-
     def _raw_read(self, addr: int, length: int):
-        self._note_read_popularity(addr)
         yield self.host.execute(self.costs.rdma_post_us)
         offset = self.amap.raw_extent(addr)
         last_error: Optional[BaseException] = None
@@ -580,7 +572,6 @@ class ReplicatedMemory:
         """
         config = self.config
         offset = self.amap.chunk_extent(block)
-        self._note_read_popularity(block * config.block_bytes)
         for _attempt in range(len(self.memory_nodes)):
             live = [
                 n

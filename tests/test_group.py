@@ -42,6 +42,21 @@ class TestConfigValidation:
                 heartbeat_read_interval_us=7_000.0,
             ).validate()
 
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"recovery_parallelism": 0},
+            {"recovery_chunk_bytes": 0},
+            {"memnode_poll_interval_us": 0.0},
+        ],
+        ids=lambda knob: next(iter(knob)),
+    )
+    def test_recovery_settings_the_copy_cannot_run_with(self, knob):
+        # Zero readers copy nothing, an empty copy unit cannot tile the
+        # image, and a poller that never waits spins at one instant.
+        with pytest.raises(ValueError):
+            SiftConfig(**knob).validate()
+
     def test_election_timeout_derivation(self):
         config = SiftConfig(heartbeat_read_interval_us=7_000.0, missed_heartbeats_allowed=3)
         assert config.election_timeout_us == 21_000.0

@@ -19,6 +19,7 @@ from repro.core.membership import RESERVED_BYTES
 from repro.core.recovery import MemoryNodeRecoveryManager, PartitionProgress
 from repro.kv import KvClient, KvConfig, kv_app_factory
 from repro.net import Fabric
+from repro.obs.trace import tracing
 from repro.rdma.errors import RdmaConnectionRevoked
 from repro.rdma.listener import RdmaListener
 from repro.rdma.memory import MemoryRegion
@@ -214,6 +215,52 @@ class TestFailuresDuringPartitionedRecovery:
         assert states[0] == "live" and states[2] == "live"
         assert data_matches(group, 1, 2)
         assert data_matches(group, 1, 0)
+
+    @pytest.mark.parametrize("partitions", [1, 2])
+    def test_target_crash_mid_copy_releases_locks_and_retries(self, partitions):
+        # The rejoining node dies again while its image is being copied,
+        # on the coordinator-driven path (P=1) and the pushed one (P=2).
+        # The attempt must leave no trace a later write or poll trips on:
+        # the node stays out of quorums, every block read lock is free,
+        # the partition spans are closed, and the next poll recovers it.
+        with tracing() as tracer:
+            sim, _fabric, group = make_group(
+                recovery_partitions=partitions, data_bytes=4 * 1024 * 1024
+            )
+
+            def scenario():
+                coord = yield from group.wait_until_serving(timeout_us=5 * SEC)
+                repmem = coord.repmem
+                yield from write_some(coord)
+                target = group.memory_nodes[2]
+                target.crash()
+                yield sim.timeout(50 * MS)
+                target.restart()
+                while not tracer.named("recovery.partition"):
+                    yield sim.timeout(50)
+                spans = tracer.named("recovery.partition")
+                assert not any(span.finished for span in spans), "copy already done"
+                target.crash()
+                while repmem.states[2] != "dead":
+                    yield sim.timeout(1 * MS)
+                assert 2 not in repmem.membership.members
+                assert target.meta_region.read_word(STATUS_OFFSET) != STATUS_INITIALISED
+                # Needs the write lock on a block the copy read-locked: it
+                # only commits if the aborted readers released theirs.
+                yield from repmem.write(RESERVED_BYTES, b"after-crash")
+                target.restart()
+                deadline = sim.now + 30 * SEC
+                while repmem.states[2] != "live" and sim.now < deadline:
+                    yield sim.timeout(5 * MS)
+                yield sim.timeout(50 * MS)  # let background applies drain
+                return repmem.states[2], coord.recovery_manager.recoveries_completed
+
+            state, recoveries = run(sim, scenario())
+        assert state == "live" and recoveries == 1
+        assert data_matches(group, 0, 2)
+        spans = tracer.named("recovery.partition")
+        assert len(spans) == 2 * partitions
+        assert all(span.finished for span in spans)
 
     def test_restarted_source_refuses_and_is_recovered_first(self):
         # A source that crashes AND restarts while no apply traffic runs
