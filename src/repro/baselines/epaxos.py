@@ -39,7 +39,7 @@ from repro.net.rpc import Reply, RpcEndpoint
 from repro.obs import state as obs_state
 from repro.rdma.messaging import RdmaMessenger
 from repro.rdma.nic import Rnic
-from repro.sim.engine import Event, ProcessKilled
+from repro.sim.engine import Event
 from repro.sim.units import MS
 
 __all__ = ["EPaxosCluster", "EPaxosConfig"]
@@ -268,22 +268,19 @@ class EPaxosReplica:
     # ------------------------------------------------------------------
 
     def _message_pump(self):
-        try:
-            while True:
-                message = yield self.messenger.recv()
-                yield self.host.execute(self.config.costs.msg_recv_us)
-                if isinstance(message, _PreAccept):
-                    yield from self._on_preaccept(message)
-                elif isinstance(message, _PreAcceptReply):
-                    self._on_preaccept_reply(message)
-                elif isinstance(message, _Accept):
-                    self._on_accept(message)
-                elif isinstance(message, _AcceptReply):
-                    self._on_accept_reply(message)
-                elif isinstance(message, _Commit):
-                    yield from self._on_commit(message)
-        except ProcessKilled:
-            raise
+        while True:
+            message = yield self.messenger.recv()
+            yield self.host.execute(self.config.costs.msg_recv_us)
+            if isinstance(message, _PreAccept):
+                yield from self._on_preaccept(message)
+            elif isinstance(message, _PreAcceptReply):
+                self._on_preaccept_reply(message)
+            elif isinstance(message, _Accept):
+                self._on_accept(message)
+            elif isinstance(message, _AcceptReply):
+                self._on_accept_reply(message)
+            elif isinstance(message, _Commit):
+                yield from self._on_commit(message)
 
     def _on_preaccept(self, msg: _PreAccept):
         yield self.host.execute(self.config.costs.preaccept_us * len(msg.commands))

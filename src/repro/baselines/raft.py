@@ -32,7 +32,7 @@ from repro.net.rpc import Reply, RpcEndpoint
 from repro.obs import state as obs_state
 from repro.rdma.messaging import RdmaMessenger
 from repro.rdma.nic import Rnic
-from repro.sim.engine import Event, ProcessKilled
+from repro.sim.engine import Event
 from repro.sim.units import MS
 
 __all__ = ["RaftCluster", "RaftConfig", "RaftNode"]
@@ -271,20 +271,17 @@ class RaftNode:
     # ------------------------------------------------------------------
 
     def _message_pump(self):
-        try:
-            while True:
-                message = yield self.messenger.recv()
-                yield self.host.execute(self.config.costs.msg_recv_us)
-                if isinstance(message, _AppendEntries):
-                    yield from self._on_append(message)
-                elif isinstance(message, _AppendReply):
-                    self._on_append_reply(message)
-                elif isinstance(message, _RequestVote):
-                    self._on_request_vote(message)
-                elif isinstance(message, _VoteReply):
-                    self._on_vote_reply(message)
-        except ProcessKilled:
-            raise
+        while True:
+            message = yield self.messenger.recv()
+            yield self.host.execute(self.config.costs.msg_recv_us)
+            if isinstance(message, _AppendEntries):
+                yield from self._on_append(message)
+            elif isinstance(message, _AppendReply):
+                self._on_append_reply(message)
+            elif isinstance(message, _RequestVote):
+                self._on_request_vote(message)
+            elif isinstance(message, _VoteReply):
+                self._on_vote_reply(message)
 
     def _send(self, to: int, message: Any, size: int) -> None:
         if obs_state.REGISTRY is not None:
@@ -397,20 +394,17 @@ class RaftNode:
     # -- elections ---------------------------------------------------------------
 
     def _election_timer(self):
-        try:
-            while True:
-                timeout = self._rng.uniform(
-                    self.config.election_timeout_min_us,
-                    self.config.election_timeout_max_us,
-                )
-                yield self.sim.timeout(timeout)
-                if self.role == "leader":
-                    continue
-                if self.sim.now - self._last_heartbeat < timeout:
-                    continue
-                self._start_election()
-        except ProcessKilled:
-            raise
+        while True:
+            timeout = self._rng.uniform(
+                self.config.election_timeout_min_us,
+                self.config.election_timeout_max_us,
+            )
+            yield self.sim.timeout(timeout)
+            if self.role == "leader":
+                continue
+            if self.sim.now - self._last_heartbeat < timeout:
+                continue
+            self._start_election()
 
     def _start_election(self) -> None:
         self.term += 1
@@ -505,48 +499,45 @@ class RaftNode:
         """
         my_term = self.term
         last_send = -self.config.heartbeat_us
-        try:
-            while self.role == "leader" and self.term == my_term:
-                next_index = self.next_index.get(peer, self.last_index + 1)
-                entries = tuple(
-                    self.log[next_index - 1 : next_index - 1 + self.config.max_batch]
-                )
-                if not entries:
-                    remaining = self.config.heartbeat_us - (self.sim.now - last_send)
-                    # Floor at 1us: a sub-resolution positive remainder
-                    # (float error) would otherwise re-arm a timer that
-                    # fires at the *same* simulated instant, forever.
-                    if remaining >= 1.0:
-                        # Idle: wake on a new entry or when a heartbeat is due.
-                        kick = Event(self.sim)
-                        self._replicator_kicks[peer] = kick
-                        timer = self.sim.timeout(remaining)
-                        timer.add_callback(lambda _ev, k=kick: k.try_trigger(None))
-                        yield kick
-                        # If an entry arrived first the timer is now dead
-                        # weight; cancelling keeps it out of the heap.
-                        timer.cancel()
-                        continue
-                prev_index = next_index - 1
-                prev_term = self.log[prev_index - 1].term if prev_index > 0 else 0
-                message = _AppendEntries(
-                    self.term, self.index, prev_index, prev_term, entries, self.commit_index
-                )
-                size = CTRL_WIRE_BYTES + ENTRY_WIRE_BYTES * len(entries)
-                self._send(peer, message, size)
-                last_send = self.sim.now
-                if entries:
-                    # Optimistically advance so the next batch pipelines.
-                    self.next_index[peer] = next_index + len(entries)
-                # Wait for the ack (or a retry tick if it was lost).
-                kick = Event(self.sim)
-                self._replicator_kicks[peer] = kick
-                timer = self.sim.timeout(self.config.heartbeat_us)
-                timer.add_callback(lambda _ev, k=kick: k.try_trigger(None))
-                yield kick
-                timer.cancel()
-        except ProcessKilled:
-            raise
+        while self.role == "leader" and self.term == my_term:
+            next_index = self.next_index.get(peer, self.last_index + 1)
+            entries = tuple(
+                self.log[next_index - 1 : next_index - 1 + self.config.max_batch]
+            )
+            if not entries:
+                remaining = self.config.heartbeat_us - (self.sim.now - last_send)
+                # Floor at 1us: a sub-resolution positive remainder
+                # (float error) would otherwise re-arm a timer that
+                # fires at the *same* simulated instant, forever.
+                if remaining >= 1.0:
+                    # Idle: wake on a new entry or when a heartbeat is due.
+                    kick = Event(self.sim)
+                    self._replicator_kicks[peer] = kick
+                    timer = self.sim.timeout(remaining)
+                    timer.add_callback(lambda _ev, k=kick: k.try_trigger(None))
+                    yield kick
+                    # If an entry arrived first the timer is now dead
+                    # weight; cancelling keeps it out of the heap.
+                    timer.cancel()
+                    continue
+            prev_index = next_index - 1
+            prev_term = self.log[prev_index - 1].term if prev_index > 0 else 0
+            message = _AppendEntries(
+                self.term, self.index, prev_index, prev_term, entries, self.commit_index
+            )
+            size = CTRL_WIRE_BYTES + ENTRY_WIRE_BYTES * len(entries)
+            self._send(peer, message, size)
+            last_send = self.sim.now
+            if entries:
+                # Optimistically advance so the next batch pipelines.
+                self.next_index[peer] = next_index + len(entries)
+            # Wait for the ack (or a retry tick if it was lost).
+            kick = Event(self.sim)
+            self._replicator_kicks[peer] = kick
+            timer = self.sim.timeout(self.config.heartbeat_us)
+            timer.add_callback(lambda _ev, k=kick: k.try_trigger(None))
+            yield kick
+            timer.cancel()
 
 
 class NotLeader(Exception):

@@ -120,7 +120,9 @@ class BlockLockTable:
                     raise RuntimeError(f"release of unheld write lock on {block}")
                 state.writer = False
             self._pump(state)
-            if state.idle:
+            # A waiter woken by the pump runs at once and may have released
+            # this block itself, dropping (or even replacing) its state.
+            if state.idle and self._blocks.get(block) is state:
                 del self._blocks[block]
 
     # -- mechanics ---------------------------------------------------------------

@@ -852,15 +852,12 @@ class _FragmentPusher:
             timeout_us=self.budget_us,
             verb=f"recovery_{what}",
         )
-        guard = sim.schedule(
+        sim.within(
+            answer,
             self.budget_us,
-            lambda: answer.try_fail(
-                RdmaTimeout(
-                    f"recovery {what} via {source.name} exceeded {self.budget_us}us"
-                )
-            ),
+            RdmaTimeout,
+            f"recovery {what} via {source.name} exceeded {self.budget_us}us",
         )
-        answer.add_callback(lambda _ev: sim.cancel(guard))
 
         def forward(event: Event) -> None:
             if event.failed:

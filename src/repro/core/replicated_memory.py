@@ -541,6 +541,8 @@ class ReplicatedMemory:
         offset = self.amap.raw_extent(addr)
         last_error: Optional[BaseException] = None
         for n in self._live_nodes_rotated():
+            if n not in self.qps:
+                continue  # a concurrent verb failure dropped it while we waited
             event = self.qps[n].read(REPMEM_REGION, offset, length)
             try:
                 data = yield event

@@ -127,6 +127,16 @@ class ValueCache:
         if entry.tombstone and entry.pending == 0:
             del self._entries[key]
 
+    def aborted(self, key: bytes) -> None:
+        """Unpin an update whose commit failed; once no update of *key* is
+        pending, drop the entry so no get serves the uncommitted value."""
+        entry = self._entries.get(key)
+        if entry is None:
+            return
+        entry.pending = max(0, entry.pending - 1)
+        if entry.pending == 0:
+            del self._entries[key]
+
     # -- eviction ---------------------------------------------------------------
 
     def _evict(self) -> None:

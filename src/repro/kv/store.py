@@ -42,6 +42,7 @@ from repro.core.errors import Deposed, GroupUnavailable
 from repro.core.locks import BlockLockTable, LockMode
 from repro.core.recovery import scan_log
 from repro.core.replicated_memory import NodeState, ReplicatedMemory
+from repro.errors import ReproError
 from repro.kv.cache import ValueCache
 from repro.kv.config import KvConfig
 from repro.kv.layout import (
@@ -62,7 +63,7 @@ _BULK_CHUNK = 256 * 1024  # a structure read; a preload store run
 _WAL_FLOW_SLACK = 64
 
 
-class KvError(Exception):
+class KvError(ReproError):
     """Client-visible KV failure (full store, oversized record, ...)."""
 
 
@@ -340,7 +341,7 @@ class KvServer:
         try:
             yield from self._commit_record(record)
         except Exception:
-            self.cache.applied(record.key, None)
+            self.cache.aborted(record.key)
             if self._ready_reservations.pop(seq, False):
                 self._reserved_blocks -= 1
             raise
@@ -397,7 +398,7 @@ class KvServer:
         try:
             yield from self._commit_record(record)
         except Exception:
-            self.cache.applied(record.key, None)
+            self.cache.aborted(record.key)
             raise
         return seq
 
@@ -580,10 +581,12 @@ class KvServer:
                 # ever happens, dropping the record is the only option
                 # left (the client was already acked).
                 self.stats["apply_drops"] += 1
-            except Exception:
-                if not self.running:
-                    return  # deposed mid-apply; successor replays the WAL
-                raise
+            except ReproError:
+                # A modelled failure (a verb timed out, the quorum is gone):
+                # this coordinator cannot apply, so it steps down and its
+                # successor replays the WAL.
+                self.repmem.on_deposed()
+                return
             finally:
                 if self._ready_reservations.pop(record.seq, False):
                     self._reserved_blocks = max(0, self._reserved_blocks - 1)

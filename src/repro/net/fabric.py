@@ -274,15 +274,22 @@ class Fabric:
         dst: Host,
         request_bytes: int,
         response_bytes: int,
+        timeout_us: float,
         latency: Optional[LatencyModel] = None,
         stream: str = "net",
     ) -> Event:
-        """A fire-and-forget request/response pair with no remote CPU.
+        """A request/response pair with no remote CPU.
 
         Used by substrates whose remote side is passive.  The returned
-        event fails with :class:`Unreachable` if either direction is cut.
+        event fails with :class:`Unreachable` if either direction is cut,
+        or if no answer arrives within *timeout_us* (a dropped message).
         """
-        done = Event(self.sim)
+        done = self.sim.within(
+            Event(self.sim),
+            timeout_us,
+            Unreachable,
+            f"{src.name} <-> {dst.name}: no answer within {timeout_us}us",
+        )
 
         def respond() -> None:
             if not self.deliver(

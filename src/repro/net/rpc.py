@@ -38,12 +38,9 @@ class Reply(NamedTuple):
 
 class _Call:
     """One RPC in flight: what the server sees of it (``method``,
-    ``payload``, :meth:`respond` / :meth:`fail`) and the client's
-    timeout guard (:meth:`timed_out` / :meth:`cancel_guard`)."""
+    ``payload``, :meth:`respond` / :meth:`fail`)."""
 
-    __slots__ = (
-        "client", "server", "method", "payload", "done", "trace", "timeout_us", "_guard",
-    )
+    __slots__ = ("client", "server", "method", "payload", "done", "trace")
 
     def __init__(self, client: "RpcClient", server: Host, method: str, payload: Any):
         self.client = client
@@ -73,19 +70,6 @@ class _Call:
             latency=client.latency,
             stream="rpc",
         )
-
-    def arm(self, timeout_us: float) -> None:
-        self.timeout_us = timeout_us
-        self._guard = self.client.host.sim.schedule(timeout_us, self.timed_out)
-        # Most calls complete well inside the timeout; cancelling the
-        # guard keeps thousands of dead entries out of the heap.
-        self.done.add_callback(self.cancel_guard)
-
-    def timed_out(self) -> None:
-        self.done.try_fail(RpcTimeout(f"{self.method} after {self.timeout_us}us"))
-
-    def cancel_guard(self, _event: Event) -> None:
-        self.client.host.sim.cancel(self._guard)
 
     def finish_span(self, event: Event) -> None:
         self.trace.annotate(ok=event.ok)
@@ -238,5 +222,5 @@ class RpcClient:
         if not sent:
             done.try_fail(Unreachable(f"rpc {self.host.name} -> {server.name}"))
         elif timeout_us is not None:
-            call.arm(timeout_us)
+            self.host.sim.within(done, timeout_us, RpcTimeout, f"{method} after {timeout_us}us")
         return done

@@ -23,7 +23,7 @@ from typing import Deque, List, Optional
 from repro.kv.layout import OP_PUT, WalRecord
 from repro.net.host import Host
 from repro.persist.rocks import RocksLite
-from repro.sim.engine import Event, ProcessKilled
+from repro.sim.engine import Event
 
 __all__ = ["PersistenceSink"]
 
@@ -80,29 +80,26 @@ class PersistenceSink:
             kick.try_trigger(None)
 
     def _writer(self):
-        try:
-            while self.running:
-                if not self._queue:
-                    kick = Event(self.host.sim)
-                    self._kick = kick
-                    yield kick
-                    continue
-                batch = []
-                while self._queue and len(batch) < self.batch_max:
-                    batch.append(self._queue.popleft())
-                for record in batch:
-                    if record.op == OP_PUT:
-                        self.store.put(record.key, record.value)
-                    else:
-                        self.store.delete(record.key)
-                self.store.sync()
-                self.persisted += len(batch)
-                yield self.host.execute(
-                    self.sync_us + self.per_record_us * len(batch)
-                )
-                if self._space:
-                    waiters, self._space = self._space, []
-                    for waiter in waiters:
-                        waiter.try_trigger(None)
-        except ProcessKilled:
-            raise
+        while self.running:
+            if not self._queue:
+                kick = Event(self.host.sim)
+                self._kick = kick
+                yield kick
+                continue
+            batch = []
+            while self._queue and len(batch) < self.batch_max:
+                batch.append(self._queue.popleft())
+            for record in batch:
+                if record.op == OP_PUT:
+                    self.store.put(record.key, record.value)
+                else:
+                    self.store.delete(record.key)
+            self.store.sync()
+            self.persisted += len(batch)
+            yield self.host.execute(
+                self.sync_us + self.per_record_us * len(batch)
+            )
+            if self._space:
+                waiters, self._space = self._space, []
+                for waiter in waiters:
+                    waiter.try_trigger(None)

@@ -36,9 +36,9 @@ class PostedVerb:
     are its methods, scheduled as bound methods: :meth:`serialised` (left
     the requester's transmit queue) -> :meth:`arrive` (applied at the
     target) -> :meth:`ack_serialised` (response left the target's
-    transmit queue) -> :meth:`back` (completion at the requester), with
-    :meth:`timed_out` / :meth:`cancel_guard` as the retry-exhaustion guard
-    and its cancellation.
+    transmit queue) -> :meth:`back` (completion at the requester), under
+    a :meth:`~repro.sim.engine.Simulator.within` deadline of
+    ``timeout_us`` that fails it with :meth:`exhausted`.
 
     ``done`` triggers with the verb result or fails with the
     :class:`~repro.rdma.errors.RdmaError` the remote apply raised or an
@@ -58,7 +58,6 @@ class PostedVerb:
         "timeout_us",
         "done",
         "span",
-        "_guard",
     )
 
     def __init__(
@@ -80,15 +79,11 @@ class PostedVerb:
         self.timeout_us = timeout_us if timeout_us is not None else nic.timeout_us
         self.done = Event(nic.host.sim)
         self.span = None
-        self._guard = None
 
     def arm(self) -> None:
-        """Arm the timeout guard and count the verb as issued."""
+        """Arm the retry-exhaustion deadline and count the verb as issued."""
         nic = self.nic
-        self._guard = nic.host.sim.schedule(self.timeout_us, self.timed_out)
-        # Completed verbs cancel their timeout guard so the heap holds
-        # only live work (one guard per in-flight verb, not per issued).
-        self.done.add_callback(self.cancel_guard)
+        nic.host.sim.within(self.done, self.timeout_us, self.exhausted)
         nic.verbs_issued += 1
         registry = obs_state.REGISTRY
         if registry is not None:
@@ -96,13 +91,8 @@ class PostedVerb:
             registry.counter("rdma.bytes", dir="tx").inc(self.request_bytes)
             registry.counter("rdma.bytes", dir="rx").inc(self.response_bytes)
 
-    def timed_out(self) -> None:
-        self.done.try_fail(
-            RdmaTimeout(f"verb to {self.target.name} exceeded {self.timeout_us}us")
-        )
-
-    def cancel_guard(self, _event: Event) -> None:
-        self.nic.host.sim.cancel(self._guard)
+    def exhausted(self) -> RdmaTimeout:
+        return RdmaTimeout(f"verb to {self.target.name} exceeded {self.timeout_us}us")
 
     def finish_span(self, event: Event) -> None:
         self.span.annotate(ok=event.ok)

@@ -67,19 +67,19 @@ class QueuePair:
     def connect(self, region_names: Iterable[str]):
         """Process: establish the connection (the target CPU's only role).
 
-        Yields inside a host process.  Raises :class:`RdmaError` when the
-        target is unreachable or refuses the grant.
+        Yields inside a host process.  Raises :class:`Unreachable` when the
+        handshake gets no answer within the NIC's verb timeout, and
+        :class:`RdmaError` when the target dies or refuses the grant.
         """
         names = tuple(region_names)
-        fabric = self.nic.fabric
+        nic = self.nic
         target = self.target
 
         # Connection handshake: one round trip plus target CPU time to
         # register the QP context and check grants.
-        handshake = fabric.round_trip(
-            self.nic.host, target, 256, 256, latency=self.nic.propagation, stream="rdma"
+        yield nic.fabric.round_trip(
+            nic.host, target, 256, 256, nic.timeout_us, latency=nic.propagation, stream="rdma"
         )
-        yield handshake
         yield target.execute(self.listener.connect_cpu_us)
         if not target.alive:
             raise RdmaError(f"{target.name} died during connect")

@@ -9,9 +9,11 @@ networking substrate needs:
 * :class:`~repro.sim.engine.Event` / :class:`~repro.sim.engine.Timeout` —
   one-shot waitable conditions.
 * :class:`~repro.sim.engine.Process` — a generator that yields events.
-* :func:`~repro.sim.engine.all_of` / :func:`~repro.sim.engine.any_of` /
-  :func:`~repro.sim.engine.quorum` — combinators, the last of which is the
-  primitive behind "wait for a majority of RDMA acks".
+* :meth:`~repro.sim.engine.Simulator.within` — the one deadline primitive:
+  every timed wait fails its event unless it settles in time.
+* :func:`~repro.sim.engine.all_of` / :func:`~repro.sim.engine.quorum` —
+  combinators, the second of which is the primitive behind "wait for a
+  majority of RDMA acks".
 * :class:`~repro.sim.cpu.CpuPool` — a multi-core FIFO service queue used to
   charge protocol steps with core-microseconds.
 
@@ -21,7 +23,6 @@ and ``SEC`` are provided for readability.
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
     Event,
     Process,
     ProcessKilled,
@@ -30,7 +31,6 @@ from repro.sim.engine import (
     Simulator,
     Timeout,
     all_of,
-    any_of,
     quorum,
 )
 from repro.sim.cpu import CpuPool
@@ -39,7 +39,6 @@ from repro.sim.units import MS, SEC, US
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "CpuPool",
     "Event",
     "MS",
@@ -53,6 +52,5 @@ __all__ = [
     "Timeout",
     "US",
     "all_of",
-    "any_of",
     "quorum",
 ]

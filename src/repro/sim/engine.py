@@ -25,7 +25,7 @@ is pinned by ``tests/test_sim_fastpath.py``):
   compacted in place when dead entries outnumber live ones —
   heartbeat/election timers that lost their race no longer churn the
   heap;
-* ``AnyOf``/``AllOf``/``QuorumEvent`` drop their child-event references
+* ``AllOf``/``QuorumEvent`` drop their child-event references
   once settled, so a long-lived combinator does not pin every child
   (and its buffers) for the rest of the run.
 
@@ -39,10 +39,12 @@ as resurrected and survives the collection.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from heapq import heapify, heappop, heappush
 from sys import exc_info
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
+from repro.errors import ReproError
 from repro.obs import state as obs_state
 
 __all__ = [
@@ -52,11 +54,9 @@ __all__ = [
     "ProcessKilled",
     "SimulationError",
     "Simulator",
-    "AnyOf",
     "AllOf",
     "QuorumEvent",
     "all_of",
-    "any_of",
     "quorum",
 ]
 
@@ -420,29 +420,6 @@ class Process(Event):
         return f"<Process {self.name} {state}>"
 
 
-class AnyOf(Event):
-    """Triggers when the first child event settles (success or failure)."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self.events = list(events)
-        if not self.events:
-            raise SimulationError("any_of() requires at least one event")
-        for index, event in enumerate(self.events):
-            event.add_callback(lambda ev, i=index: self._child_settled(i, ev))
-
-    def _child_settled(self, index: int, event: Event) -> None:
-        if self.settled:
-            return
-        if event.ok:
-            self.try_trigger((index, event._value))
-        else:
-            self.try_fail(event._exc)
-        self.events = ()  # drop child references once settled
-
-
 class AllOf(Event):
     """Triggers when every child succeeded; fails on the first child failure."""
 
@@ -472,7 +449,7 @@ class AllOf(Event):
             self.trigger(values)
 
 
-class QuorumError(Exception):
+class QuorumError(ReproError):
     """Raised when a quorum can no longer be reached."""
 
     def __init__(self, needed: int, failures: List[BaseException]):
@@ -573,14 +550,14 @@ class Simulator:
             heappush(self._queue, entry)
         return entry
 
-    def cancel(self, entry: Optional[list]) -> bool:
+    def cancel(self, entry: Optional[list], _settled: Optional[Event] = None) -> bool:
         """Lazily cancel a queue entry returned by :meth:`schedule`.
 
-        For guard timers (RPC / verb timeouts) that lost their race: the
-        callback must already be a provable no-op.  O(1); the entry is
-        skipped when popped, and the containers compact when dead
-        entries dominate.  ``None`` (no handle) is refused like an
-        already-dead entry.
+        For deadlines that lost their race (see :meth:`within`, which
+        passes the settled event as *_settled*): the callback must
+        already be a provable no-op.  O(1); the entry is skipped when
+        popped, and the containers compact when dead entries dominate.
+        ``None`` (no handle) is refused like an already-dead entry.
         """
         if entry is None or entry[2] is None:
             return False
@@ -608,6 +585,19 @@ class Simulator:
         self._ready.clear()
         self._ready.extend(live)
         self._cancelled = 0
+
+    def within(self, event: Event, delay_us: float, error: Callable, *args: Any) -> Event:
+        """Fail *event* with ``error(*args)`` unless it settles within
+        *delay_us*; returns *event*.
+
+        The one deadline primitive: every timed wait goes through it.
+        The guard is one queue entry, cancelled when *event* settles (a
+        bound ``cancel``, not a closure per wait), and the error is only
+        built when the deadline passes.
+        """
+        entry = self.schedule(delay_us, _expire, event, error, args)
+        event.add_callback(partial(self.cancel, entry))
+        return event
 
     def event(self) -> Event:
         """Create a fresh pending event."""
@@ -757,9 +747,9 @@ class Simulator:
         self._unhandled.append((process, exc))
 
 
-def any_of(sim: Simulator, events: Iterable[Event]) -> AnyOf:
-    """Wait for the first of *events* to settle."""
-    return AnyOf(sim, events)
+def _expire(event: Event, error: Callable, args: tuple) -> None:
+    if not event.settled:
+        event.fail(error(*args))
 
 
 def all_of(sim: Simulator, events: Iterable[Event]) -> AllOf:

@@ -28,11 +28,9 @@ __all__ = [
     "ProcessKilled",
     "SimulationError",
     "Simulator",
-    "AnyOf",
     "AllOf",
     "QuorumEvent",
     "all_of",
-    "any_of",
     "quorum",
 ]
 
@@ -315,26 +313,6 @@ class Process(Event):
         return f"<Process {self.name} {state}>"
 
 
-class AnyOf(Event):
-    """Triggers when the first child event settles (success or failure)."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self.events = list(events)
-        if not self.events:
-            raise SimulationError("any_of() requires at least one event")
-        for index, event in enumerate(self.events):
-            event.add_callback(lambda ev, i=index: self._child_settled(i, ev))
-
-    def _child_settled(self, index: int, event: Event) -> None:
-        if event.ok:
-            self.try_trigger((index, event.value))
-        else:
-            self.try_fail(event.exception)
-
-
 class AllOf(Event):
     """Triggers when every child succeeded; fails on the first child failure."""
 
@@ -441,6 +419,18 @@ class Simulator:
         # returns None); the guard fires later as a no-op.
         return False
 
+    def within(self, event: Event, delay_us: float, error: Callable, *args: Any) -> Event:
+        """Fail *event* with ``error(*args)`` unless it settles within
+        *delay_us*; returns *event*.  The guard is never cancelled: once
+        *event* has settled it fires later as a no-op."""
+
+        def expire() -> None:
+            if not event.settled:
+                event.fail(error(*args))
+
+        self.schedule(delay_us, expire)
+        return event
+
     def event(self) -> Event:
         """Create a fresh pending event."""
         return Event(self)
@@ -512,11 +502,6 @@ class Simulator:
 
     def _report_unhandled(self, process: Process, exc: BaseException) -> None:
         self._unhandled.append((process, exc))
-
-
-def any_of(sim: Simulator, events: Iterable[Event]) -> AnyOf:
-    """Wait for the first of *events* to settle."""
-    return AnyOf(sim, events)
 
 
 def all_of(sim: Simulator, events: Iterable[Event]) -> AllOf:

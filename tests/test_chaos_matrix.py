@@ -31,6 +31,7 @@ from repro.chaos import (
     UnsupportedFault,
     random_schedule,
 )
+from repro.core.replicated_memory import NodeState
 from repro.sim.units import MS
 
 SEEDS = (1, 2, 3)
@@ -303,52 +304,60 @@ SIFT_BUILDS = {
     "spec": sift_spec(f=1, scale=SMOKE_SCALE).build,  # what every figure builds
 }
 EXPLORER_SEEDS = range(100, 124)
-
-#: Every explorer seed that ends in a ``ChaosError`` on Sift, by the kind
-#: of invariant it breaks.  These are open protocol findings, not test
-#: debt: ROADMAP item 2 carries each one's shrunk schedule.  Checked both
-#: ways: a listed seed that passes and an unlisted seed that fails both
-#: fail :func:`test_explorer_runs_sift`.
-KNOWN_SIFT_FINDINGS = {
-    ("matrix", 107): "liveness",
-    ("matrix", 108): "liveness",
-    ("matrix", 113): "liveness",
-    ("matrix", 116): "liveness",
-    ("matrix", 123): "liveness",
-    ("spec", 107): "liveness",
-    ("spec", 108): "process died",
-    ("spec", 113): "liveness",
-    ("spec", 115): "process died",
-    ("spec", 116): "liveness",
-    ("spec", 123): "linearizability",
-}
-FINDING_KINDS = {
-    "post-schedule liveness failed": "liveness",
-    "history for key": "linearizability",
-    "process died": "process died",
-}
+#: Why a generated schedule may stop short: a symbolic target names a
+#: role nobody holds when its action fires (the explorer's skip).
+EMPTY_ROLES = ("no live leader to target", "no live follower to target")
 
 
 @pytest.mark.parametrize("seed", EXPLORER_SEEDS)
 @pytest.mark.parametrize("build", SIFT_BUILDS)
 def test_explorer_runs_sift(build, seed):
-    """Every generated schedule ends as a pass, a skip (a symbolic target
-    with nobody in the role yet) or a ``ChaosError`` carrying its seed
-    and trace; never as a raw exception out of the simulation."""
-    expected = KNOWN_SIFT_FINDINGS.get((build, seed))
+    """Every generated schedule ends as a pass, or stops at a symbolic
+    target with nobody in the role; any ``ChaosError`` (a broken
+    invariant, a dead protocol process) or raw exception fails."""
     runner = ChaosRunner(SIFT_BUILDS[build], random_schedule(seed, SIFT_SPACE), seed=seed)
     try:
         runner.run()
     except UnsupportedFault as exc:
-        assert expected is None
-        pytest.skip(str(exc))
-    except ChaosError as exc:
-        message = str(exc)
-        assert exc.seed == seed and exc.trace and f"replay: seed={seed}" in message
-        kinds = [kind for text, kind in FINDING_KINDS.items() if message.startswith(text)]
-        assert kinds == [expected], f"unlisted finding at {(build, seed)}: {message}"
-    else:
-        assert expected is None, f"{(build, seed)} passes: drop it from the table"
+        assert str(exc) in EMPTY_ROLES
+
+
+#: The schedule each root cause of the explorer's old Sift findings
+#: shrank to, as ``(build, seed, schedule)``; every one used to end in
+#: a ``ChaosError``.
+SIFT_REGRESSIONS = {
+    # A dropped connect handshake parked the new coordinator in
+    # QueuePair.connect forever while its heartbeats kept the lease.
+    "connect-deadline": (
+        "matrix", 113, FaultSchedule().drop_messages(507_703.32073668105, 0.05446847542818685)
+    ),
+    # A failed put left its uncommitted value readable in the cache.
+    "dirty-read": (
+        "matrix",
+        123,
+        FaultSchedule()
+        .drop_messages(237_374.01635222632, 0.07692505873460977)
+        .add(588_269.4720109495, "crash_node", FOLLOWER),
+    ),
+    # A kv-applier died of QuorumError instead of stepping down.
+    "applier-steps-down": (
+        "spec", 108, FaultSchedule().drop_messages(109_466.02162948583, 0.14453354067333357)
+    ),
+    # A waiter woken by a lock release released the same block first,
+    # and the outer release died of KeyError deleting it again.
+    "lock-release": (
+        "spec", 138, FaultSchedule().drop_messages(261_039.97190128392, 0.11194316071473497)
+    ),
+}
+
+
+@pytest.mark.parametrize("cause", SIFT_REGRESSIONS)
+def test_shrunk_sift_finding_stays_fixed(cause):
+    """The shrunk schedule now passes every check: the group serves
+    again, every acked write reads back and the history is linearizable."""
+    build, seed, schedule = SIFT_REGRESSIONS[cause]
+    result = ChaosRunner(SIFT_BUILDS[build], schedule, seed=seed).run()
+    assert result.acked_puts > 0 and result.leader_terms
 
 
 def test_explorer_counts_and_prints_an_unresolvable_target(capsys):
@@ -360,14 +369,39 @@ def test_explorer_counts_and_prints_an_unresolvable_target(capsys):
     assert "CHAOS-EXPLORER-SKIP seed=102" in capsys.readouterr().err
 
 
+def build_buggy_sift(fabric):
+    """:func:`build_sift` whose app carries a bug, not a modelled failure:
+    one app process raises a plain ``RuntimeError`` once its coordinator
+    has marked a memory node dead."""
+    group = build_sift(fabric)
+
+    def with_bug(factory):
+        def buggy(cpu_node, repmem):
+            def watch():
+                while NodeState.DEAD not in repmem.states.values():
+                    yield repmem.sim.timeout(MS)
+                raise RuntimeError("bug: a dead memory node")
+
+            cpu_node.host.spawn(watch(), name="buggy-watch")
+            return factory(cpu_node, repmem)
+
+        return buggy
+
+    for node in group.cpu_nodes:
+        node.app_factory = with_bug(node.app_factory)
+    return group
+
+
 def test_explorer_reports_and_shrinks_a_dead_protocol_process():
-    """A ``kv-applier`` dying of ``QuorumError`` used to abort the run as
-    a raw ``SimulationError``; it is a finding with a seed, a one-action
+    """A protocol process that dies of a bug used to abort the run as a
+    raw ``SimulationError``; it is a finding with a seed, a one-action
     reproducer and a postmortem."""
-    failure = ScheduleExplorer(SIFT_BUILDS["spec"], SIFT_SPACE).run_seed(108)
-    assert failure.error.startswith("process died: sift-cpu0:kv-applier-1: QuorumError")
-    assert "replay: seed=108" in failure.error and "postmortem: " in failure.error
-    assert [a.kind for a in failure.minimal] == ["drop_messages"]
+    failure = ScheduleExplorer(build_buggy_sift, SIFT_SPACE).run_seed(101)
+    assert failure.error.startswith(
+        "process died: s-cpu0:buggy-watch: RuntimeError('bug: a dead memory node')"
+    )
+    assert "replay: seed=101" in failure.error and "postmortem: " in failure.error
+    assert [a.kind for a in failure.minimal] == ["crash_memory_node"]
 
 
 def test_generator_targets_no_follower_beside_a_lone_survivor():

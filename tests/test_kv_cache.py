@@ -126,3 +126,25 @@ class TestConsistency:
     def test_applied_on_unknown_key_is_noop(self):
         cache = ValueCache(4)
         cache.applied(b"ghost", 64)  # no exception
+
+    def test_aborted_update_is_not_served(self):
+        """A put whose commit failed must not be readable: the entry is
+        dropped, so the next get falls through to replicated memory."""
+        cache = ValueCache(4)
+        cache.fill(b"k", b"committed", 64)
+        cache.put(b"k", b"never-acked", pending=True)
+        cache.aborted(b"k")
+        assert b"k" not in cache
+        assert cache.get(b"k") == (False, None)
+
+    def test_aborted_keeps_an_entry_with_updates_still_pending(self):
+        cache = ValueCache(4)
+        cache.put(b"k", b"first", pending=True)
+        cache.put(b"k", b"second", pending=True)
+        cache.aborted(b"k")
+        assert cache.get(b"k") == (True, b"second")
+        cache.aborted(b"k")
+        assert b"k" not in cache
+
+    def test_aborted_on_unknown_key_is_noop(self):
+        ValueCache(4).aborted(b"ghost")  # no exception

@@ -66,6 +66,24 @@ class TestBasics:
         with pytest.raises(RuntimeError):
             locks.release(token)
 
+    def test_release_survives_a_waiter_that_releases_at_once(self, sim, locks):
+        """Releasing wakes the next waiter inline; one that releases the
+        same block before yielding again drops the block's state, and
+        the outer release must not delete it a second time."""
+        token = acquire_now(sim, locks, [7], LockMode.WRITE)
+
+        def hand_back():
+            inner = yield from locks.acquire([7], LockMode.WRITE)
+            locks.release(inner)
+            yield sim.timeout(1.0)
+
+        waiter = sim.spawn(hand_back())
+        sim.run(until=0.5)
+        locks.release(token)  # KeyError here before the fix
+        sim.run()
+        assert waiter.ok and not locks.held(7)
+        assert acquire_now(sim, locks, [7], LockMode.WRITE).blocks == (7,)
+
     def test_disjoint_blocks_independent(self, sim, locks):
         acquire_now(sim, locks, [1], LockMode.WRITE)
         t2 = sim.spawn(locks.acquire([2], LockMode.WRITE))

@@ -15,6 +15,7 @@ from repro.net import (
     RpcTimeout,
     Unreachable,
 )
+from repro.net.fabric import Verdict
 from repro.net.rpc import Reply
 from repro.sim import MS, Simulator
 
@@ -230,17 +231,36 @@ class TestFabricDelivery:
         b = fabric.add_host("b")
 
         def proc():
-            yield fabric.round_trip(a, b, 100, 100, latency=FixedLatency(3.0))
+            yield fabric.round_trip(a, b, 100, 100, 50.0, latency=FixedLatency(3.0))
             return sim.now
 
         assert sim.run_process(proc()) == 6.0
+        assert sim.next_event_time() is None  # the answer cancelled the deadline
 
     def test_round_trip_fails_fast_when_unreachable(self, sim, fabric):
         a = fabric.add_host("a")
         b = fabric.add_host("b")
         fabric.block("a", "b")
-        event = fabric.round_trip(a, b, 1, 1)
+        event = fabric.round_trip(a, b, 1, 1, 50.0)
         assert event.failed and isinstance(event.exception, Unreachable)
+
+    def test_round_trip_without_an_answer_fails_at_its_deadline(self, sim, fabric):
+        """A dropped request or answer used to leave the waiter parked
+        forever: the deadline fails it with a retryable error naming
+        both hosts."""
+        a = fabric.add_host("a")
+        b = fabric.add_host("b")
+        for dropped in ("a", "b"):
+            hook = fabric.add_interceptor(
+                lambda src, dst, size, stream, d=dropped: Verdict(drop=src == d)
+            )
+            started = sim.now
+            event = fabric.round_trip(a, b, 1, 1, 50.0)
+            sim.run()
+            assert sim.now == started + 50.0
+            assert isinstance(event.exception, Unreachable) and event.exception.retryable
+            assert str(event.exception) == "a <-> b: no answer within 50.0us"
+            fabric.remove_interceptor(hook)
 
     def test_traffic_counters(self, sim, fabric):
         a = fabric.add_host("a")

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.net import Fabric
+from repro.net import Fabric, Unreachable
+from repro.net.fabric import Verdict
 from repro.rdma import (
     MemoryRegion,
     QueuePair,
@@ -115,6 +116,30 @@ class TestQueuePair:
 
         assert sim.run_process(proc()) == b"abc"
         assert region.read(0, 3) == b"abc"
+
+    @pytest.mark.parametrize("dropped", ["requester", "target"])
+    def test_connect_with_a_dropped_handshake_fails_at_the_verb_timeout(
+        self, sim, fabric, dropped
+    ):
+        """A lost handshake request or answer used to park the connecting
+        process forever; it fails by the NIC's verb timeout instead."""
+        requester, _target, _listener, _region, nic, qp = _make_pair(fabric)
+        fabric.add_interceptor(
+            lambda src, dst, size, stream: Verdict(drop=src == dropped)
+        )
+
+        def proc():
+            try:
+                yield requester.spawn(qp.connect(["data"]))
+            except Unreachable as exc:
+                return sim.now, str(exc), exc.retryable
+
+        assert sim.run_process(proc()) == (
+            nic.timeout_us,
+            f"requester <-> target: no answer within {nic.timeout_us}us",
+            True,
+        )
+        assert qp.state is QpState.INIT and qp.granted == ()
 
     def test_verb_before_connect_fails(self, sim, fabric):
         *_rest, qp = _make_pair(fabric)

@@ -166,3 +166,25 @@ class TestEdgeCases:
             return (yield from rm.read(16 * 1024, 1024))
 
         assert run(sim, scenario()) == b"W" * 1024
+
+    def test_read_skips_a_node_dropped_while_it_waited(self):
+        """A read walks the live nodes in turn across yields.  If a
+        concurrent verb failure marks a later node dead (popping its
+        queue pair) while an earlier node's read is timing out, the walk
+        skips that node instead of dying of ``KeyError``."""
+        sim, fabric, group = make_group()
+
+        def scenario():
+            coord = yield from group.wait_until_serving(timeout_us=2 * SEC)
+            repmem = coord.repmem
+            yield from repmem.write(BASE, b"survives")
+            live = sorted(repmem.qps)
+            start = (repmem._read_rr + 1) % len(live)
+            first, second, third = live[start:] + live[:start]
+            fabric.isolate(group.memory_nodes[first].host.name)
+            sim.schedule(500.0, repmem.mark_node_dead, second)
+            data = yield from repmem.read(BASE, 8)
+            return data, sorted(repmem.qps), third
+
+        data, qps, third = run(sim, scenario())
+        assert data == b"survives" and qps == [third]

@@ -9,7 +9,6 @@ from repro.sim import (
     SimulationError,
     Simulator,
     all_of,
-    any_of,
     quorum,
 )
 from repro.core.locks import BlockLockTable, LockMode
@@ -356,17 +355,21 @@ class TestCombinators:
 
         assert sim.run_process(proc()) == 1.0
 
-    def test_any_of_returns_first(self, sim):
+    def test_within_fails_an_event_at_its_deadline(self, sim):
         def proc():
-            events = [sim.timeout(5.0, value="slow"), sim.timeout(1.0, value="fast")]
-            index, value = yield any_of(sim, events)
-            return index, value
+            try:
+                yield sim.within(sim.timeout(5.0), 2.0, RuntimeError, "late", 2.0)
+            except RuntimeError as exc:
+                return sim.now, exc.args
 
-        assert sim.run_process(proc()) == (1, "fast")
+        assert sim.run_process(proc()) == (2.0, ("late", 2.0))
 
-    def test_any_of_requires_events(self, sim):
-        with pytest.raises(SimulationError):
-            any_of(sim, [])
+    def test_within_cancels_its_guard_when_the_event_settles(self, sim):
+        built = []
+        event = sim.within(sim.timeout(1.0, "fast"), 5.0, built.append, "never")
+        sim.run()
+        assert event.ok and event.value == "fast"
+        assert sim.now == 1.0 and built == []  # no entry left at t=5
 
     def test_quorum_triggers_at_k(self, sim):
         def proc():

@@ -102,8 +102,8 @@ class TestTraceEquivalence:
             q.add_callback(lambda ev: mark(("quorum", ev.value)))
             a = mod.all_of(sim, [sim.timeout(3.0, "x"), sim.timeout(1.0, "y")])
             a.add_callback(lambda ev: mark(("all", ev.value)))
-            first = mod.any_of(sim, [sim.timeout(7.0), sim.timeout(2.0, "fast")])
-            first.add_callback(lambda ev: mark(("any", ev.value)))
+            slow = sim.within(sim.timeout(7.0), 2.0, RuntimeError, "slow")
+            slow.add_callback(lambda ev: mark(("within", ev.exception.args)))
 
         assert_equivalent(workload)
 
@@ -124,6 +124,28 @@ class TestTraceEquivalence:
             for i in range(30):
                 guarded(i)
             sim.schedule(60.0, mark, "after-guard-window")
+
+        assert_equivalent(workload)
+
+    def test_within_deadlines(self):
+        """The deadline primitive: guards that lose their race are
+        cancelled on the shipped engine and fire as no-ops on the
+        oracle, and either way nothing else moves; guards that win fail
+        their event at exactly the deadline, before equal-time entries
+        scheduled after them."""
+
+        def workload(sim, mod, mark):
+            def guarded(i):
+                done = sim.within(sim.event(), 10.0 + i % 3, RuntimeError, "late", i)
+                if i % 4:
+                    sim.schedule(float(i % 17), done.try_trigger, i)
+                done.add_callback(
+                    lambda ev: mark(("done", i, ev.value if ev.ok else ev.exception.args))
+                )
+                sim.schedule(10.0 + i % 3, mark, ("tie", i))
+
+            for i in range(40):
+                guarded(i)
 
         assert_equivalent(workload)
 
@@ -664,15 +686,8 @@ class TestCombinatorSettledBehaviour:
         children[1].trigger("late")  # must not resurrect the quorum
         assert q.failed
 
-    def test_anyof_allof_drop_children(self):
+    def test_allof_drops_children(self):
         sim = engine.Simulator()
-        a, b = sim.event(), sim.event()
-        first = engine.any_of(sim, [a, b])
-        a.trigger(1)
-        assert first.ok and first.events == ()
-        b.trigger(2)  # late, ignored
-        assert first.value == (0, 1)
-
         c, d = sim.event(), sim.event()
         both = engine.all_of(sim, [c, d])
         c.trigger("c")
