@@ -345,39 +345,6 @@ def rpc_layer_is_half_of_sift_latency(simulated, _params):
     )
 
 
-def _shape_fig5ablate(results, params):
-    return {
-        key: {"coalesce_appends": coalesce, "doorbell_batching": doorbell,
-              **results[f"sift/{key}"]}
-        for key, coalesce, doorbell in params["grid"]
-    }
-
-
-def _render_fig5ablate(simulated, params):
-    """The batching ablation: WAL coalescing x doorbell batching.
-
-    A committed 2x2 grid on Sift's write-only peak: each batching layer
-    alone, and the full stack, against the plain per-record, per-verb
-    stack.  The simulated speedup of the full stack is the repo's one
-    deterministic perf floor (:func:`full_stack_speedup`).
-    """
-    grid = params["grid"]  # plain first
-    plain = simulated[grid[0][0]]["ops_per_sec"]
-    rows = []
-    for key, _coalesce, _doorbell in grid:
-        rate = simulated[key]["ops_per_sec"]
-        speedup = rate / plain if plain else 0.0
-        rows.append((f"sift/{key}", f"{rate:12,.0f} ops/s  ({speedup:.3f}x plain)"))
-    return kv_table("Figure 5 (ablation): append coalescing x doorbell batching", rows)
-
-
-def full_stack_speedup(simulated, params):
-    """coalesce+doorbell reaches >= 1.25x the plain stack's ops/s."""
-    grid = params["grid"]  # plain first, the full stack last
-    plain, full = simulated[grid[0][0]], simulated[grid[-1][0]]
-    return full["ops_per_sec"] >= 1.25 * plain["ops_per_sec"]
-
-
 def _render_fig7(simulated, params):
     """Read-heavy peak throughput vs. provisioned cores, F in {1, 2}:
     "how Raft nodes and Sift CPU nodes should be provisioned to achieve
@@ -972,11 +939,6 @@ FIGURES = {
             reads_beat_writes,
         ),
         shape=nested,
-    ),
-    "fig5ablate": Figure(
-        points.fig5ablate_params, points.fig5ablate_points, _render_fig5ablate,
-        (full_stack_speedup,),
-        shape=_shape_fig5ablate,
     ),
     # §6.3.2's coordinator cache, shrunk toward the remote-read-bound regime.
     "fig5cache": Figure(

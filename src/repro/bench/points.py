@@ -58,8 +58,6 @@ __all__ = [
     "critpath_point",
     "fig5_params",
     "fig5_points",
-    "fig5ablate_params",
-    "fig5ablate_points",
     "fig6_params",
     "fig6_points",
     "fig6path_params",
@@ -885,7 +883,7 @@ def saturation_clients(smoke: bool, scale: BenchScale) -> int:
     ``SMOKE_SCALE.clients`` (12) does not saturate one, so the pinned
     runs use the smallest count at which every Figure 5 claim holds: at
     16 the leaders serve 1.23x EPaxos's read-heavy throughput, at 24
-    1.6x.  24 is also what fig5ablate has always used.
+    1.6x.
     """
     return 24 if smoke else scale.clients
 
@@ -913,35 +911,6 @@ def fig5_points(params: dict, scale: BenchScale, seed: int) -> List[Point]:
               scale, seed)
         for system in FIG5_SYSTEMS
         for mix in params["workloads"]
-    ]
-
-
-def fig5ablate_params(_smoke: bool, _scale: BenchScale) -> dict:
-    """Write-only Sift at 24 clients; the grid is in declared (= merge)
-    order: both batching layers off, each alone, then the full stack."""
-    return {
-        "cores": 12,
-        "workload": "write-only",
-        "clients": 24,
-        "grid": [
-            ["plain", False, False],
-            ["doorbell", False, True],
-            ["coalesce", True, False],
-            ["coalesce+doorbell", True, True],
-        ],
-    }
-
-
-def fig5ablate_points(params: dict, scale: BenchScale, seed: int) -> List[Point]:
-    """The 2x2 batching-ablation grid: Sift throughput with the WAL
-    append-coalescing and doorbell-batching layers toggled
-    independently."""
-    return [
-        _cell(f"sift/{key}", "sift", params["workload"], params["clients"],
-              params["cores"], scale, seed,
-              kv_overrides={"coalesce_appends": True} if coalesce else None,
-              sift_overrides={"doorbell_batching": True} if doorbell else None)
-        for key, coalesce, doorbell in params["grid"]
     ]
 
 

@@ -75,9 +75,8 @@ def sift_spec(
     """A Sift group serving the paper's KV store.
 
     *kv_overrides* tweaks :class:`KvConfig` fields (cache fraction,
-    apply workers, coalesce_appends, ...) for ablation experiments;
-    *sift_overrides* does the same for :class:`SiftConfig` fields
-    (doorbell_batching, timeouts, ...).
+    apply workers, ...) for ablation experiments; *sift_overrides* does
+    the same for :class:`SiftConfig` fields (timeouts, ...).
     *recovery_partitions* selects the memory-node recovery strategy:
     1 is the paper's coordinator-driven stream, above 1 enables the
     RAMCloud-style partitioned source→target copy (the fig11 sweep).

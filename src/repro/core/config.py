@@ -98,16 +98,6 @@ class SiftConfig:
     verb_timeout_us: float = 1_000.0
     """Retry-exhaustion budget for one-sided verbs."""
 
-    doorbell_batching: bool = False
-    """Flush replication fan-out writes with one doorbell per batch.
-
-    When set, the coordinator stages the per-node WAL/direct writes
-    with :meth:`~repro.rdma.qp.QueuePair.prepare_write` and rings one
-    doorbell (:meth:`~repro.rdma.nic.Rnic.post_many`) for the whole
-    fan-out, paying the NIC's ``verb_overhead_us`` once instead of once
-    per node.  Off by default: it changes simulated timings, so the
-    committed figure baselines keep the unbatched path."""
-
     memnode_poll_interval_us: float = 500_000.0
     """§3.4.2: the background recovery thread polls failed nodes periodically."""
 

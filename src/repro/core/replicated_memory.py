@@ -259,24 +259,13 @@ class ReplicatedMemory:
         return data
 
     def _fan_out_write(self, offset: int, data: bytes) -> List[Tuple[int, Event]]:
-        """Post one WRITE of *data* at *offset* to every active node.
-
-        With ``doorbell_batching`` the per-node writes are staged via
-        :meth:`QueuePair.prepare_write` and flushed under a single
-        doorbell — one NIC ``verb_overhead_us`` for the whole fan-out —
-        otherwise each write posts individually.  Returns ``(node,
-        completion event)`` pairs in node order either way; completion
-        and error semantics per node are identical across both paths.
-        """
-        nodes = self._active_nodes()
-        if self.config.doorbell_batching:
-            posts = [
-                self.qps[n].prepare_write(REPMEM_REGION, offset, data)
-                for n in nodes
-            ]
-            self.nic.post_many(posts)
-            return [(n, post.done) for n, post in zip(nodes, posts)]
-        return [(n, self.qps[n].write(REPMEM_REGION, offset, data)) for n in nodes]
+        """Post one WRITE of *data* at *offset* to every active node, one
+        verb per node on its own queue pair; returns ``(node, completion
+        event)`` pairs in node order."""
+        return [
+            (n, self.qps[n].write(REPMEM_REGION, offset, data))
+            for n in self._active_nodes()
+        ]
 
     def direct_write(self, addr: int, data: bytes):
         """Process: unlogged raw write committed on a quorum of live nodes.

@@ -45,20 +45,6 @@ class KvConfig:
     be applied concurrently through the locking of the local index table
     and bitmap structures")."""
 
-    coalesce_appends: bool = False
-    """Coalesce concurrent WAL appends into extent writes.
-
-    When set, committing puts hand their encoded records to a flusher
-    process that merges contiguous-sequence slots into one replicated
-    write per extent — extending the WAL-append amortization of §4 to
-    the hot path: one ``rdma_post_us`` charge and one fan-out (and, with
-    ``doorbell_batching``, one doorbell) per *extent* instead of per
-    record.  Off by default: it changes simulated timings, so the
-    committed figure baselines keep the per-record path."""
-
-    coalesce_max: int = 16
-    """Upper bound on records merged per flush (bounds ack latency)."""
-
     # -- coordinator-side CPU costs (core-microseconds) -----------------------
     #
     # Calibration constants (DESIGN.md §5): tuned so the Figure 7

@@ -54,7 +54,6 @@ from repro.kv.layout import (
     WalRecord,
 )
 from repro.net.rpc import Reply, RpcEndpoint
-from repro.obs import state as obs_state
 from repro.sim.engine import Event
 
 __all__ = ["KvServer", "KvError", "kv_app_factory"]
@@ -123,8 +122,6 @@ class KvServer:
         self._ready: Dict[int, WalRecord] = {}
         self._apply_kicks: List[Event] = []
         self._flow_waiters: List[Event] = []
-        self._pending_appends: List[Tuple[WalRecord, bytes, Event]] = []
-        self._append_flusher_busy = False
         self._last_watermark = 0
         self.running = False
         self.stats = {
@@ -138,7 +135,6 @@ class KvServer:
             "replayed": 0,
             "migrate_stale": 0,
             "migrate_imports": 0,
-            "coalesced_appends": 0,
             "apply_drops": 0,
         }
 
@@ -488,72 +484,11 @@ class KvServer:
             self._flow_waiters.append(waiter)
             yield waiter
         image = self.layout.encode_wal_record(record)
-        if self.config.coalesce_appends:
-            if obs_state.TRACER is not None:
-                # The fan-out milestones land in the flusher's trace; mark
-                # where this record joined the coalescing queue instead.
-                obs_state.TRACER.instant(
-                    "kv.append_queued", self.sim.now, seq=record.seq
-                )
-            done = Event(self.sim)
-            self._pending_appends.append((record, image, done))
-            if not self._append_flusher_busy:
-                self._append_flusher_busy = True
-                self.host.spawn(self._append_flusher(), name="kv-append-flusher")
-            yield done  # raises here if the extent write failed
-            return
         yield from self.repmem.direct_write(self.layout.wal_slot_addr(record.seq), image)
-        self._mark_committed([record])
-
-    def _mark_committed(self, records) -> None:
-        for record in records:
-            self._ready[record.seq] = record
+        self._ready[record.seq] = record
         kicks, self._apply_kicks = self._apply_kicks, []
         for kick in kicks:
             kick.try_trigger(None)
-
-    def _append_flusher(self):
-        """Process: drain pending appends as contiguous-slot extent writes.
-
-        Concurrent puts enqueue encoded records; each flush takes up to
-        ``coalesce_max`` of them, groups runs of adjacent WAL slots
-        (splitting where the circular log wraps), and commits each run
-        with **one** replicated write — every slot but the run's last is
-        zero-padded to ``wal_slot_bytes`` so images land on their slot
-        boundaries.  Per-record completion events keep the unbatched
-        error semantics: a failed extent write fails exactly the records
-        in that extent.
-        """
-        slot_bytes = self.layout.wal_slot_bytes
-        wal_entries = self.config.wal_entries
-        try:
-            while self._pending_appends:
-                batch = self._pending_appends[: self.config.coalesce_max]
-                del self._pending_appends[: len(batch)]
-                extents = [[batch[0]]]
-                for item in batch[1:]:
-                    prev_seq = extents[-1][-1][0].seq
-                    if item[0].seq == prev_seq + 1 and (item[0].seq - 1) % wal_entries:
-                        extents[-1].append(item)
-                    else:
-                        extents.append([item])
-                for extent in extents:
-                    addr = self.layout.wal_slot_addr(extent[0][0].seq)
-                    image = b"".join(
-                        img.ljust(slot_bytes, b"\0") for _, img, _ in extent[:-1]
-                    ) + extent[-1][1]
-                    self.stats["coalesced_appends"] += len(extent) - 1
-                    try:
-                        yield from self.repmem.direct_write(addr, image)
-                    except Exception as exc:
-                        for _, _, done in extent:
-                            done.try_fail(exc)
-                        continue
-                    self._mark_committed([rec for rec, _, _ in extent])
-                    for _, _, done in extent:
-                        done.try_trigger(None)
-        finally:
-            self._append_flusher_busy = False
 
     # ------------------------------------------------------------------
     # Background apply (§4.2)

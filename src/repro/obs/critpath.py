@@ -11,9 +11,8 @@ virtual-time latency into **exclusive, exhaustive** per-stage segments:
     leader-side admission, sequencing, and WAL record encoding, up to
     the ``repmem.fanout`` milestone (the moment replication begins).
 ``fanout``
-    replication fan-out — per-replica posts or the coalesced doorbell
-    flush wait — up to the last ``nic.serialised`` event before the
-    quorum milestone.
+    replication fan-out — one post per replica — up to the last
+    ``nic.serialised`` event before the quorum milestone.
 ``quorum``
     waiting for ``Fm + 1`` replica acks (``repmem.quorum``).
 ``apply``

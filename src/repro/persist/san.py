@@ -24,6 +24,10 @@ __all__ = ["SanDevice"]
 EBS_LATENCY = LinearLatency(base_us=500.0, bytes_per_us=250.0, jitter=0.15)
 """EBS-class: ~0.5-1 ms writes, ~250 MB/s throughput."""
 
+APPEND_TIMEOUT_US = 100_000.0
+"""An append not acked within 100 ms (a hundred EBS write times) is lost:
+the device crashed or was cut off with the request in flight."""
+
 
 class _SanRecord(NamedTuple):
     offset: int
@@ -49,8 +53,15 @@ class SanDevice:
         return len(self._log)
 
     def append(self, src: Host, data: bytes) -> Event:
-        """Write *data* durably; the event triggers on the write ack."""
-        done = Event(src.sim)
+        """Write *data* durably; the event triggers on the write ack, or
+        fails with :class:`Unreachable` when no ack comes within
+        :data:`APPEND_TIMEOUT_US`."""
+        done = src.sim.within(
+            Event(src.sim),
+            APPEND_TIMEOUT_US,
+            Unreachable,
+            f"SAN {self.host.name}: no ack within {APPEND_TIMEOUT_US}us",
+        )
         payload = bytes(data)
 
         def arrive() -> None:

@@ -25,10 +25,8 @@ Public surface:
   export table (the only part that uses the target CPU).
 * :class:`~repro.rdma.messaging.RdmaMessenger` — two-sided SEND/RECV used
   by the Raft-R baseline.
-* :class:`~repro.rdma.nic.PostedVerb` — doorbell-style verb batching:
-  stage writes with :meth:`~repro.rdma.qp.QueuePair.prepare_write`,
-  flush N of them under one doorbell charge with
-  :meth:`~repro.rdma.nic.Rnic.post_many`.
+* :class:`~repro.rdma.nic.PostedVerb` — one verb's in-flight record,
+  from its transmit queue to its completion.
 """
 
 from repro.rdma.errors import (

@@ -10,7 +10,7 @@ that is the whole point of one-sided RDMA.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 from repro.net.fabric import Fabric
 from repro.net.host import Host
@@ -43,9 +43,9 @@ class PostedVerb:
     ``done`` triggers with the verb result or fails with the
     :class:`~repro.rdma.errors.RdmaError` the remote apply raised or an
     :class:`~repro.rdma.errors.RdmaTimeout`.  A verb that fails
-    validation at prepare time carries an already-failed ``done`` and is
-    skipped by :meth:`Rnic.post_many`.  *apply_remote* runs atomically
-    at the arrival instant on the target and returns the verb result.
+    validation at staging carries an already-failed ``done`` and is
+    never issued.  *apply_remote* runs atomically at the arrival instant
+    on the target and returns the verb result.
     """
 
     __slots__ = (
@@ -79,17 +79,6 @@ class PostedVerb:
         self.timeout_us = timeout_us if timeout_us is not None else nic.timeout_us
         self.done = Event(nic.host.sim)
         self.span = None
-
-    def arm(self) -> None:
-        """Arm the retry-exhaustion deadline and count the verb as issued."""
-        nic = self.nic
-        nic.host.sim.within(self.done, self.timeout_us, self.exhausted)
-        nic.verbs_issued += 1
-        registry = obs_state.REGISTRY
-        if registry is not None:
-            registry.counter("rdma.verbs", type=self.verb).inc()
-            registry.counter("rdma.bytes", dir="tx").inc(self.request_bytes)
-            registry.counter("rdma.bytes", dir="rx").inc(self.response_bytes)
 
     def exhausted(self) -> RdmaTimeout:
         return RdmaTimeout(f"verb to {self.target.name} exceeded {self.timeout_us}us")
@@ -268,12 +257,19 @@ class Rnic:
         )
 
     def post(self, staged: PostedVerb) -> Event:
-        """Issue one staged verb under its own doorbell; returns its
-        ``done``.  A verb already refused at staging is not issued."""
+        """Issue one staged verb: arm its retry-exhaustion deadline,
+        count it and queue it for transmission; returns its ``done``.
+        A verb already refused at staging is not issued."""
         done = staged.done
         if done.settled:
             return done
-        staged.arm()
+        self.host.sim.within(done, staged.timeout_us, staged.exhausted)
+        self.verbs_issued += 1
+        registry = obs_state.REGISTRY
+        if registry is not None:
+            registry.counter("rdma.verbs", type=staged.verb).inc()
+            registry.counter("rdma.bytes", dir="tx").inc(staged.request_bytes)
+            registry.counter("rdma.bytes", dir="rx").inc(staged.response_bytes)
         if obs_state.TRACER is not None:
             staged.span = obs_state.TRACER.span(
                 f"rdma.{staged.verb}",
@@ -289,64 +285,3 @@ class Rnic:
             staged.serialised,
         )
         return done
-
-    def post_many(self, posts: Sequence[PostedVerb]) -> List[Event]:
-        """Flush prepared verbs (:meth:`QueuePair.prepare_write`) in one
-        doorbell.
-
-        Real NICs let a requester chain several work requests in the
-        send queue and ring the doorbell once: the PCIe MMIO write and
-        the WQE fetch that follows are paid per *doorbell*, not per
-        verb.  Mu and Velos lean on this to fit replication inside a
-        microsecond budget, and Sift's WAL-append fan-out (§4) has the
-        same shape: one coordinator posting the same image to every
-        memory node.  Callers opt in (``SiftConfig.doorbell_batching``).
-
-        The whole batch pays ``verb_overhead_us`` **once** — that is the
-        doorbell/PCIe cost — and the payloads serialise back-to-back at
-        link bandwidth through the same FIFO transmit queue as unbatched
-        verbs.  Each post is the same :class:`PostedVerb` record
-        :meth:`transfer` issues (guard, per-target in-order delivery,
-        remote apply, ack), so error and ordering semantics are
-        identical.  Posts whose ``done`` is already settled (failed
-        validation) are skipped.
-        """
-        live = [post for post in posts if not post.done.settled]
-        if not live:
-            return [post.done for post in posts]
-        sim = self.host.sim
-        total_request_bytes = 0
-        for post in live:
-            post.arm()
-            total_request_bytes += post.request_bytes
-        if obs_state.REGISTRY is not None:
-            obs_state.REGISTRY.counter("rdma.doorbells").inc()
-            obs_state.REGISTRY.counter("rdma.doorbell_posts").inc(len(live))
-        span = None
-        if obs_state.TRACER is not None:
-            span = obs_state.TRACER.span(
-                "rdma.doorbell",
-                sim.now,
-                src=self.host.name,
-                posts=len(live),
-                req_bytes=total_request_bytes,
-            )
-            for post in live:
-                post.span = span  # remote.applied / remote.error land on it
-
-        def flushed() -> None:
-            if not self.host.alive:
-                return  # the requester died with the flush still queued
-            if span is not None:
-                # The span covers the doorbell flush wait: post -> all
-                # payloads serialised onto the link.
-                span.event("nic.serialised", sim.now)
-                span.finish(sim.now)
-            for post in live:
-                if not post.done.settled:
-                    self.ordered_deliver(post.target, post.arrive)
-
-        self._txq.submit(
-            total_request_bytes / self.bytes_per_us + self.verb_overhead_us, flushed
-        )
-        return [post.done for post in posts]

@@ -133,28 +133,6 @@ class QueuePair:
             )
         )
 
-    def prepare_write(
-        self,
-        region_name: str,
-        offset: int,
-        data: bytes,
-        timeout_us: Optional[float] = None,
-    ) -> PostedVerb:
-        """Stage a WRITE for a doorbell flush without touching the NIC.
-
-        Validation (connection state, region grant) happens now, exactly
-        as :meth:`write` would; a rejected verb returns a
-        :class:`~repro.rdma.nic.PostedVerb` whose ``done`` event is
-        already failed, which :meth:`~repro.rdma.nic.Rnic.post_many`
-        skips.  The staged verb only consumes simulated resources when
-        the doorbell rings.
-        """
-        payload = bytes(data)
-        return self._stage(
-            region_name, len(payload), ACK_WIRE_BYTES, "write", timeout_us,
-            MemoryRegion.write, offset, payload,
-        )
-
     def cas(self, region_name: str, offset: int, expected: int, new: int) -> Event:
         """One-sided 64-bit CAS; event value is the previous word."""
         return self.nic.post(

@@ -63,6 +63,36 @@ def test_appends_one_line_per_artifact(tmp_path):
     }
 
 
+def test_prints_the_change_against_the_last_line(tmp_path, capsys):
+    """A two-line history: the report compares against the second line,
+    per workload, on the six end-to-end metrics and each package's
+    ``calls_per_op``."""
+    tool = _load_tool()
+    older = tool.history_line(ARTIFACT, "older")
+    last = json.loads(json.dumps(tool.history_line(ARTIFACT, "last")))
+    last["git_sha"] = "def5678"
+    workload = last["workloads"]["kv_write_only"]
+    workload["end_to_end"]["sim_ops_per_s"] = 125000.0
+    workload["calls_per_op"]["sim"] = 300.0
+    del workload["calls_per_op"]["net"]
+    history = tmp_path / "history.jsonl"
+    history.write_text("".join(json.dumps(line) + "\n" for line in (older, last)))
+    artifact = tmp_path / "e2e.json"
+    artifact.write_text(json.dumps(ARTIFACT))
+
+    assert tool.main([str(artifact), "--label", "change", "--history", str(history)]) == 0
+    report = capsys.readouterr().out.splitlines()
+    assert report[1:] == [
+        "vs def5678 'last':",
+        "  kv_write_only",
+        "    end_to_end.host_ops_per_s: 4900 -> 4900 (+0.0%)",
+        "    end_to_end.sim_ops_per_s: 125000 -> 156250 (+25.0%)",
+        "    calls_per_op.net: None -> 84.48",
+        "    calls_per_op.sim: 300 -> 280.544 (-6.5%)",
+    ]
+    assert len(history.read_text().splitlines()) == 3
+
+
 def test_refuses_a_file_that_is_not_the_benchmarks(tmp_path):
     tool = _load_tool()
     other = tmp_path / "other.json"

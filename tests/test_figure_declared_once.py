@@ -69,7 +69,7 @@ def args_reads_and_prints(source: str):
 
 
 def test_only_params_callables_take_smoke():
-    assert len(PARAMS_CALLABLES) == 14  # sixteen figures, two shared pairs
+    assert len(PARAMS_CALLABLES) == 13  # fifteen figures, two shared pairs
     offenders = set(takes_smoke(inspect.getsource(points))) - MAY_TAKE_SMOKE
     assert not offenders, (
         f"{sorted(offenders)} take `smoke`: take the field of `params` it "

@@ -68,11 +68,6 @@ def _hotspot_pool_tie(doc):
     )
 
 
-def _ablate_just_under_floor(doc):
-    cells = doc["simulated"]
-    cells["coalesce+doorbell"]["ops_per_sec"] = 1.249 * cells["plain"]["ops_per_sec"]
-
-
 def _sweep_tie(doc):
     cells = doc["simulated"]
     cells["sift/recovery-f2-p4"]["recovery_s"] = (
@@ -207,7 +202,6 @@ MUTATIONS = {
     ),
     "fig12.takeover_far_exceeds_detection": _set(("simulated", "serving_s"), 0.34),
     "fig12.resumes_at_pre_failure_level": _set(("simulated", "series", 12, 1), 0.0),
-    "fig5ablate.full_stack_speedup": _ablate_just_under_floor,
     "fig8live.live_pool_matches_model": _set(
         ("simulated", "sharded/3", "agrees"), False
     ),
@@ -333,17 +327,6 @@ def test_verdicts_do_not_depend_on_dict_order(target):
             assert _failed(name, reordered) == _failed(name, doc)
 
 
-def test_full_stack_floor_is_125_percent_of_plain():
-    """The deterministic perf floor perfbench used to hold, now read off
-    the byte-pinned baseline: 1.2681x at the committed smoke scale."""
-    doc = _baseline("fig5ablate")
-    cells = doc["simulated"]
-    ratio = cells["coalesce+doorbell"]["ops_per_sec"] / cells["plain"]["ops_per_sec"]
-    assert 1.25 <= ratio == pytest.approx(1.2681, abs=5e-5)
-    cells["coalesce+doorbell"]["ops_per_sec"] = 1.25 * cells["plain"]["ops_per_sec"]
-    assert cli.full_stack_speedup(cells, doc["params"])  # the floor is inclusive
-
-
 def _both(*edits):
     def mutate(doc):
         for edit in edits:
@@ -437,8 +420,7 @@ def test_threshold_gates_at_their_threshold(name, gate, edit, verdict):
 def test_four_grids_share_one_point_function():
     """fig5, fig7 and the two ablations are grids over
     ``points.throughput_point``: where they name the same (system,
-    workload, clients, cores) they hold the same cell, to the byte.
-    fig5ablate's plain stack is that cell too, under two more fields."""
+    workload, clients, cores) they hold the same cell, to the byte."""
     fig5 = _committed("fig5")["simulated"]
     fig7 = _committed("fig7")["simulated"]
     for system in points.FIG7_SYSTEMS:
@@ -447,11 +429,9 @@ def test_four_grids_share_one_point_function():
     assert cache["sift/cache_fraction=0.5"] == fig5["sift"]["read-heavy"]
     appliers = _committed("fig5appliers")["simulated"]
     assert appliers["sift/apply_workers=8"] == fig5["sift"]["write-only"]
-    plain = _committed("fig5ablate")["simulated"]["plain"]
-    assert fig5["sift"]["write-only"].items() <= plain.items()
     clients = {
         _committed(name)["params"]["clients"]
-        for name in ("fig5", "fig5ablate", "fig5cache", "fig5appliers", "fig7")
+        for name in ("fig5", "fig5cache", "fig5appliers", "fig7")
     }
     assert clients == {points.saturation_clients(True, SMOKE_SCALE)}
 
@@ -528,7 +508,7 @@ def _reversed_throughout(node):
 
 @pytest.mark.parametrize("name", PINNED)
 def test_render_prints_the_committed_bytes_in_any_key_order(name):
-    """The sixteen printers otherwise run only inside bench-smoke."""
+    """The fifteen printers otherwise run only inside bench-smoke."""
     doc = _committed(name)
     simulated, params = doc["simulated"], doc["params"]
     render = cli.FIGURES[name].render

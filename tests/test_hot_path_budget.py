@@ -26,25 +26,11 @@ OPS = CLIENTS * OPS_PER_CLIENT
 #: they cost more than the benchmark's overwrites.  Event objects per put
 #: were 45.01 before PR 13: an Event per NIC transmit-queue hop on top of
 #: the one each verb, RPC and CPU charge completes through.
-#:
-#: ``batched`` is the fig5ablate full stack (``coalesce_appends`` +
-#: ``doorbell_batching``).  Its saving is the host-side content of the
-#: wall-clock ratio perfbench used to gate as ``driven_speedup``: fewer
-#: scheduled events for the same puts, here as a count that repeats
-#: exactly instead of a ratio of two noisy timings.
-BUDGETS = {
-    "plain": {
-        "events_per_put": 54.69,
-        "events_per_get": 6.26,
-        "verbs_per_put": 8.72,
-        "event_objects_per_put": 27.57,
-    },
-    "batched": {
-        "events_per_put": 49.935,
-        "events_per_get": 6.26,
-        "verbs_per_put": 8.675,
-        "event_objects_per_put": 29.38,  # one completion Event per coalesced record
-    },
+BUDGET = {
+    "events_per_put": 54.69,
+    "events_per_get": 6.26,
+    "verbs_per_put": 8.72,
+    "event_objects_per_put": 27.57,
 }
 
 
@@ -66,15 +52,13 @@ class Counts:
         )
 
 
-def measure(batched, constructed):
+def measure(constructed):
     sim = engine.Simulator()
     fabric = Fabric(sim, rng=RngStreams(seed=13))
-    kv_config = KvConfig(
-        max_keys=256, wal_entries=128, watermark_interval=32, coalesce_appends=batched
-    )
+    kv_config = KvConfig(max_keys=256, wal_entries=128, watermark_interval=32)
     group = SiftGroup(
         fabric,
-        kv_config.sift_config(fm=1, fc=1, wal_entries=128, doorbell_batching=batched),
+        kv_config.sift_config(fm=1, fc=1, wal_entries=128),
         name="budget",
         app_factory=kv_app_factory(kv_config),
     )
@@ -134,10 +118,6 @@ def test_put_and_cached_get_stay_inside_their_budget(monkeypatch):
 
     monkeypatch.setattr(engine.Event, "__init__", counting_init)
 
-    measured = {stack: measure(stack == "batched", constructed) for stack in BUDGETS}
-    for stack, budget in BUDGETS.items():
-        for metric, ceiling in budget.items():
-            assert measured[stack][metric] <= ceiling, (stack, measured[stack])
-    assert (
-        measured["batched"]["events_per_put"] < measured["plain"]["events_per_put"]
-    ), measured
+    measured = measure(constructed)
+    for metric, ceiling in BUDGET.items():
+        assert measured[metric] <= ceiling, measured

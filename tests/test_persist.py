@@ -7,6 +7,7 @@ import struct
 from repro.core import SiftGroup
 from repro.kv import KvClient, KvConfig, kv_app_factory
 from repro.net import Fabric
+from repro.net.errors import Unreachable
 from repro.persist import PersistenceSink, RocksLite, SanDevice
 from repro.sim import MS, SEC, Simulator
 
@@ -229,3 +230,19 @@ class TestSanDevice:
         process = sim.spawn(scenario())
         sim.run_until_settled(process, deadline=10 * SEC)
         assert process.value == "failed"
+
+    def test_san_crash_mid_request_fails_at_the_deadline(self):
+        """The request is on the wire when the device dies: no ack will
+        ever come, so the append fails at its deadline instead of
+        leaving the writer parked forever."""
+        sim = Simulator()
+        fabric = Fabric(sim)
+        san = SanDevice(fabric)
+        host = fabric.add_host("coordinator", cores=2)
+        done = san.append(host, b"x" * 4096)
+        sim.run(until=100.0)  # EBS writes take >= 500 us: still in flight
+        san.host.crash()
+        sim.run()
+        assert done.failed and isinstance(done.exception, Unreachable)
+        assert sim.now <= 1 * SEC
+        assert san.record_count == 0

@@ -249,6 +249,31 @@ class TestQueuePair:
 
         assert sim.run_process(proc()) == (49).to_bytes(4, "little")
 
+    def test_dead_target_times_out_only_its_own_verb(self, sim, fabric):
+        """The replication fan-out shape: one write per target, each on
+        its own queue pair.  A crashed target fails its own write with
+        ``RdmaTimeout``; the writes to the live targets complete."""
+        requester = fabric.add_host("requester", cores=2)
+        nic = Rnic(requester, fabric)
+        qps, regions = [], []
+        for i in range(3):
+            listener = RdmaListener(fabric.add_host(f"target{i}", cores=1))
+            regions.append(MemoryRegion("data", 4096))
+            listener.export(regions[-1])
+            qps.append(QueuePair(nic, listener))
+
+        def proc():
+            for qp in qps:
+                yield requester.spawn(qp.connect(["data"]))
+            qps[1].target.crash()
+            return [qp.write("data", 0, b"payload") for qp in qps]
+
+        writes = sim.run_process(proc())
+        sim.run()
+        assert writes[0].ok and writes[2].ok
+        assert isinstance(writes[1].exception, RdmaTimeout)
+        assert regions[0].read(0, 7) == regions[2].read(0, 7) == b"payload"
+
 
 class TestConnectFanOut:
     """Spawn one connect per target, then join them in turn (the shape

@@ -36,8 +36,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: popularity copy order went), and 20,350 once every timed wait went
 #: through one deadline primitive (the per-verb and per-RPC guard
 #: methods, the recovery guard lambdas, ``any_of`` and five no-op
-#: ``except ProcessKilled: raise`` wrappers went).
-SRC_LINE_CEILING = 20_350
+#: ``except ProcessKilled: raise`` wrappers went), and 20,101 once a put
+#: had one write path (WAL append coalescing, fan-out doorbell batching
+#: and the figure that measured them went).
+SRC_LINE_CEILING = 20_101
 
 
 def test_src_line_total_is_within_budget():

@@ -1,12 +1,11 @@
-"""Every drop point of the in-flight verb record, on both issue paths.
+"""Every drop point of the in-flight verb record.
 
 A :class:`~repro.rdma.nic.PostedVerb` carries one verb from its transmit
 queue to its completion.  Each stage can lose the verb (crash, restart,
 NIC fault, partition) or turn it into an error completion; the requester
 must then see exactly one of: the result, the remote error, or an
-``RdmaTimeout`` at ``post_time + budget``.  ``Rnic.post`` (one verb, one
-doorbell) and ``Rnic.post_many`` (a staged batch) share the record, so
-every case runs through both.
+``RdmaTimeout`` at ``post_time + budget``.  Every verb is issued through
+``Rnic.post``, one record per verb.
 """
 
 import pytest
@@ -35,13 +34,7 @@ def _post_one(nic, qp):
     return qp.write("data", 0, PAYLOAD)
 
 
-def _post_batch(nic, qp):
-    staged = qp.prepare_write("data", 0, PAYLOAD)
-    nic.post_many([staged])
-    return staged.done
-
-
-@pytest.fixture(params=[_post_one, _post_batch], ids=["transfer", "post_many"])
+@pytest.fixture(params=[_post_one], ids=["transfer"])
 def issue(request):
     return request.param
 

@@ -10,9 +10,12 @@ workload the six end-to-end metrics, the three parts of ``setup_s``,
 
     python tools/e2e_history.py bench_artifacts/e2e/e2e.json --label "PR 13"
 
-It only reads the benchmark's output.  Host times compare between lines
-taken on the same host (``nproc``/``python`` are recorded); the
-``calls_per_op`` columns are deterministic and compare anywhere.
+It only reads the benchmark's output.  After appending, it prints the
+new line against the one before it: per workload, the six end-to-end
+metrics and each package's ``calls_per_op``.  Host times compare
+between lines taken on the same host (``nproc``/``python`` are
+recorded); the ``calls_per_op`` columns are deterministic and compare
+anywhere.
 """
 
 from __future__ import annotations
@@ -61,6 +64,27 @@ def history_line(artifact: dict, label: str = "") -> dict:
     }
 
 
+def _change(old: Optional[float], new: Optional[float]) -> str:
+    if old is None or new is None:
+        return f"{old} -> {new}"
+    pct = f" ({(new - old) / old:+.1%})" if old else ""
+    return f"{old:.6g} -> {new:.6g}{pct}"
+
+
+def diff_lines(previous: dict, line: dict) -> List[str]:
+    """The report of *line* against *previous*: per workload of *line*,
+    each end-to-end metric and each package's ``calls_per_op``."""
+    out = [f"vs {previous['git_sha'][:7]} {previous['label']!r}:"]
+    for name, now in sorted(line["workloads"].items()):
+        before = previous["workloads"].get(name, {})
+        out.append(f"  {name}")
+        for section in ("end_to_end", "calls_per_op"):
+            old, new = before.get(section, {}), now[section]
+            for key in sorted(set(old) | set(new)):
+                out.append(f"    {section}.{key}: {_change(old.get(key), new.get(key))}")
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("artifact", help="an e2e.json written by benchmarks/e2e/run.py --out")
@@ -75,9 +99,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{args.artifact}: not an e2e benchmark artifact", file=sys.stderr)
         return 1
     line = history_line(artifact, args.label)
+    previous = None
+    if os.path.exists(args.history):
+        with open(args.history) as handle:
+            lines = handle.read().splitlines()
+        previous = json.loads(lines[-1]) if lines else None
     with open(args.history, "a") as handle:
         handle.write(json.dumps(line, sort_keys=True) + "\n")
     print(f"appended {line['git_sha'][:7]} {args.label!r} to {args.history}")
+    if previous is not None:
+        print("\n".join(diff_lines(previous, line)))
     return 0
 
 
