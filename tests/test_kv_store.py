@@ -65,6 +65,25 @@ class TestDataPath:
 
         assert run(sim, scenario()) == b"v2"
 
+    def test_put_get_roundtrip(self):
+        """Several keys written back-to-back, one of them overwritten,
+        each read back with its own last value."""
+        sim, _f, group, client = make_stack()
+        expected = {b"k%d" % i: b"v%d" % i for i in range(4)}
+        expected[b"k2"] = b"v2-again"
+
+        def scenario():
+            yield from group.wait_until_serving(timeout_us=2 * SEC)
+            for i in range(4):
+                yield from client.put(b"k%d" % i, b"v%d" % i)
+            yield from client.put(b"k2", b"v2-again")
+            got = {}
+            for key in expected:
+                got[key] = yield from client.get(key)
+            return got
+
+        assert run(sim, scenario()) == expected
+
     def test_delete(self):
         sim, _f, group, client = make_stack()
 

@@ -274,6 +274,30 @@ class TestQueuePair:
         assert isinstance(writes[1].exception, RdmaTimeout)
         assert regions[0].read(0, 7) == regions[2].read(0, 7) == b"payload"
 
+    def test_per_target_order_preserved(self, sim, fabric):
+        """RC ordering across a fan-out: writes interleaved over several
+        queue pairs apply in post order on each target (last write wins
+        on the overlapping slot)."""
+        requester = fabric.add_host("requester", cores=2)
+        nic = Rnic(requester, fabric)
+        qps, regions = [], []
+        for i in range(3):
+            listener = RdmaListener(fabric.add_host(f"target{i}", cores=1))
+            regions.append(MemoryRegion("data", 4096))
+            listener.export(regions[-1])
+            qps.append(QueuePair(nic, listener))
+
+        def proc():
+            for qp in qps:
+                yield requester.spawn(qp.connect(["data"]))
+            writes = [qp.write("data", 0, b"first") for qp in qps]
+            writes += [qp.write("data", 0, b"SECOND") for qp in qps]
+            for write in writes:
+                yield write
+
+        sim.run_process(proc())
+        assert [region.read(0, 6) for region in regions] == [b"SECOND"] * 3
+
 
 class TestConnectFanOut:
     """Spawn one connect per target, then join them in turn (the shape
