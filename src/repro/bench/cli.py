@@ -1018,10 +1018,12 @@ FIGURES = {
             ec_and_shared_backups_save_35_percent,
             each_technique_lowers_cost,
         ),
+        shape=single,
     ),
     "fig10": Figure(
         partial(points.cost_params, 2), points.cost_points, partial(_render_costs, "Figure 10"),
         (ec_alone_saves_13_percent, ec_and_shared_backups_save_56_percent),
+        shape=single,
     ),
     "fig11": Figure(
         points.fig11_params, points.fig11_points, _render_fig11,

@@ -23,17 +23,24 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 
 from repro.obs import state as obs_state
 from repro.obs.registry import MetricsRegistry, collecting, current_registry
+from repro.sim.engine import Simulator
 
 __all__ = ["Point", "run_points"]
 
+_drained_at = 0  # Simulator.built at the last drain
+
 
 def _quiet_collect() -> None:
-    """Drain cyclic garbage with instrumentation muted.
+    """Drain cyclic garbage, muted, if a simulator was built since the last drain.
 
     Finalising a dead simulator's process graph runs its ``finally``
     blocks; any counters they charge belong to no experiment, so the
     drain runs with observability off.
     """
+    global _drained_at
+    if Simulator.built == _drained_at:
+        return
+    _drained_at = Simulator.built
     previous_registry = obs_state.REGISTRY
     previous_tracer = obs_state.TRACER
     obs_state.REGISTRY = None

@@ -111,7 +111,7 @@ def throughput_point(
 ) -> dict:
     """One peak-throughput cell of (system, workload, cores): the point
     function of fig5, fig7 and the ablations.  *options* reach the spec
-    factory (``f=``, ``kv_overrides=``, ``sift_overrides=``)."""
+    factory (``f=``, ``kv_overrides=``)."""
     spec = system_spec(system, scale=scale, cores=cores, **options)
     result = run_throughput(
         spec, WORKLOADS[workload], n_clients=clients, scale=scale, seed=seed
@@ -1041,13 +1041,14 @@ def cost_params(f: int, _smoke: bool, _scale: BenchScale) -> dict:
     return {"f": f, "providers": ["aws", "gcp"]}
 
 
+def cost_point(f: int, providers: List[str]) -> dict:
+    """Figure 9 or 10 whole: percent cost per configuration, per provider."""
+    return {provider: relative_costs(provider, f) for provider in providers}
+
+
 def cost_points(params: dict, _scale: BenchScale, _seed: int) -> List[Point]:
-    """Figures 9-10: one exact-arithmetic point per cloud provider."""
-    return [
-        Point(key=provider, fn=relative_costs,
-              kwargs={"provider": provider, "f": params["f"]})
-        for provider in params["providers"]
-    ]
+    """Figures 9-10: one exact-arithmetic point (a worker pool costs more)."""
+    return [Point(key="cost-model", fn=cost_point, kwargs=dict(params))]
 
 
 def fig11_params(smoke: bool, _scale: BenchScale) -> dict:

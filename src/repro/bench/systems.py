@@ -58,6 +58,12 @@ class SystemSpec:
     ready_timeout_us: float = 5 * SEC
 
 
+def _kv_config(scale: BenchScale, kv_overrides: Optional[dict]) -> KvConfig:
+    """The paper's KV store sized for *scale*, *kv_overrides* applied."""
+    sized = dict(max_keys=scale.keys + 1024, wal_entries=scale.kv_wal_entries)
+    return KvConfig(**{**sized, **(kv_overrides or {})})
+
+
 # ---------------------------------------------------------------------------
 # Sift / Sift EC
 # ---------------------------------------------------------------------------
@@ -70,39 +76,28 @@ def sift_spec(
     scale: BenchScale = DEFAULT_SCALE,
     kv_overrides: Optional[dict] = None,
     recovery_partitions: int = 1,
-    sift_overrides: Optional[dict] = None,
 ) -> SystemSpec:
     """A Sift group serving the paper's KV store.
 
     *kv_overrides* tweaks :class:`KvConfig` fields (cache fraction,
-    apply workers, ...) for ablation experiments; *sift_overrides* does
-    the same for :class:`SiftConfig` fields (timeouts, ...).
+    apply workers, ...) for ablation experiments.
     *recovery_partitions* selects the memory-node recovery strategy:
     1 is the paper's coordinator-driven stream, above 1 enables the
     RAMCloud-style partitioned source→target copy (the fig11 sweep).
     """
-    kv_kwargs = dict(
-        max_keys=scale.keys + 1024,
-        wal_entries=scale.kv_wal_entries,
-    )
-    kv_kwargs.update(kv_overrides or {})
-    kv_config = KvConfig(**kv_kwargs)
+    kv_config = _kv_config(scale, kv_overrides)
     if cores is None:
         cores = 12 if erasure_coding else 10  # Table 2 defaults
     name = f"sift{'-ec' if erasure_coding else ''}"
 
     def build(fabric: Fabric) -> SiftGroup:
-        sift_kwargs = dict(
-            wal_entries=scale.wal_entries,
-            cpu_node_cores=cores,
-            recovery_partitions=recovery_partitions,
-        )
-        sift_kwargs.update(sift_overrides or {})
         sift_config = kv_config.sift_config(
             fm=f,
             fc=f,
             erasure_coding=erasure_coding,
-            **sift_kwargs,
+            wal_entries=scale.wal_entries,
+            cpu_node_cores=cores,
+            recovery_partitions=recovery_partitions,
         )
         group = SiftGroup(
             fabric, sift_config, name=name, app_factory=kv_app_factory(kv_config)
@@ -131,12 +126,7 @@ def sharded_spec(
     from repro.shard.router import ShardRouter
     from repro.shard.service import ShardedKvService
 
-    kv_kwargs = dict(
-        max_keys=scale.keys + 1024,
-        wal_entries=scale.kv_wal_entries,
-    )
-    kv_kwargs.update(kv_overrides or {})
-    kv_config = KvConfig(**kv_kwargs)
+    kv_config = _kv_config(scale, kv_overrides)
     if cores is not None:
         service_overrides.setdefault("cpu_node_cores", cores)
 

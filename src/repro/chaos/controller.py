@@ -100,9 +100,6 @@ class ChaosController:
         else:
             self._node(LEADER).crash()
 
-    def _do_restart_node(self, index):
-        self._node(index).restart()
-
     def _do_restart_crashed(self):
         """Restart every dead node, CPU nodes before memory nodes."""
         for node in (*self.cluster.cpu_nodes, *self.cluster.memory_nodes):

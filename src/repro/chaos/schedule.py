@@ -135,10 +135,6 @@ class FaultSchedule:
         """
         return self.add(at_us, "crash_coordinator", shard, ring_version)
 
-    def restart_node(self, at_us: float, index: int) -> "FaultSchedule":
-        """Restart consensus node *index* with fresh soft state."""
-        return self.add(at_us, "restart_node", int(index))
-
     def restart_crashed(self, at_us: float) -> "FaultSchedule":
         """Restart every consensus node that is currently down."""
         return self.add(at_us, "restart_crashed")

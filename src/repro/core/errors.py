@@ -10,7 +10,6 @@ from repro.errors import ReproError
 __all__ = [
     "SiftError",
     "GroupUnavailable",
-    "NotCoordinator",
     "Deposed",
     "InvalidAccess",
     "RecoveryIntegrityError",
@@ -26,12 +25,6 @@ class GroupUnavailable(SiftError):
     """Fewer than Fm + 1 live memory nodes: progress is impossible (§3.4)."""
 
     retryable = True  # nodes restart / the backup pool promotes
-
-
-class NotCoordinator(SiftError):
-    """The operation requires coordinatorship this CPU node does not hold."""
-
-    retryable = True  # reissue against the current coordinator
 
 
 class Deposed(SiftError):

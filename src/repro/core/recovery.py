@@ -244,23 +244,29 @@ def scan_log(qp: QueuePair, offset: int, count: int, slot_bytes: int, decode: Ca
     """Process: read *count* log slots at *offset* of a node's replicated region
     in bounded chunks; returns, in slot order, each slot *decode* does not reject.
 
-    Each chunk is scanned as it arrives, a slot cut by the chunk boundary
-    carried into the next one.  Only slots whose leading 8-byte index word
-    is non-zero reach *decode*: both log codecs reject a zero one, so the
-    host work follows what the log holds, not its capacity."""
+    Each chunk is scanned in place as it arrives; only a slot cut by the
+    chunk boundary is copied, its pieces joined.  Only slots whose leading
+    8-byte index word is non-zero reach *decode*: both log codecs reject a
+    zero one, so the host work follows what the log holds, not its capacity."""
     entries = []
     carry = b""
     total = count * slot_bytes
     for start in range(0, total, _WAL_READ_CHUNK):
         take = min(_WAL_READ_CHUNK, total - start)
-        chunk = carry + (yield qp.read(REPMEM_REGION, offset + start, take))
-        whole = len(chunk) - len(chunk) % slot_bytes
-        slots = np.frombuffer(chunk, np.uint8, whole).reshape(-1, slot_bytes)
+        chunk = yield qp.read(REPMEM_REGION, offset + start, take)
+        head = min(-len(carry) % slot_bytes, take)  # what finishes the cut slot
+        carry += chunk[:head]
+        if len(carry) == slot_bytes:
+            if any(carry[:8]) and (entry := decode(carry)) is not None:
+                entries.append(entry)
+            carry = b""
+        whole = take - head - (take - head) % slot_bytes
+        slots = np.frombuffer(chunk, np.uint8, whole, head).reshape(-1, slot_bytes)
         for slot in np.flatnonzero(slots[:, :8].any(axis=1)).tolist():
-            begin = slot * slot_bytes
+            begin = head + slot * slot_bytes
             if (entry := decode(chunk[begin : begin + slot_bytes])) is not None:
                 entries.append(entry)
-        carry = chunk[whole:]
+        carry += chunk[head + whole :]
     return entries
 
 

@@ -15,7 +15,6 @@ __all__ = [
     "LOG",
     "MUL",
     "gf_add",
-    "gf_sub",
     "gf_mul",
     "gf_div",
     "gf_inv",
@@ -24,7 +23,6 @@ __all__ = [
 ]
 
 _POLY = 0x11D
-_GENERATOR = 2
 
 # exp table doubled in length so gf_mul can skip a modulo 255.
 EXP = np.zeros(512, dtype=np.uint8)
@@ -51,11 +49,6 @@ MUL.setflags(write=False)
 
 def gf_add(a: int, b: int) -> int:
     """Addition in GF(2^8) is XOR."""
-    return (a ^ b) & 0xFF
-
-
-def gf_sub(a: int, b: int) -> int:
-    """Subtraction equals addition in characteristic 2."""
     return (a ^ b) & 0xFF
 
 

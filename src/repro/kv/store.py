@@ -197,17 +197,14 @@ class KvServer:
         )
 
     def _bulk_read(self, addr: int, length: int):
-        out = bytearray()
-        offset = 0
-        while offset < length:
+        parts = []
+        for offset in range(0, length, _BULK_CHUNK):
             take = min(_BULK_CHUNK, length - offset)
-            data = yield from self.repmem.read(addr + offset, take)
+            parts.append((yield from self.repmem.read(addr + offset, take)))
             # Parsing/copy cost for bulk structure loads (Fig. 12's "loading
             # the index table and bitmap" phase).
             yield self.host.execute(take / 4096.0)
-            out += data
-            offset += take
-        return bytes(out)
+        return b"".join(parts)
 
     def _replay_wal(self):
         repmem, config, layout = self.repmem, self.config, self.layout
@@ -246,7 +243,8 @@ class KvServer:
         region and the coordinator caches, exactly as if the puts had been
         applied, without burning wall-clock on millions of simulated RPCs.
         Adjacent blocks are stored in bounded runs (up to 256 KiB, one region
-        write per node), each built in one reused buffer.
+        write per node), each joined into one ``bytes`` object whose pages the
+        nodes then share.
         Must run after :meth:`start` and before any traffic.
         """
         repmem, layout = self.repmem, self.layout
@@ -256,7 +254,7 @@ class KvServer:
             if repmem.states[n] != "dead" and n in repmem.qps
         ]
         cache_budget = self.cache.capacity if warm_cache else 0
-        run, used, run_addr = bytearray(_BULK_CHUNK + layout.block_bytes), 0, 0
+        run, used, run_addr = [], 0, 0
         try:
             for key, value in items:
                 key, value = bytes(key), bytes(value)
@@ -266,27 +264,26 @@ class KvServer:
                 image = layout.encode_block(BlockImage(int(self.index[bucket]), key, value))
                 self.index[bucket] = addr
                 if addr != run_addr + used or used >= _BULK_CHUNK:
-                    self._store_run(regions, run_addr, memoryview(run)[:used])
-                    run_addr, used = addr, 0
-                run[used : used + len(image)] = image
+                    self._store_run(regions, run_addr, b"".join(run))
+                    run, run_addr, used = [], addr, 0
+                run.append(image)
                 used += len(image)
                 if cache_budget > 0:
                     self.cache.fill(key, value, addr)
                     cache_budget -= 1
         finally:  # a refused item still leaves every block before it stored
-            self._store_run(regions, run_addr, memoryview(run)[:used])
+            self._store_run(regions, run_addr, b"".join(run))
         # Flush the index table and bitmap wholesale.
         self._store_run(regions, layout.index_offset, self.index.tobytes())
         self._store_run(regions, layout.bitmap_offset, bytes(self.bitmap))
 
     def _store_run(self, regions, addr: int, data) -> None:
-        """Store the bytes-like *data*, zero-padded to whole blocks, from block-aligned
+        """Store the bytes *data*, zero-padded to whole blocks, from block-aligned
         *addr* into every region: one encode (EC) and one write per node."""
         if not data:
             return
         amap, block_bytes = self.repmem.amap, self.repmem.config.block_bytes
-        if len(data) % block_bytes:
-            data = bytes(data).ljust(-(-len(data) // block_bytes) * block_bytes, b"\0")
+        data = data.ljust(-(-len(data) // block_bytes) * block_bytes, b"\0")
         ec = self.repmem.config.erasure_coding
         offset = amap.chunk_extent(amap.block_index(addr)) if ec else amap.raw_extent(addr)
         shards = self.repmem.rs.encode(data, len(data) // block_bytes) if ec else None

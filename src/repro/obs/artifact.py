@@ -57,9 +57,6 @@ _REQUIRED = (
 #: zero tolerance by :mod:`repro.obs.compare`).
 DETERMINISTIC_SECTIONS = ("figure", "seeds", "params", "simulated", "registry")
 
-#: Sections that vary between hosts/runs (never strictly compared).
-VOLATILE_SECTIONS = ("git_sha", "created_unix", "host")
-
 
 class ArtifactError(ValueError):
     """A document is not a valid benchmark artifact."""

@@ -44,11 +44,6 @@ class SanDevice:
         self._bytes = 0
 
     @property
-    def durable_bytes(self) -> int:
-        """Bytes acknowledged as durable."""
-        return self._bytes
-
-    @property
     def record_count(self) -> int:
         return len(self._log)
 

@@ -9,11 +9,16 @@ Storage is **sparse**: the region is backed by fixed-size pages that
 materialise on first write, so experiments can model multi-gigabyte
 replicated memories (1M keys x 1 KiB in the paper's setup) without the
 simulator itself allocating gigabytes.
+
+Pages are immutable ``bytes``, written copy-on-write, and regions that
+apply the same ``bytes`` payload over the same page share the page it
+makes, so a group's 2F+1 replicas hold one copy of what they agree on.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from collections import OrderedDict
+from typing import Dict, Tuple
 
 from repro.rdma.errors import RdmaProtectionError
 
@@ -21,6 +26,29 @@ __all__ = ["MemoryRegion"]
 
 PAGE_BYTES = 4096
 _ZERO_PAGE = bytes(PAGE_BYTES)  # stands in for a page never written
+
+#: Pages built lately: ``(id(payload), position in it, page offset, id(old
+#: page))`` -> ``(payload, old page, new page)``.  An entry holds the
+#: objects its key's ids name, so no id is reused while it lives; only the
+#: newest ``_MEMO_ENTRIES`` live, whichever simulator wrote them.
+_MEMO_ENTRIES = 512
+_memo: "OrderedDict[Tuple[int, int, int, int], Tuple[bytes, bytes, bytes]]" = OrderedDict()
+
+
+def _new_page(data: bytes, at: int, take: int, page_offset: int, old: bytes) -> bytes:
+    """*old* with ``data[at : at + take]`` at *page_offset*; the memo picks only which object."""
+    key = (id(data), at, page_offset, id(old))
+    entry = _memo.get(key)
+    if entry is not None:
+        return entry[2]
+    if take == PAGE_BYTES:  # covered whole: one copy (none if data is the page)
+        page = data[at : at + PAGE_BYTES]
+    else:
+        page = b"".join((old[:page_offset], data[at : at + take], old[page_offset + take :]))
+    _memo[key] = (data, old, page)
+    if len(_memo) > _MEMO_ENTRIES:
+        _memo.popitem(last=False)
+    return page
 
 
 class MemoryRegion:
@@ -33,7 +61,7 @@ class MemoryRegion:
             raise ValueError(f"region size must be positive, got {size}")
         self.name = name
         self.size = size
-        self._pages: Dict[int, bytearray] = {}
+        self._pages: Dict[int, bytes] = {}
 
     # -- plain access --------------------------------------------------------
 
@@ -42,11 +70,11 @@ class MemoryRegion:
         if offset < 0 or length < 0 or offset + length > self.size:
             self._check(offset, length)  # raises
         page_index, page_offset = divmod(offset, PAGE_BYTES)
-        if page_offset + length <= PAGE_BYTES:  # single-page fast path
+        if page_offset + length <= PAGE_BYTES:  # single page: one slice, none if whole
             page = self._pages.get(page_index)
             if page is None:
                 return bytes(length)
-            return bytes(page[page_offset : page_offset + length])
+            return page[page_offset : page_offset + length]
         span = range(page_index, (offset + length - 1) // PAGE_BYTES + 1)
         pages = self._pages
         if pages.keys().isdisjoint(span):  # never written: no join to build
@@ -55,29 +83,24 @@ class MemoryRegion:
         return joined[page_offset : page_offset + length]
 
     def write(self, offset: int, data: bytes) -> None:
-        """Overwrite the bytes at *offset* with *data*."""
+        """Overwrite the bytes at *offset* with *data*, replacing each page it
+        touches (an empty write materializes its page).  Only a ``bytes``
+        payload is shared through the memo; any other is copied first."""
         length = len(data)
         if offset < 0 or offset + length > self.size:
             self._check(offset, length)  # raises
+        if type(data) is not bytes:
+            data = bytes(data)
+        pages, position = self._pages, 0
         page_index, page_offset = divmod(offset, PAGE_BYTES)
-        if page_offset + length <= PAGE_BYTES:  # single-page fast path
-            page = self._pages.get(page_index)
-            if page is None:
-                page = self._pages[page_index] = bytearray(PAGE_BYTES)
-            page[page_offset : page_offset + length] = data
-            return
-        pages, view, position = self._pages, memoryview(data), 0
-        while position < length:
-            page_index, page_offset = divmod(offset + position, PAGE_BYTES)
+        while True:
             take = min(length - position, PAGE_BYTES - page_offset)
-            if take == PAGE_BYTES:  # covered whole: one copy, no zero-fill
-                pages[page_index] = bytearray(view[position : position + PAGE_BYTES])
-            else:
-                page = pages.get(page_index)
-                if page is None:
-                    page = pages[page_index] = bytearray(PAGE_BYTES)
-                page[page_offset : page_offset + take] = view[position : position + take]
+            old = pages.get(page_index, _ZERO_PAGE)
+            pages[page_index] = _new_page(data, position, take, page_offset, old)
             position += take
+            if position >= length:
+                return
+            page_index, page_offset = page_index + 1, 0
 
     def fill(self, value: int = 0) -> None:
         """Reset the whole region (models a fresh DRAM allocation)."""

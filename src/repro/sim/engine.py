@@ -521,8 +521,10 @@ class Simulator:
     #: Compact the containers when at least this many cancelled entries
     #: are pending *and* they outnumber the live ones.
     _COMPACT_MIN = 512
+    built = 0  #: simulators constructed in this process
 
     def __init__(self) -> None:
+        Simulator.built += 1
         #: Current virtual time in microseconds (advanced only by run()).
         self.now = 0.0
         self._seq = 0

@@ -11,8 +11,10 @@ exercised against the committed baselines by CI's bench-smoke job at
 
 import pytest
 
+from repro.bench import parallel
 from repro.bench.parallel import Point, run_points
 from repro.obs.registry import MetricsRegistry, collecting, current_registry
+from repro.sim.engine import Simulator
 
 
 # Top-level so it pickles for the worker-process path.
@@ -28,6 +30,11 @@ def emit_point(name: str, value: float) -> dict:
 
 def boom_point() -> dict:
     raise RuntimeError("point exploded")
+
+
+def simulator_point() -> dict:
+    Simulator()
+    return {}
 
 
 def _points():
@@ -74,6 +81,20 @@ class TestRunPoints:
             "p0": {"name": "p0", "value": 3.0},
             "p1": {"name": "p1", "value": 1.0},
         }
+
+    def test_only_a_point_that_built_a_simulator_drains_garbage(self, monkeypatch):
+        """A drain costs a full collection, which dwarfs an arithmetic point;
+        one point's closing drain is also the next point's opening one."""
+        Simulator()  # whatever ran before: the first boundary drains it
+        drains = []
+        monkeypatch.setattr(parallel.gc, "collect", lambda: drains.append(1))
+        run_points(_points()[:2], jobs=1)
+        assert len(drains) == 1
+        points = [Point("sim", simulator_point, {}), *_points()[:2]]
+        run_points(points, jobs=1)
+        assert len(drains) == 2  # after "sim" only, not again before "p0"
+        run_points(_points()[:2], jobs=1)
+        assert len(drains) == 2
 
     def test_point_exception_propagates(self):
         with pytest.raises(RuntimeError, match="point exploded"):

@@ -294,6 +294,8 @@ def test_mutation_fails_exactly_its_gate(target):
 #: order its point function builds it.
 SINGLE_RUN_KEYS = {
     "fig8": [f"{groups} groups" for groups in _committed("fig8")["params"]["groups"]],
+    "fig9": _committed("fig9")["params"]["providers"],
+    "fig10": _committed("fig10")["params"]["providers"],
     "fig11": ["series", "events", "recovery_s"],
     "fig12": ["series", "events", "killed_s", "serving_s", "replayed"],
 }

@@ -7,11 +7,12 @@ loops they replaced returned; those loops are kept here as the
 references.  The filter is sound only because both log codecs reject a
 zero leading word, which a property pins.
 
-``MemoryRegion.write`` copies a page it covers whole in one step, and a
-read of a never-written range returns zeros without joining zero pages.
-The zero-filling write and the joining read they replaced are kept here
-too: the region must hold the same pages with the same bytes, and no
-read may materialize a page.
+``MemoryRegion.write`` replaces each page it touches with a new
+immutable one (a page it covers whole is one slice of the payload), and
+a read of a never-written range returns zeros without joining zero
+pages.  A write that builds every page from a zero-filled buffer and the
+joining read are kept here as references: the region must hold the same
+pages with the same bytes, and no read may materialize a page.
 """
 
 import random
@@ -197,18 +198,18 @@ def test_sparse_read_matches_the_page_loop(pages, short, written, ranges, seed):
 
 
 def reference_write(region, offset, data):
-    """The write that zero-filled every page before assigning into it
-    (an empty write inside one page materializes that page)."""
+    """The write that builds every page it touches in a zero-filled
+    buffer, then stores it immutable (an empty write inside one page
+    materializes that page)."""
     if not data:
-        region._pages.setdefault(offset // PAGE_BYTES, bytearray(PAGE_BYTES))
+        region._pages.setdefault(offset // PAGE_BYTES, bytes(PAGE_BYTES))
     position = 0
     while position < len(data):
         page_index, page_offset = divmod(offset + position, PAGE_BYTES)
         take = min(len(data) - position, PAGE_BYTES - page_offset)
-        page = region._pages.get(page_index)
-        if page is None:
-            page = region._pages[page_index] = bytearray(PAGE_BYTES)
+        page = bytearray(region._pages.get(page_index, bytes(PAGE_BYTES)))
         page[page_offset : page_offset + take] = data[position : position + take]
+        region._pages[page_index] = bytes(page)
         position += take
 
 
@@ -221,9 +222,9 @@ def reference_join_read(region, offset, length):
 
 
 def materialized(region):
-    """``{page: bytes}``, checking every page is a whole-page ``bytearray``."""
-    assert all(type(page) is bytearray and len(page) == PAGE_BYTES for page in region._pages.values())
-    return {index: bytes(page) for index, page in region._pages.items()}
+    """``{page: bytes}``, checking every page is a whole, immutable page."""
+    assert all(type(page) is bytes and len(page) == PAGE_BYTES for page in region._pages.values())
+    return dict(region._pages)
 
 
 def span(at, length, aligned, size):

@@ -82,7 +82,7 @@ def booted(ec):
 def snapshot(group, server):
     return (
         [
-            {i: bytes(p) for i, p in node.repmem_region._pages.items()}
+            dict(node.repmem_region._pages)  # pages are immutable: no copy
             for node in group.memory_nodes
         ],
         server.index.copy(),
@@ -97,7 +97,7 @@ def restore(group, server, saved):
     pages, index, bitmap, free_blocks, alloc_hint, cache = saved
     for node, node_pages in zip(group.memory_nodes, pages):
         node.repmem_region._pages.clear()  # in place: aliases share the dict
-        node.repmem_region._pages.update({i: bytearray(p) for i, p in node_pages.items()})
+        node.repmem_region._pages.update(node_pages)
     server.index, server.bitmap = index.copy(), bytearray(bitmap)
     server._free_blocks, server._alloc_hint = free_blocks, alloc_hint
     server.cache = copy.deepcopy(cache)
@@ -108,8 +108,8 @@ def observed(group, server):
     pages = []
     for node in group.memory_nodes:
         region_pages = node.repmem_region._pages
-        assert all(type(p) is bytearray and len(p) == PAGE_BYTES for p in region_pages.values())
-        pages.append({index: bytes(page) for index, page in region_pages.items()})
+        assert all(type(p) is bytes and len(p) == PAGE_BYTES for p in region_pages.values())
+        pages.append(dict(region_pages))
     cache = [
         (key, entry.value, entry.block_addr, entry.pending, entry.tombstone)
         for key, entry in server.cache._entries.items()
