@@ -210,29 +210,20 @@ def recover_log(repmem: ReplicatedMemory):
     #    entries is idempotent.
     for entry in authoritative:
         yield repmem.host.execute(costs.apply_entry_us)
-        chunks = None
+        offset, chunks = repmem.amap.raw_extent(entry.address), None
         if repmem.rs is not None and repmem.amap.is_encoded(entry.address, len(entry.data)):
             kb = len(entry.data) / 1024.0
             yield repmem.host.execute(costs.ec_encode_us_per_kb * kb)
             block = repmem.amap.block_index(entry.address)
             start, end = repmem.amap.block_bounds(block)
             if entry.address != start or len(entry.data) != end - start:
-                raise GroupUnavailable(
-                    "corrupt WAL: partial-block entry in the encoded zone"
-                )
-            chunks = repmem.rs.encode(entry.data)
-        acks = []
-        for n in sorted(live):
-            qp = repmem.qps.get(n)
-            if qp is None:
-                continue
-            if chunks is not None:
-                offset = repmem.amap.chunk_extent(repmem.amap.block_index(entry.address))
-                payload = chunks[n]
-            else:
-                offset = repmem.amap.raw_extent(entry.address)
-                payload = entry.data
-            acks.append(qp.write(REPMEM_REGION, offset, payload))
+                raise GroupUnavailable("corrupt WAL: partial-block entry in the encoded zone")
+            offset, chunks = repmem.amap.chunk_extent(block), repmem.rs.encode(entry.data)
+        acks = [
+            repmem.qps[n].write(REPMEM_REGION, offset, entry.data if chunks is None else chunks[n])
+            for n in sorted(live)
+            if n in repmem.qps
+        ]
         if acks:
             yield all_of(repmem.sim, acks)
 
@@ -290,10 +281,7 @@ def _try_salvage(repmem: ReplicatedMemory, membership: Membership, live: Set[int
     unreachable member that might hold newer state).
     """
     config = repmem.config
-    if config.erasure_coding or not live:
-        return None
-    connected = set(repmem.qps)
-    if not membership.members <= connected:
+    if config.erasure_coding or not live or not membership.members <= set(repmem.qps):
         return None  # an absent member could hold newer committed state
     source = repmem.qps[min(live)]
     targets = sorted(membership.members - live)
@@ -301,12 +289,9 @@ def _try_salvage(repmem: ReplicatedMemory, membership: Membership, live: Set[int
     begin = node_config.data_offset
     end = node_config.data_offset + node_config.data_bytes
     for n in targets:
-        offset = begin
-        while offset < end:
-            take = min(_WAL_READ_CHUNK, end - offset)
-            data = yield source.read(REPMEM_REGION, offset, take)
+        for offset in range(begin, end, _WAL_READ_CHUNK):
+            data = yield source.read(REPMEM_REGION, offset, min(_WAL_READ_CHUNK, end - offset))
             yield repmem.qps[n].write(REPMEM_REGION, offset, data)
-            offset += take
         yield from repmem.write_status(n, STATUS_INITIALISED)
     return set(membership.members)
 
@@ -344,9 +329,7 @@ class MemoryNodeRecoveryManager:
                 if state != NodeState.DEAD or n in self._recovering:
                     continue
                 node = repmem.memory_nodes[n]
-                if not node.alive:
-                    continue
-                if not repmem.nic.fabric.reachable(repmem.host.name, node.name):
+                if not node.alive or not repmem.nic.fabric.reachable(repmem.host.name, node.name):
                     continue
                 self._recovering.add(n)
                 repmem.host.spawn(self._recover_node(n), name=f"recover-mem-{n}")
@@ -648,19 +631,15 @@ class MemoryNodeRecoveryManager:
                     ).set(p.bytes_done / p.duration_us)
 
     def _copy_range(self, n: int, qp: QueuePair, addr: int, length: int):
-        repmem = self.repmem
-        if not repmem.amap.is_encoded(addr, length):
+        repmem, amap = self.repmem, self.repmem.amap
+        if not amap.is_encoded(addr, length):
             data = yield from repmem._raw_read(addr, length)
-            yield qp.write(REPMEM_REGION, repmem.amap.raw_extent(addr), data)
+            yield qp.write(REPMEM_REGION, amap.raw_extent(addr), data)
             return
-        first = repmem.amap.block_index(addr)
-        last = repmem.amap.block_index(addr + length - 1)
-        for block in range(first, last + 1):
+        for block in range(amap.block_index(addr), amap.block_index(addr + length - 1) + 1):
             data = yield from repmem._read_encoded_block(block)
-            kb = len(data) / 1024.0
-            yield repmem.host.execute(repmem.costs.ec_encode_us_per_kb * kb)
-            shard = repmem.rs.encode(data)[n]
-            yield qp.write(REPMEM_REGION, repmem.amap.chunk_extent(block), shard)
+            yield repmem.host.execute(repmem.costs.ec_encode_us_per_kb * (len(data) / 1024.0))
+            yield qp.write(REPMEM_REGION, amap.chunk_extent(block), repmem.rs.encode(data)[n])
 
 
 class PartitionProgress:

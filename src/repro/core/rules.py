@@ -62,7 +62,7 @@ def lease_renewed(claimed: int, quorum: int) -> bool:
     return claimed >= quorum
 
 
-def merge_logs(per_node: Iterable[Mapping[int, object]], floor: int = 0) -> List:
+def merge_logs(per_node: Iterable[Mapping[int, object]], floor: int = 0, tail=(0, 0)) -> List:
     """The authoritative entries above *floor*, in position order.
 
     Each mapping takes a position (WAL log index, KV WAL sequence number)
@@ -70,6 +70,8 @@ def merge_logs(per_node: Iterable[Mapping[int, object]], floor: int = 0) -> List
     deposed coordinator may have left a divergent entry on a minority),
     and everything after the newest term's last entry is dropped (an old
     coordinator's unacknowledged suffix must not outlive its successor).
+    A caller that left out entries at or below *floor* passes the largest
+    ``(term, position)`` among them as *tail*, and gets the same answer.
     """
     merged = {}
     for entries in per_node:
@@ -77,10 +79,7 @@ def merge_logs(per_node: Iterable[Mapping[int, object]], floor: int = 0) -> List
             best = merged.get(key)
             if best is None or entry.term > best.term:
                 merged[key] = entry
-    if not merged:
-        return []
-    newest = max(entry.term for entry in merged.values())
-    last = max(key for key, entry in merged.items() if entry.term == newest)
+    last = max([tail, *((entry.term, key) for key, entry in merged.items())])[1]
     return [merged[key] for key in sorted(merged) if floor < key <= last]
 
 

@@ -32,7 +32,7 @@ The cache fills during replay, so the store restarts warm (§6.5).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,6 +64,27 @@ _WAL_FLOW_SLACK = 64
 
 class KvError(ReproError):
     """Client-visible KV failure (full store, oversized record, ...)."""
+
+
+class WalReplay:
+    """§4.3's replay as ``scan_log`` decodes it: :meth:`decode_wal_record`
+    keeps each record above *floor* (the applied watermark) once, however
+    many nodes hold it, and folds every record into ``tail`` (newest term,
+    last seq) and ``highest`` for ``rules.merge_logs(kept, floor, tail)``."""
+
+    def __init__(self, decode: Callable[[bytes], Optional[WalRecord]], floor: int):
+        self._decode, self.floor, self._held = decode, floor, {}  # each kept record, as itself
+        self.tail, self.highest = (0, 0), floor
+
+    def decode_wal_record(self, raw: bytes) -> Optional[WalRecord]:
+        record = self._decode(raw)
+        if record is None:
+            return None
+        self.tail = max(self.tail, (record.term, record.seq))
+        self.highest = max(self.highest, record.seq)
+        if record.seq <= self.floor:
+            return None
+        return self._held.setdefault(record, record)
 
 
 class KvServer:
@@ -208,17 +229,14 @@ class KvServer:
 
     def _replay_wal(self):
         repmem, config, layout = self.repmem, self.config, self.layout
-        wal_at = repmem.amap.raw_extent(layout.wal_offset)
-        per_node: List[Dict[int, WalRecord]] = []
+        replay, per_node = WalReplay(layout.decode_wal_record, self.applied_seq), []
+        wal = (repmem.amap.raw_extent(layout.wal_offset), config.wal_entries, layout.wal_slot_bytes)
         for n in [n for n, s in repmem.states.items() if s == NodeState.LIVE and n in repmem.qps]:
-            records = yield from scan_log(
-                repmem.qps[n], wal_at, config.wal_entries, layout.wal_slot_bytes,
-                layout.decode_wal_record,
-            )
+            records = yield from scan_log(repmem.qps[n], *wal, replay.decode_wal_record)
             yield self.host.execute(config.wal_entries * 0.02)  # slot scan
             per_node.append({record.seq: record for record in records})
 
-        for record in rules.merge_logs(per_node, self.applied_seq):
+        for record in rules.merge_logs(per_node, replay.floor, replay.tail):
             yield from self._apply_record(record)
             self.applied_seq = record.seq
             if record.op == OP_PUT:
@@ -226,8 +244,7 @@ class KvServer:
                 # in parallel" (§6.5) — the store restarts warm.
                 self.cache.put(record.key, record.value)
             self.stats["replayed"] += 1
-        highest = max((r.seq for node in per_node for r in node.values()), default=0)
-        self.next_seq = max(highest, self.applied_seq) + 1
+        self.next_seq = replay.highest + 1
         yield from self._persist_watermark()
 
     # ------------------------------------------------------------------

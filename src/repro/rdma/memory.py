@@ -13,38 +13,47 @@ simulator itself allocating gigabytes.
 Pages are immutable ``bytes``, written copy-on-write, and regions that
 apply the same ``bytes`` payload over the same page share the page it
 makes, so a group's 2F+1 replicas hold one copy of what they agree on.
+A page of zeros is always ``_ZERO_PAGE``, and a write of what a
+multi-page read returned (a recovery copy) stores the pages it joined.
+The memo behind this keeps its newest 512 entries, each pinning one
+payload and at most two pages: 4 MiB of pages and 512 payloads at most.
+A verb enters one entry per page (per whole page joined, for a read) in
+one pass and entries leave oldest first, so a run of verbs of k entries
+each pins at most ``512 // k + 1`` payloads: nine 256 KiB reads, 2.25 MiB.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.rdma.errors import RdmaProtectionError
 
 __all__ = ["MemoryRegion"]
 
 PAGE_BYTES = 4096
-_ZERO_PAGE = bytes(PAGE_BYTES)  # stands in for a page never written
+_ZERO_PAGE = bytes(PAGE_BYTES)  # every all-zero page stored, and any page never written
 
-#: Pages built lately: ``(id(payload), position in it, page offset, id(old
-#: page))`` -> ``(payload, old page, new page)``.  An entry holds the
-#: objects its key's ids name, so no id is reused while it lives; only the
-#: newest ``_MEMO_ENTRIES`` live, whichever simulator wrote them.
+#: ``(id(payload), position in it)`` for a whole page, plus ``(page offset,
+#: id(old page))`` for a partial one -> ``(payload, old page or None, page)``;
+#: an entry holds the objects its key's ids name, so no id is reused while it lives.
 _MEMO_ENTRIES = 512
-_memo: "OrderedDict[Tuple[int, int, int, int], Tuple[bytes, bytes, bytes]]" = OrderedDict()
+_memo: "OrderedDict[tuple, Tuple[bytes, Optional[bytes], bytes]]" = OrderedDict()
 
 
 def _new_page(data: bytes, at: int, take: int, page_offset: int, old: bytes) -> bytes:
     """*old* with ``data[at : at + take]`` at *page_offset*; the memo picks only which object."""
-    key = (id(data), at, page_offset, id(old))
+    whole = take == PAGE_BYTES
+    key = (id(data), at) if whole else (id(data), at, page_offset, id(old))
     entry = _memo.get(key)
     if entry is not None:
         return entry[2]
-    if take == PAGE_BYTES:  # covered whole: one copy (none if data is the page)
-        page = data[at : at + PAGE_BYTES]
+    if whole:  # one copy (none if data is the page)
+        page, old = data[at : at + PAGE_BYTES], None
     else:
         page = b"".join((old[:page_offset], data[at : at + take], old[page_offset + take :]))
+    if page == _ZERO_PAGE:
+        page = _ZERO_PAGE
     _memo[key] = (data, old, page)
     if len(_memo) > _MEMO_ENTRIES:
         _memo.popitem(last=False)
@@ -80,7 +89,12 @@ class MemoryRegion:
         if pages.keys().isdisjoint(span):  # never written: no join to build
             return bytes(length)
         joined = b"".join([pages.get(i, _ZERO_PAGE) for i in span])
-        return joined[page_offset : page_offset + length]
+        data = joined[page_offset : page_offset + length]
+        for i in range(-(-offset // PAGE_BYTES), (offset + length) // PAGE_BYTES):  # whole pages
+            _memo[id(data), i * PAGE_BYTES - offset] = (data, None, pages.get(i, _ZERO_PAGE))
+        while len(_memo) > _MEMO_ENTRIES:
+            _memo.popitem(last=False)
+        return data
 
     def write(self, offset: int, data: bytes) -> None:
         """Overwrite the bytes at *offset* with *data*, replacing each page it
@@ -102,23 +116,13 @@ class MemoryRegion:
                 return
             page_index, page_offset = page_index + 1, 0
 
-    def fill(self, value: int = 0) -> None:
-        """Reset the whole region (models a fresh DRAM allocation)."""
-        self._pages.clear()
-        if value:
-            raise NotImplementedError("only zero-fill is supported")
-
     # -- aliasing --------------------------------------------------------------
 
     def alias(self, name: str) -> "MemoryRegion":
-        """A second named view over the *same* backing pages.
-
-        Used to export one buffer under two protection domains — e.g.
-        the replicated region is exported exclusively to the serving
-        coordinator while a ``repmem-recovery`` alias admits the
-        fragment pushers of partitioned recovery.  Reads and writes
-        through either name land in the same bytes.
-        """
+        """A second named view over the *same* backing pages: one buffer
+        exported under two protection domains (the replicated region to the
+        serving coordinator, a ``repmem-recovery`` alias to the fragment
+        pushers of partitioned recovery)."""
         view = MemoryRegion.__new__(MemoryRegion)
         view.name = name
         view.size = self.size

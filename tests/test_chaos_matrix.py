@@ -360,6 +360,28 @@ def test_shrunk_sift_finding_stays_fixed(cause):
     assert result.acked_puts > 0 and result.leader_terms
 
 
+#: ROADMAP item 12's open finding, at the figures' scale on Sift EC (seed
+#: 142, shrunk): message loss gets a live memory node marked dead, and
+#: node 0 crashes while that node's recovery copy still runs.  With one
+#: trusted member left every new coordinator fails ``recover_log``: two
+#: failures inside one copy window at f=1.
+EC_COPY_WINDOW_DOUBLE_FAILURE = (
+    FaultSchedule()
+    .drop_messages(77_068.1840819614, 0.09293672660881085)
+    .crash_memory_node(249_870.39224602873, 0)
+)
+
+
+def test_ec_double_failure_in_the_copy_window_is_an_open_liveness_finding():
+    """Strict both ways: the day the group serves again, this fails and
+    the finding comes off ROADMAP item 12 and CI's chaos-smoke comment."""
+    runner = ChaosRunner(
+        sift_spec(f=1, erasure_coding=True).build, EC_COPY_WINDOW_DOUBLE_FAILURE, seed=142
+    )
+    with pytest.raises(ChaosError, match="post-schedule liveness failed: group sift-ec has no serving"):
+        runner.run()
+
+
 def test_explorer_counts_and_prints_an_unresolvable_target(capsys):
     """Seed 102 isolates the leader 55 ms in, before the first election
     has a winner: a skip of that seed, not a failure of the explorer."""

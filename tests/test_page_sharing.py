@@ -8,7 +8,9 @@ region holds: every region reads back exactly what a plain per-region
 model holds, whatever order the regions apply their writes in and
 whatever happens to a mutable payload after it was written.  The budget
 pins the saving on a live group: after a fixed-seed load the three
-memory nodes hold about one replica's worth of distinct page bytes.
+memory nodes hold about one replica's worth of distinct page bytes, and
+a node re-copied after a crash holds its peers' pages, not copies.  The
+memo's retention is bounded in bytes as ``repro.rdma.memory`` states.
 """
 
 import random
@@ -16,9 +18,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.replicated_memory import NodeState
 from repro.rdma import memory
 from repro.rdma.memory import PAGE_BYTES, MemoryRegion
-from repro.sim import SEC
+from repro.sim import MS, SEC
 from tests.testing import make_kv_stack, run_scenario
 
 SIZE = 6 * PAGE_BYTES - 100
@@ -120,8 +123,70 @@ def test_a_group_holds_about_one_replica_of_distinct_pages():
 
     run_scenario(sim, load())
     nodes = group.memory_nodes
-    regions = [r for node in nodes for r in (node.admin_region, node.repmem_region, node.meta_region)]
-    distinct = {id(page): len(page) for region in regions for page in region._pages.values()}
     replica = [sum(map(len, node.repmem_region._pages.values())) for node in nodes]
     assert len(nodes) == 3 and replica == [ONE_REPLICA_PAGE_BYTES] * 3
-    assert sum(distinct.values()) <= DISTINCT_PAGE_BYTES_CEILING
+    assert distinct_page_bytes(nodes) <= DISTINCT_PAGE_BYTES_CEILING
+
+
+def distinct_page_bytes(nodes):
+    """Page bytes across every region of *nodes*, each page object once."""
+    regions = [r for n in nodes for r in (n.admin_region, n.repmem_region, n.meta_region)]
+    pages = {id(page): len(page) for region in regions for page in region._pages.values()}
+    return sum(pages.values())
+
+
+#: Distinct page bytes of the same group after one memory node crashed,
+#: missed 50 puts, was re-copied and took 50 more.  The recovered node
+#: stores 32 more pages than its peers (zeros the copy wrote), all of them
+#: the one zero page.  The measured value; the copy that stored a private
+#: page for every page it copied held 745,472.
+RECOVERED_DISTINCT_PAGE_BYTES_CEILING = 352_256
+
+
+def test_a_recovered_replica_shares_its_peers_pages():
+    sim, _fabric, group, client = make_kv_stack(max_keys=256, seed=0)
+    run_scenario(sim, group.wait_until_serving(timeout_us=2 * SEC))
+    coordinator = group.serving_coordinator()
+    coordinator.app.preload((b"key-%d" % i, b"%d" % i * 90) for i in range(128))
+    repmem = coordinator.repmem
+
+    def puts(first, last):
+        for i in range(first, last):
+            yield from client.put(b"key-%d" % (i % 64), b"value-%d" % i * 20)
+
+    def load():
+        yield from puts(0, 100)
+        group.crash_memory_node(2)
+        yield from puts(100, 150)
+        assert repmem.states[2] == NodeState.DEAD
+        group.restart_memory_node(2)
+        while repmem.states[2] != NodeState.LIVE:
+            yield sim.timeout(10 * MS)
+        yield from puts(150, 200)
+        yield sim.timeout(50 * MS)  # let the appliers drain
+
+    run_scenario(sim, load(), until=30 * SEC)
+    nodes = group.memory_nodes
+    at, size = repmem.amap.raw_extent(0), repmem.config.data_bytes
+    recovered = nodes[2].repmem_region
+    assert recovered.read(at, size) == nodes[0].repmem_region.read(at, size)
+    zeros = [page for page in recovered._pages.values() if page == memory._ZERO_PAGE]
+    assert zeros and all(page is memory._ZERO_PAGE for page in zeros)
+    assert distinct_page_bytes(nodes) <= RECOVERED_DISTINCT_PAGE_BYTES_CEILING
+
+
+def test_a_flood_of_multi_page_reads_pins_the_stated_payload_bytes():
+    """Read-side entries count against the same 512: once a run of 256 KiB
+    reads (63-64 whole pages each) fills the memo, it pins at most
+    ``512 // 64 + 1`` of them, 2.25 MiB, and nothing else."""
+    size = 256 * 1024
+    region = MemoryRegion("flooded", 2 * size)
+    region.write(0, random.Random(3).randbytes(2 * size))
+    reads = []
+    for shift in [0, 100, 4096, 1, 0, 2048, 0, 0, 7, 0, 0, 0, 4095, 0, 0, 0]:
+        reads.append(region.read(shift, size))
+        assert len(memory._memo) <= memory._MEMO_ENTRIES
+        held = {id(entry[0]): len(entry[0]) for entry in memory._memo.values()}
+        if len(reads) > 9:  # the run fills the memo: only its reads are left
+            assert set(held) <= set(map(id, reads))
+            assert sum(held.values()) <= (memory._MEMO_ENTRIES // 64 + 1) * size == 9 * size

@@ -81,12 +81,6 @@ class TestMemoryRegion:
         assert region.compare_and_swap(0, 4, 9) == 5
         assert region.read_word(0) == 5
 
-    def test_fill_zeroes(self):
-        region = MemoryRegion("r", 64)
-        region.write(0, b"junk")
-        region.fill()
-        assert region.read(0, 4) == bytes(4)
-
     def test_size_must_be_positive(self):
         with pytest.raises(ValueError):
             MemoryRegion("r", 0)

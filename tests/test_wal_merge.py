@@ -3,15 +3,22 @@
 :func:`repro.core.rules.merge_logs` serves both logs: the KV WAL keyed
 by sequence number (§4.3 replay) and the replicated-memory WAL keyed by
 log index (§3.4.1 recovery), so every case runs against both record
-types.
+types.  A takeover's KV replay (:class:`repro.kv.store.WalReplay`) keeps
+only the records above the applied watermark, and must still replay
+exactly what the merge over the whole logs replays.
 """
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import cpu_node, rules
 from repro.core.membership import RESERVED_BYTES
-from repro.kv.layout import OP_PUT, WalRecord
-from repro.sim import SEC
+from repro.kv import store
+from repro.kv.config import KvConfig
+from repro.kv.layout import OP_DELETE, OP_PUT, KvLayout, WalRecord
+from repro.sim import MS, SEC
 from repro.storage.wal import WalEntry
-from tests.testing import make_group, run_scenario
+from tests.testing import make_group, make_kv_stack, run_scenario
 
 merge_logs = rules.merge_logs
 
@@ -135,3 +142,85 @@ class TestRecoveryUsesTheMerge:
         assert merges[0][1] == [] and recoveries[0] == (1, 1)
         last_merged = merges[-1][1][-1].log_index
         assert last_merged > 5 and recoveries[-1][1] == last_merged + 1
+
+
+LAYOUT = KvLayout(KvConfig(max_keys=64, wal_entries=16))
+
+#: One node's log: seq -> (term, op, value, torn).  A torn slot fails its
+#: checksum, as a write cut by a crash does, and decodes to nothing.
+node_log = st.dictionaries(
+    st.integers(1, 12),
+    st.tuples(
+        st.integers(1, 3), st.sampled_from((OP_PUT, OP_DELETE)), st.binary(max_size=8), st.booleans()
+    ),
+    max_size=10,
+)
+
+
+def slots(log):
+    """The raw WAL slots of *log*, in slot order, each padded to the slot size."""
+    raws = []
+    for seq, (term, op, value, torn) in sorted(log.items(), key=lambda item: item[0] % 5):
+        raw = bytearray(LAYOUT.encode_wal_record(WalRecord(seq, op, b"k%d" % seq, value, term)))
+        if torn:
+            raw[-1] ^= 0xFF
+        raws.append(bytes(raw.ljust(LAYOUT.wal_slot_bytes, b"\0")))
+    return raws
+
+
+class TestBoundedReplay:
+    @settings(max_examples=300)
+    @given(logs=st.lists(node_log, min_size=1, max_size=3), floor=st.integers(0, 12))
+    # A deposed coordinator's stale suffix (4-6 at term 1) on one node; the
+    # successor's last entry (3 at term 2) at or below the floor drops it.
+    @example(
+        logs=[
+            {i: (1, OP_PUT, b"old", False) for i in range(1, 7)},
+            {i: (2 if i > 1 else 1, OP_PUT, b"new", i == 5) for i in (1, 2, 3, 5)},
+        ],
+        floor=3,
+    )
+    def test_replays_what_the_merge_over_the_whole_logs_replays(self, logs, floor):
+        whole = [{r.seq: r for r in map(LAYOUT.decode_wal_record, slots(log)) if r} for log in logs]
+        replay = store.WalReplay(LAYOUT.decode_wal_record, floor)
+        kept = [{r.seq: r for r in map(replay.decode_wal_record, slots(log)) if r} for log in logs]
+        assert rules.merge_logs(kept, floor, replay.tail) == rules.merge_logs(whole, floor)
+        assert replay.highest == max([floor, *(seq for log in whole for seq in log)])
+        held = {id(r): r for node in kept for r in node.values()}
+        assert all(r.seq > floor for r in held.values())
+        assert len(held) == len({(r.seq, r) for r in held.values()})  # each record once
+
+    def test_a_takeover_holds_only_the_records_above_the_watermark(self, monkeypatch):
+        """After 100 puts the successor's replay reads three whole logs
+        but keeps only the records above the watermark, each once."""
+        replays = []
+
+        class Counted(store.WalReplay):
+            def __init__(self, decode, floor):
+                super().__init__(decode, floor)
+                self.seen, self.kept = 0, {}
+                replays.append(self)
+
+            def decode_wal_record(self, raw):
+                self.seen += self._decode(raw) is not None
+                record = super().decode_wal_record(raw)
+                if record is not None:
+                    self.kept[id(record)] = record
+                return record
+
+        monkeypatch.setattr(store, "WalReplay", Counted)
+        sim, _fabric, group, client = make_kv_stack()
+
+        def scenario():
+            coordinator = yield from group.wait_until_serving(timeout_us=2 * SEC)
+            for index in range(100):
+                yield from client.put(b"k%02d" % (index % 40), b"v%d" % index)
+            yield sim.timeout(5 * MS)
+            coordinator.crash()
+            yield from group.wait_until_serving(timeout_us=5 * SEC)
+
+        run_scenario(sim, scenario())
+        replay = replays[-1]
+        assert replay.floor >= 64 and replay.seen == 3 * 100  # three nodes' whole logs
+        assert all(r.seq > replay.floor for r in replay.kept.values())
+        assert len(replay.kept) <= replay.highest - replay.floor
