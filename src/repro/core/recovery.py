@@ -44,8 +44,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.core import rules
 from repro.core.errors import (
     GroupUnavailable,
@@ -85,6 +83,8 @@ is sized from the deployment geometry with this floor under it."""
 
 _WAL_READ_CHUNK = 256 * 1024
 """Bytes per one-sided read while scanning a node's WAL."""
+_ZERO_CHUNK = bytes(_WAL_READ_CHUNK)
+_ZERO_WORD = bytes(8)
 
 
 class RecoveryResult(NamedTuple):
@@ -238,7 +238,8 @@ def scan_log(qp: QueuePair, offset: int, count: int, slot_bytes: int, decode: Ca
     Each chunk is scanned in place as it arrives; only a slot cut by the
     chunk boundary is copied, its pieces joined.  Only slots whose leading
     8-byte index word is non-zero reach *decode*: both log codecs reject a
-    zero one, so the host work follows what the log holds, not its capacity."""
+    zero one, so the host work follows what the log holds, not its capacity.
+    An all-zero chunk, most of a boot's, is passed over by one memcmp."""
     entries = []
     carry = b""
     total = count * slot_bytes
@@ -252,11 +253,11 @@ def scan_log(qp: QueuePair, offset: int, count: int, slot_bytes: int, decode: Ca
                 entries.append(entry)
             carry = b""
         whole = take - head - (take - head) % slot_bytes
-        slots = np.frombuffer(chunk, np.uint8, whole, head).reshape(-1, slot_bytes)
-        for slot in np.flatnonzero(slots[:, :8].any(axis=1)).tolist():
-            begin = head + slot * slot_bytes
-            if (entry := decode(chunk[begin : begin + slot_bytes])) is not None:
-                entries.append(entry)
+        if not _ZERO_CHUNK.startswith(memoryview(chunk)[head : head + whole]):
+            for begin in range(head, head + whole, slot_bytes):
+                if not chunk.startswith(_ZERO_WORD, begin):
+                    if (entry := decode(chunk[begin : begin + slot_bytes])) is not None:
+                        entries.append(entry)
         carry += chunk[head + whole :]
     return entries
 

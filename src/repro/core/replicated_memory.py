@@ -38,7 +38,6 @@ from repro.core.config import SiftConfig
 from repro.core.errors import GroupUnavailable, InvalidAccess, Deposed
 from repro.core.locks import BlockLockTable, LockMode
 from repro.core.membership import MEMBERSHIP_ADDR, Membership
-from repro.ec.reed_solomon import CauchyRSCode
 from repro.net.host import Host
 from repro.obs import state as obs_state
 from repro.rdma.errors import RdmaConnectionRevoked, RdmaError
@@ -130,11 +129,11 @@ class ReplicatedMemory:
         self.codec = WalCodec(self.wal_layout)
         self.amap = AddressMap(config, node_config.data_offset)
         self.locks = BlockLockTable(self.sim)
-        self.rs = (
-            CauchyRSCode(config.data_shards, config.parity_shards)
-            if config.erasure_coding
-            else None
-        )
+        self.rs = None
+        if config.erasure_coding:  # the codec's numpy loads only for a group that encodes
+            from repro.ec.reed_solomon import CauchyRSCode
+
+            self.rs = CauchyRSCode(config.data_shards, config.parity_shards)
 
         self.qps: Dict[int, QueuePair] = {}
         self.states: Dict[int, str] = {

@@ -32,9 +32,8 @@ The cache fills during replay, so the store restarts warm (§6.5).
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core import rules
 from repro.core.cpu_node import CpuNode
@@ -113,7 +112,7 @@ class KvServer:
             )
 
         self.cache = ValueCache(config.cache_entries)
-        self.index: Optional[np.ndarray] = None  # uint64 bucket heads
+        self.index: Optional[array] = None  # uint64 bucket heads (native = little-endian here)
         self.bitmap: Optional[bytearray] = None
         self._free_blocks = 0
         self._reserved_blocks = 0  # blocks promised to unapplied inserts
@@ -207,9 +206,7 @@ class KvServer:
         self._last_watermark = self.applied_seq
 
         index_raw = yield from self._bulk_read(layout.index_offset, layout.index_bytes)
-        self.index = np.frombuffer(
-            index_raw[: self.config.index_buckets * 8], dtype="<u8"
-        ).copy()
+        self.index = array("Q", index_raw[: self.config.index_buckets * 8])
 
         bitmap_raw = yield from self._bulk_read(layout.bitmap_offset, layout.bitmap_bytes)
         self.bitmap = bytearray(bitmap_raw[: (self.config.max_keys + 7) // 8])
@@ -278,7 +275,7 @@ class KvServer:
                 self._check_record(key, value)
                 addr = layout.block_addr(self._allocate_block())
                 bucket = layout.bucket_of(key)
-                image = layout.encode_block(BlockImage(int(self.index[bucket]), key, value))
+                image = layout.encode_block(BlockImage(self.index[bucket], key, value))
                 self.index[bucket] = addr
                 if addr != run_addr + used or used >= _BULK_CHUNK:
                     self._store_run(regions, run_addr, b"".join(run))
@@ -463,11 +460,11 @@ class KvServer:
             # Empty buckets (the vast majority at a 12.5% load factor)
             # cost nothing: the unlocked peek is safe because the chain
             # head is re-read under the lock before it is walked.
-            if not int(self.index[bucket]):
+            if not self.index[bucket]:
                 continue
             token = yield from self._bucket_locks.acquire([bucket], LockMode.READ)
             try:
-                ptr = int(self.index[bucket])
+                ptr = self.index[bucket]
                 while ptr:
                     raw = yield from self.repmem.read(ptr, self.layout.block_bytes)
                     self.stats["chain_reads"] += 1
@@ -594,7 +591,7 @@ class KvServer:
             return
         block_number = self._allocate_block()
         addr = self.layout.block_addr(block_number)
-        head = int(self.index[bucket])
+        head = self.index[bucket]
         yield from self._write_block(addr, BlockImage(head, record.key, record.value))
         yield from self._write_bitmap_bit(block_number)
         yield from self._write_bucket_head(bucket, addr)
@@ -635,7 +632,7 @@ class KvServer:
             if image is not None and image.key == key:
                 return shortcut, image, None  # prev unknown (not needed)
         prev = None
-        ptr = int(self.index[bucket])
+        ptr = self.index[bucket]
         while ptr:
             raw = yield from self.repmem.read(ptr, self.layout.block_bytes)
             self.stats["chain_reads"] += 1

@@ -1,7 +1,9 @@
 """Persistence options (§3.5).
 
 By default Sift keeps all state in volatile memory.  The paper describes
-two persistence strategies, both implemented here:
+two persistence strategies; this package implements the RocksDB one (the
+WAL-to-SAN one, appending the log to a remote EBS-class device, is not
+modelled):
 
 * :mod:`~repro.persist.rocks` — a RocksDB substitute
   (:class:`RocksLite`): an append-only WAL file plus memtable with
@@ -13,12 +15,9 @@ two persistence strategies, both implemented here:
   bridging committed KV updates into the store, with bounded
   outstanding writes ("by limiting the number of outstanding writes to
   be the size of the log").
-* :mod:`~repro.persist.san` — a remotely mounted SAN/EBS device model
-  for the WAL-to-SAN strategy.
 """
 
 from repro.persist.rocks import RocksLite
-from repro.persist.san import SanDevice
 from repro.persist.sink import PersistenceSink
 
-__all__ = ["PersistenceSink", "RocksLite", "SanDevice"]
+__all__ = ["PersistenceSink", "RocksLite"]

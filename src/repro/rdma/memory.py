@@ -14,12 +14,14 @@ Pages are immutable ``bytes``, written copy-on-write, and regions that
 apply the same ``bytes`` payload over the same page share the page it
 makes, so a group's 2F+1 replicas hold one copy of what they agree on.
 A page of zeros is always ``_ZERO_PAGE``, and a write of what a
-multi-page read returned (a recovery copy) stores the pages it joined.
+multi-page read returned (a recovery copy) stores the pages it joined,
+a page the read cut once the write rebuilds it equal.
 The memo behind this keeps its newest 512 entries, each pinning one
 payload and at most two pages: 4 MiB of pages and 512 payloads at most.
-A verb enters one entry per page (per whole page joined, for a read) in
-one pass and entries leave oldest first, so a run of verbs of k entries
-each pins at most ``512 // k + 1`` payloads: nine 256 KiB reads, 2.25 MiB.
+A verb enters one entry per page it touches (a read: per page it spans)
+in one pass and entries leave oldest first, so a run of verbs of k
+entries each pins at most ``512 // k + 1`` payloads: nine 256 KiB reads
+(64 or 65 entries each), 2.25 MiB.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ __all__ = ["MemoryRegion"]
 PAGE_BYTES = 4096
 _ZERO_PAGE = bytes(PAGE_BYTES)  # every all-zero page stored, and any page never written
 
-#: ``(id(payload), position in it)`` for a whole page, plus ``(page offset,
-#: id(old page))`` for a partial one -> ``(payload, old page or None, page)``;
+#: ``(id(payload), page start - payload start)`` for a whole page or a page a
+#: read spans, plus ``(page offset, id(old page))`` for a partial write
+#: -> ``(payload, old page or None, page)``;
 #: an entry holds the objects its key's ids name, so no id is reused while it lives.
 _MEMO_ENTRIES = 512
 _memo: "OrderedDict[tuple, Tuple[bytes, Optional[bytes], bytes]]" = OrderedDict()
@@ -52,6 +55,9 @@ def _new_page(data: bytes, at: int, take: int, page_offset: int, old: bytes) -> 
         page, old = data[at : at + PAGE_BYTES], None
     else:
         page = b"".join((old[:page_offset], data[at : at + take], old[page_offset + take :]))
+        read = _memo.get((id(data), at - page_offset))  # a page a multi-page read cut
+        if read is not None and read[2] == page:
+            page = read[2]
     if page == _ZERO_PAGE:
         page = _ZERO_PAGE
     _memo[key] = (data, old, page)
@@ -90,7 +96,7 @@ class MemoryRegion:
             return bytes(length)
         joined = b"".join([pages.get(i, _ZERO_PAGE) for i in span])
         data = joined[page_offset : page_offset + length]
-        for i in range(-(-offset // PAGE_BYTES), (offset + length) // PAGE_BYTES):  # whole pages
+        for i in span:  # every page, cut ones too: a write that rebuilds one stores it
             _memo[id(data), i * PAGE_BYTES - offset] = (data, None, pages.get(i, _ZERO_PAGE))
         while len(_memo) > _MEMO_ENTRIES:
             _memo.popitem(last=False)

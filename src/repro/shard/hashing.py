@@ -5,7 +5,9 @@ two routers built from the same shard names place every key
 identically, and adding a shard moves only ``~1/G`` of the key space.
 Hashing therefore uses :mod:`hashlib` (Python's builtin ``hash`` is
 salted per process) and each shard contributes *virtual_nodes* points
-so the arc lengths even out.
+so the arc lengths even out.  hashlib (OpenSSL) loads with the first
+ring point and numpy with the first batch placement, so a run without
+a ring loads neither.
 
 Rings are immutable but *versioned*: :meth:`HashRing.split` and
 :meth:`HashRing.merge` return a new ring (version + 1) plus the exact
@@ -19,17 +21,28 @@ their owner — the monotonicity property pinned by
 from __future__ import annotations
 
 import bisect
-import hashlib
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["HashRing", "key_point", "ranges_contain"]
 
 
+_sha1 = None  # hashlib's, bound by the first digest
+
+
+def _digest(token: bytes) -> bytes:
+    """The SHA-1 digest of *token*."""
+    global _sha1
+    if _sha1 is None:
+        from hashlib import sha1 as _sha1
+    return _sha1(token).digest()
+
+
 def _point(token: bytes) -> int:
     """A stable 64-bit ring position for *token*."""
-    return int.from_bytes(hashlib.sha1(token).digest()[:8], "big")
+    return int.from_bytes(_digest(token)[:8], "big")
 
 
 def key_point(key: bytes) -> int:
@@ -73,14 +86,6 @@ class HashRing:
     def _finalize(self, points: List[int], owners: List[str]) -> None:
         self._points = points
         self._owners = owners
-        # Vectorized-lookup mirrors of the same sorted ring, with one
-        # extra trailing slot so the wrap-around maps to owner 0's point.
-        self._points_array = np.array(self._points, dtype=np.uint64)
-        shard_index = {name: i for i, name in enumerate(self.shards)}
-        self._owner_ids = np.array(
-            [shard_index[owner] for owner in self._owners] + [shard_index[self._owners[0]]],
-            dtype=np.int64,
-        )
 
     @classmethod
     def _from_points(
@@ -187,10 +192,16 @@ class HashRing:
         becomes a single ``np.searchsorted``.  Placement is identical to
         :meth:`shard_for` key for key (pinned by ``tests/test_shard.py``).
         """
+        import numpy as np
+
         if not len(keys):
             return np.empty(0, dtype=np.int64)
-        sha1 = hashlib.sha1
-        raw = b"".join([sha1(key).digest() for key in keys])
+        # The sorted ring, with one extra trailing owner slot so the
+        # wrap-around maps to owner 0's point.
+        shard_index = {name: i for i, name in enumerate(self.shards)}
+        owners = [shard_index[owner] for owner in self._owners]
+        owner_ids = np.array(owners + owners[:1], dtype=np.int64)
+        raw = b"".join([_digest(key) for key in keys])
         hashes = (
             np.frombuffer(raw, dtype=np.uint8)
             .reshape(-1, 20)[:, :8]
@@ -200,8 +211,8 @@ class HashRing:
         )
         # bisect_left == searchsorted side="left"; the appended owner
         # slot makes index == len(points) resolve to the wrap-around.
-        indexes = np.searchsorted(self._points_array, hashes, side="left")
-        return self._owner_ids[indexes]
+        indexes = np.searchsorted(np.array(self._points, dtype=np.uint64), hashes, side="left")
+        return owner_ids[indexes]
 
     def spread(self, keys: Sequence[bytes]) -> Dict[str, int]:
         """How many of *keys* each shard owns (diagnostics / tests)."""

@@ -3,14 +3,22 @@
 The evaluation "utilize[s] a Zipfian distribution with a parameter of
 0.99 to generate a skewed workload unless otherwise noted" (§6.2); the
 four mixes are defined in the same section.
+
+A closed-loop client draws one key at a time in pure Python; numpy is
+imported (by :func:`load_numpy`) only for the batch draws of the
+open-loop engine, so a closed-loop run never loads it.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import random
-from typing import NamedTuple
+from array import array
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "WorkloadMix",
@@ -29,6 +37,16 @@ __all__ = [
 _RES53_HI = 67108864.0  # 2**26
 _RES53_SCALE = 1.0 / 9007199254740992.0  # 2**-53
 
+_numpy = None
+
+
+def load_numpy():
+    """numpy, imported on the first call: only batch draws need it."""
+    global _numpy
+    if _numpy is None:
+        import numpy as _numpy
+    return _numpy
+
 
 def uniform_batch(rng: random.Random, n: int) -> np.ndarray:
     """*n* uniforms from *rng*, bit-identical to ``rng.random()`` calls.
@@ -42,6 +60,7 @@ def uniform_batch(rng: random.Random, n: int) -> np.ndarray:
     _ in range(n)]``, at a tiny fraction of the cost.  Interleaving
     batch and scalar draws on one stream therefore stays aligned.
     """
+    np = load_numpy()
     if n <= 0:
         return np.empty(0, dtype=np.float64)
     raw = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
@@ -92,6 +111,7 @@ class KeySampler:
         Subclasses with a vectorizable inverse override this; the base
         implementation just loops.
         """
+        np = load_numpy()
         return np.fromiter(
             (self.sample(rng) for _ in range(n)), dtype=np.int64, count=n
         )
@@ -112,20 +132,24 @@ class ZipfSampler(KeySampler):
     """Zipfian popularity with parameter theta (0.99 in the paper).
 
     Sampling inverts the precomputed CDF with a binary search; rank *r*
-    (0-based) has weight ``1 / (r + 1)^theta``.  Ranks map directly to
-    key indices, so key 0 is the hottest — experiments that care about
-    *where* hot keys live in memory (Fig. 11) rely on this.
+    (0-based) has weight ``1 / (r + 1)^theta``.  The CDF is one array of
+    doubles, summed left to right as numpy's ``cumsum`` sums; batch draws
+    search a numpy view of it, so both pick the same rank for a uniform.
+    Ranks map directly to key indices, so key 0 is the hottest —
+    experiments that care about *where* hot keys live in memory (Fig. 11)
+    rely on this.
     """
 
     def __init__(self, n_keys: int, theta: float = 0.99):
         super().__init__(n_keys)
         self.theta = theta
-        weights = 1.0 / np.power(np.arange(1, n_keys + 1, dtype=np.float64), theta)
-        self._cdf = np.cumsum(weights)
-        self._cdf /= self._cdf[-1]
+        weights = (1.0 / float(r) ** theta for r in range(1, n_keys + 1))
+        sums = array("d", itertools.accumulate(weights))
+        total = sums[-1]
+        self._cdf = array("d", (s / total for s in sums))
 
     def sample(self, rng: random.Random) -> int:
-        return int(np.searchsorted(self._cdf, rng.random(), side="right"))
+        return bisect.bisect_right(self._cdf, rng.random())
 
     def sample_batch(self, rng: random.Random, n: int) -> np.ndarray:
         """*n* ranks through one CDF inversion (see :class:`KeySampler`).
@@ -134,13 +158,14 @@ class ZipfSampler(KeySampler):
         stream, and one ``np.searchsorted`` over the whole batch replaces
         the per-op scalar call — the hot loop of the open-loop engine.
         """
-        return np.searchsorted(self._cdf, uniform_batch(rng, n), side="right")
+        cdf = load_numpy().frombuffer(self._cdf)  # a view: no copy
+        return cdf.searchsorted(uniform_batch(rng, n), side="right")
 
     def hot_fraction(self, top: int) -> float:
         """Probability mass of the *top* most popular keys."""
         if top <= 0:
             return 0.0
-        return float(self._cdf[min(top, self.n_keys) - 1])
+        return self._cdf[min(top, self.n_keys) - 1]
 
 
 class StripedZipfSampler(ZipfSampler):
@@ -233,7 +258,7 @@ class HotspotZipfSampler(StripedZipfSampler):
 
     def __init__(self, n_keys: int, ring, theta: float = 0.99):
         super().__init__(n_keys, ring, theta=theta)
-        self._map = np.arange(n_keys, dtype=np.int64)
+        self._map = load_numpy().arange(n_keys, dtype="int64")
         self.hot_shard: int = -1
         self.hot_span: int = 0
 
@@ -260,6 +285,7 @@ class HotspotZipfSampler(StripedZipfSampler):
         if not 0 <= hot_span <= self.n_keys // n_shards:
             raise ValueError(f"hot span {hot_span} exceeds the shard's keys")
         mapping = self._map
+        np = load_numpy()
         inverse = np.empty_like(mapping)
         inverse[mapping] = np.arange(len(mapping), dtype=np.int64)
         for rank in range(hot_span):

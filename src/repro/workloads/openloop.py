@@ -11,7 +11,8 @@ population as an open-loop arrival *process* instead:
   Poisson count (:func:`poisson_count`), then one vectorized batch of
   Zipf ranks, read/write coins, client ids and shard assignments
   (:class:`ArrivalGenerator`) — so a window costs O(one numpy batch),
-  not O(one coroutine step per client);
+  not O(one coroutine step per client); numpy loads with the first
+  window (:func:`~repro.workloads.generator.load_numpy`), not on import;
 * admission control sheds what the configured policy refuses to queue
   (token-bucket throttle, bounded per-shard backlog) and *counts* the
   sheds instead of silently slowing down;
@@ -32,9 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable, Dict, List, NamedTuple, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional
 
 from repro.kv.client import KvClient
 from repro.net.fabric import Fabric
@@ -44,9 +43,13 @@ from repro.workloads.generator import (
     KeySampler,
     WorkloadMix,
     flip_batch,
+    load_numpy,
     uniform_batch,
 )
 from repro.workloads.retry import DEFAULT_RETRY_POLICY, RetryPolicy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "poisson_count",
@@ -91,6 +94,7 @@ def poisson_count(rng, lam: float) -> int:
     """
     if lam <= 0.0:
         return 0
+    np = load_numpy()
     total = 0
     remaining = float(lam)
     while remaining > 0.0:
@@ -227,15 +231,13 @@ class ArrivalGenerator:
         assign = getattr(self.sampler, "shard_index_batch", None)
         if assign is not None:
             return assign(ranks)
-        return np.zeros(len(ranks), dtype=np.int64)
+        return load_numpy().zeros(len(ranks), dtype="int64")
 
     def batch(self, n: int) -> ArrivalBatch:
         """Draw *n* arrivals in one vectorized pass."""
         ranks = self.sampler.sample_batch(self._key_rng, n)
         writes = flip_batch(self._coin_rng, n, self.mix.write_fraction)
-        clients = (uniform_batch(self._client_rng, n) * self.n_clients).astype(
-            np.int64
-        )
+        clients = (uniform_batch(self._client_rng, n) * self.n_clients).astype("int64")
         return ArrivalBatch(ranks, writes, self._assign_shards(ranks), clients)
 
     def scalar_batch(self, n: int, ring=None) -> ArrivalBatch:
@@ -247,6 +249,7 @@ class ArrivalGenerator:
         identical for striped samplers, which is the point: the ratio
         test charges the baseline the work a real per-client loop performs.
         """
+        np = load_numpy()
         ranks = np.empty(n, dtype=np.int64)
         writes = np.empty(n, dtype=bool)
         shards = np.empty(n, dtype=np.int64)
@@ -373,7 +376,7 @@ class OpenLoopEngine:
             if not hasattr(sampler, "all_keys"):
                 raise ValueError("elastic mode needs a striped key sampler")
         self._bucket = self.admission.bucket()
-        self._seen = np.zeros(n_clients, dtype=bool)
+        self._seen = load_numpy().zeros(n_clients, dtype=bool)
         self.counts: Dict[str, int] = {
             "offered": 0, "admitted": 0, "completed": 0,
             "errors": 0, "retries": 0,
@@ -428,8 +431,8 @@ class OpenLoopEngine:
         # Route by current ownership: one vectorized ring lookup over
         # the (fixed) key table per ring version, then O(1) per arrival.
         owners = ring.shard_index_batch(self.generator.sampler.all_keys())
-        positions = np.array(
-            [self._lane_pos[name] for name in ring.shards], dtype=np.int64
+        positions = load_numpy().array(
+            [self._lane_pos[name] for name in ring.shards], dtype="int64"
         )
         self._key_lane = positions[owners]
         self._ring_version = ring.version
@@ -570,8 +573,9 @@ class OpenLoopEngine:
             shards = self._key_lane[key_indices]
         else:
             shards = batch.shards[:admitted]
+        flatnonzero = load_numpy().flatnonzero
         for lane in self.lanes:
-            lane_indices = np.flatnonzero(shards == lane.index)
+            lane_indices = flatnonzero(shards == lane.index)
             if not len(lane_indices):
                 continue
             pending = lane.pending

@@ -5,7 +5,8 @@ word is non-zero, and ``MemoryRegion.read`` joins whole pages instead of
 copying them one at a time.  Both must return exactly what the plain
 loops they replaced returned; those loops are kept here as the
 references.  The filter is sound only because both log codecs reject a
-zero leading word, which a property pins.
+zero leading word, which a property pins.  The occupied-slot test that
+numpy made per chunk is kept too: the scan must decode the slots it picked.
 
 ``MemoryRegion.write`` replaces each page it touches with a new
 immutable one (a page it covers whole is one slice of the payload), and
@@ -18,6 +19,8 @@ pages with the same bytes, and no read may materialize a page.
 import random
 from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -137,6 +140,52 @@ def test_scan_returns_what_decoding_every_slot_returns(
         entries, reads = drive(recovery.scan_log, region, offset, count, slot_bytes, decode)
     assert entries == expected
     assert reads == expected_reads  # the same verbs, offsets and sizes, in order
+
+
+def numpy_scan(qp, offset, count, slot_bytes, decode):
+    """``scan_log`` as it tested occupied slots with numpy, one vector test per chunk."""
+    entries, carry, total = [], b"", count * slot_bytes
+    for start in range(0, total, recovery._WAL_READ_CHUNK):
+        take = min(recovery._WAL_READ_CHUNK, total - start)
+        chunk = yield qp.read(REPMEM_REGION, offset + start, take)
+        head = min(-len(carry) % slot_bytes, take)
+        carry += chunk[:head]
+        if len(carry) == slot_bytes:
+            if any(carry[:8]) and (entry := decode(carry)) is not None:
+                entries.append(entry)
+            carry = b""
+        whole = take - head - (take - head) % slot_bytes
+        slots = np.frombuffer(chunk, np.uint8, whole, head).reshape(-1, slot_bytes)
+        for slot in np.flatnonzero(slots[:, :8].any(axis=1)).tolist():
+            begin = head + slot * slot_bytes
+            if (entry := decode(chunk[begin : begin + slot_bytes])) is not None:
+                entries.append(entry)
+        carry += chunk[head + whole :]
+    return entries
+
+
+SLOT = 1000  # does not divide the 256 KiB read chunk: slot 262 straddles its end
+SLOTS = 300
+
+
+@pytest.mark.parametrize("case", ["all_zero", "only_outside_index_words", "slot_cut_by_a_chunk"])
+def test_scan_decodes_the_slots_the_numpy_test_picked(case):
+    """The memcmp fast path passes over an all-zero chunk, and the per-slot
+    word test lets through exactly the slots numpy's vector test did."""
+    rng = random.Random(5)
+    region = MemoryRegion(REPMEM_REGION, SLOTS * SLOT)
+    if case != "all_zero":
+        for slot in range(0, SLOTS, 3):  # non-zero bytes, none in an index word
+            region.write(slot * SLOT + 8, rng.randbytes(SLOT - 8))
+    if case == "slot_cut_by_a_chunk":
+        for slot in (0, 5, 261, 262, 263, SLOTS - 1):
+            region.write(slot * SLOT, rng.randrange(1, 2**64).to_bytes(8, "little"))
+    assert 261 * SLOT < recovery._WAL_READ_CHUNK < 263 * SLOT
+    picked = {}
+    for scan in (numpy_scan, recovery.scan_log):
+        picked[scan] = drive(scan, region, 0, SLOTS, SLOT, lambda slot: slot)[0]
+    assert picked[recovery.scan_log] == picked[numpy_scan]
+    assert len(picked[numpy_scan]) == (6 if case == "slot_cut_by_a_chunk" else 0)
 
 
 @given(

@@ -1,4 +1,4 @@
-"""Tests for the persistence layer (§3.5): RocksLite, sink, SAN."""
+"""Tests for the persistence layer (§3.5): RocksLite and the sink."""
 
 import os
 import struct
@@ -7,8 +7,7 @@ import struct
 from repro.core import SiftGroup
 from repro.kv import KvClient, KvConfig, kv_app_factory
 from repro.net import Fabric
-from repro.net.errors import Unreachable
-from repro.persist import PersistenceSink, RocksLite, SanDevice
+from repro.persist import PersistenceSink, RocksLite
 from repro.sim import MS, SEC, Simulator
 
 
@@ -179,70 +178,3 @@ class TestPersistenceSink:
         sim.run(until=sim.now + 100 * MS)
         assert sink.persisted == 100
         store.close()
-
-
-class TestSanDevice:
-    def test_append_and_ack(self):
-        sim = Simulator()
-        fabric = Fabric(sim)
-        san = SanDevice(fabric)
-        host = fabric.add_host("coordinator", cores=2)
-
-        def scenario():
-            offset = yield san.append(host, b"log-entry-1")
-            offset2 = yield san.append(host, b"log-entry-2")
-            return offset, offset2
-
-        process = sim.spawn(scenario())
-        sim.run_until_settled(process, deadline=10 * SEC)
-        assert process.ok
-        assert process.value == (11, 22)
-        assert san.read_all() == b"log-entry-1log-entry-2"
-
-    def test_latency_is_millisecond_class(self):
-        sim = Simulator()
-        fabric = Fabric(sim)
-        san = SanDevice(fabric)
-        host = fabric.add_host("coordinator", cores=2)
-
-        def scenario():
-            start = sim.now
-            yield san.append(host, b"x" * 4096)
-            return sim.now - start
-
-        process = sim.spawn(scenario())
-        sim.run_until_settled(process, deadline=10 * SEC)
-        assert process.value > 500.0  # well above RDMA-class latency
-
-    def test_unreachable_san_fails(self):
-        sim = Simulator()
-        fabric = Fabric(sim)
-        san = SanDevice(fabric)
-        host = fabric.add_host("coordinator", cores=2)
-        san.host.crash()
-
-        def scenario():
-            try:
-                yield san.append(host, b"x")
-            except Exception:
-                return "failed"
-
-        process = sim.spawn(scenario())
-        sim.run_until_settled(process, deadline=10 * SEC)
-        assert process.value == "failed"
-
-    def test_san_crash_mid_request_fails_at_the_deadline(self):
-        """The request is on the wire when the device dies: no ack will
-        ever come, so the append fails at its deadline instead of
-        leaving the writer parked forever."""
-        sim = Simulator()
-        fabric = Fabric(sim)
-        san = SanDevice(fabric)
-        host = fabric.add_host("coordinator", cores=2)
-        done = san.append(host, b"x" * 4096)
-        sim.run(until=100.0)  # EBS writes take >= 500 us: still in flight
-        san.host.crash()
-        sim.run()
-        assert done.failed and isinstance(done.exception, Unreachable)
-        assert sim.now <= 1 * SEC
-        assert san.record_count == 0

@@ -85,7 +85,7 @@ def snapshot(group, server):
             dict(node.repmem_region._pages)  # pages are immutable: no copy
             for node in group.memory_nodes
         ],
-        server.index.copy(),
+        server.index[:],
         bytearray(server.bitmap),
         server._free_blocks,
         server._alloc_hint,
@@ -98,7 +98,7 @@ def restore(group, server, saved):
     for node, node_pages in zip(group.memory_nodes, pages):
         node.repmem_region._pages.clear()  # in place: aliases share the dict
         node.repmem_region._pages.update(node_pages)
-    server.index, server.bitmap = index.copy(), bytearray(bitmap)
+    server.index, server.bitmap = index[:], bytearray(bitmap)
     server._free_blocks, server._alloc_hint = free_blocks, alloc_hint
     server.cache = copy.deepcopy(cache)
 
