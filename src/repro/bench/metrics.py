@@ -8,6 +8,7 @@ throughput timelines for the failure experiments (Figs. 11-12, §6.5).
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.registry import percentile
@@ -34,7 +35,7 @@ class Metrics:
         self.completed = 0
         self.errors = 0
         self.windows: Dict[int, int] = {}
-        self.latencies: Dict[str, List[float]] = {}
+        self.latencies: Dict[str, array] = {}  # per op, a reservoir of doubles
         self._seen: Dict[str, int] = {}
 
     # -- collection -----------------------------------------------------------
@@ -51,14 +52,13 @@ class Metrics:
 
     def record(self, op: str, start_us: float, end_us: float) -> None:
         """Record one completed operation."""
-        self.windows[int(end_us // self.window_us)] = (
-            self.windows.get(int(end_us // self.window_us), 0) + 1
-        )
+        window = int(end_us // self.window_us)
+        self.windows[window] = self.windows.get(window, 0) + 1
         if not self.measuring:
             return
         self.completed += 1
         latency = end_us - start_us
-        bucket = self.latencies.setdefault(op, [])
+        bucket = self.latencies.setdefault(op, array("d"))
         seen = self._seen.get(op, 0) + 1
         self._seen[op] = seen
         if len(bucket) < self.reservoir:

@@ -219,8 +219,11 @@ def recover_log(repmem: ReplicatedMemory):
             if entry.address != start or len(entry.data) != end - start:
                 raise GroupUnavailable("corrupt WAL: partial-block entry in the encoded zone")
             offset, chunks = repmem.amap.chunk_extent(block), repmem.rs.encode(entry.data)
+        share: dict = {}
         acks = [
-            repmem.qps[n].write(REPMEM_REGION, offset, entry.data if chunks is None else chunks[n])
+            repmem.qps[n].write(
+                REPMEM_REGION, offset, chunks[n] if chunks else entry.data, share=share
+            )
             for n in sorted(live)
             if n in repmem.qps
         ]
@@ -291,8 +294,10 @@ def _try_salvage(repmem: ReplicatedMemory, membership: Membership, live: Set[int
     end = node_config.data_offset + node_config.data_bytes
     for n in targets:
         for offset in range(begin, end, _WAL_READ_CHUNK):
-            data = yield source.read(REPMEM_REGION, offset, min(_WAL_READ_CHUNK, end - offset))
-            yield repmem.qps[n].write(REPMEM_REGION, offset, data)
+            share: dict = {}
+            length = min(_WAL_READ_CHUNK, end - offset)
+            data = yield source.read(REPMEM_REGION, offset, length, share)
+            yield repmem.qps[n].write(REPMEM_REGION, offset, data, share=share)
         yield from repmem.write_status(n, STATUS_INITIALISED)
     return set(membership.members)
 
@@ -634,8 +639,9 @@ class MemoryNodeRecoveryManager:
     def _copy_range(self, n: int, qp: QueuePair, addr: int, length: int):
         repmem, amap = self.repmem, self.repmem.amap
         if not amap.is_encoded(addr, length):
-            data = yield from repmem._raw_read(addr, length)
-            yield qp.write(REPMEM_REGION, amap.raw_extent(addr), data)
+            share: dict = {}
+            data = yield from repmem._raw_read(addr, length, share)
+            yield qp.write(REPMEM_REGION, amap.raw_extent(addr), data, share=share)
             return
         for block in range(amap.block_index(addr), amap.block_index(addr + length - 1) + 1):
             data = yield from repmem._read_encoded_block(block)
@@ -751,9 +757,10 @@ class _FragmentPusher:
             qp = self.qp
             if qp is None or qp.state is not QpState.CONNECTED:
                 raise RdmaError(f"push channel to {self.target.name} not connected")
-            data = source.repmem_region.read(offset, length)
+            share: dict = {}
+            data = source.repmem_region.read(offset, length, share)
             yield source.host.execute(repmem.costs.rdma_post_us)
-            yield qp.write(RECOVERY_REGION, offset, data, timeout_us=self.budget_us)
+            yield qp.write(RECOVERY_REGION, offset, data, timeout_us=self.budget_us, share=share)
 
         try:
             yield self._request(

@@ -75,6 +75,7 @@ class _Pending:
         "committed",
         "submitted_to",
         "targets",
+        "share",
     )
 
     def __init__(
@@ -90,6 +91,7 @@ class _Pending:
         # can be released (§3.3.2).  Frozen at append time; node deaths
         # shrink it so a crash never strands the lock.
         self.targets = targets
+        self.share: dict = {}  # the applies' share scope
 
     def note_submitted(self, n: int) -> None:
         self.submitted_to.add(n)
@@ -259,10 +261,11 @@ class ReplicatedMemory:
 
     def _fan_out_write(self, offset: int, data: bytes) -> List[Tuple[int, Event]]:
         """Post one WRITE of *data* at *offset* to every active node, one
-        verb per node on its own queue pair; returns ``(node, completion
-        event)`` pairs in node order."""
+        verb per node on its own queue pair and all in one share scope;
+        returns ``(node, completion event)`` pairs in node order."""
+        share: dict = {}
         return [
-            (n, self.qps[n].write(REPMEM_REGION, offset, data))
+            (n, self.qps[n].write(REPMEM_REGION, offset, data, share=share))
             for n in self._active_nodes()
         ]
 
@@ -281,15 +284,22 @@ class ReplicatedMemory:
             )
         yield self.host.execute(self.costs.rdma_post_us)
         offset = self.amap.raw_extent(addr)
-        if obs_state.TRACER is not None:
-            # Milestone: replication fan-out begins (closes "wal_write"
-            # in critical-path analysis).
-            obs_state.TRACER.instant(
-                "repmem.fanout", self.sim.now, addr=addr, bytes=len(data)
-            )
+        # Held while the verbs post, the write lock waits out a recovery copy's
+        # read locks: no copy lands a peer's older bytes over this write (§3.4.2).
+        token = yield from self.locks.acquire(self.amap.blocks_of(addr, len(data)), LockMode.WRITE)
+        try:
+            if obs_state.TRACER is not None:
+                # Milestone: replication fan-out begins (closes "wal_write"
+                # in critical-path analysis).
+                obs_state.TRACER.instant(
+                    "repmem.fanout", self.sim.now, addr=addr, bytes=len(data)
+                )
+            posted = self._fan_out_write(offset, data)
+        finally:
+            self.locks.release(token)
         needed = self.config.quorum
         acks = []
-        for n, event in self._fan_out_write(offset, data):
+        for n, event in posted:
             event.add_callback(partial(self._note_verb, n))
             if self.states[n] == NodeState.LIVE:
                 acks.append(event)
@@ -462,7 +472,7 @@ class ReplicatedMemory:
         self.stats["applies_posted"] += 1
         if obs_state.REGISTRY is not None:
             obs_state.REGISTRY.counter("repmem.applies_posted").inc()
-        event = self.qps[n].write(REPMEM_REGION, offset, payload)
+        event = self.qps[n].write(REPMEM_REGION, offset, payload, share=pending.share)
         event.add_callback(lambda ev: self._on_apply_done(n, index, pending, ev))
         pending.note_submitted(n)
 
@@ -524,14 +534,14 @@ class ReplicatedMemory:
             data = yield from self._raw_read(addr, length)
         return data
 
-    def _raw_read(self, addr: int, length: int):
+    def _raw_read(self, addr: int, length: int, share: Optional[dict] = None):
         yield self.host.execute(self.costs.rdma_post_us)
         offset = self.amap.raw_extent(addr)
         last_error: Optional[BaseException] = None
         for n in self._live_nodes_rotated():
             if n not in self.qps:
                 continue  # a concurrent verb failure dropped it while we waited
-            event = self.qps[n].read(REPMEM_REGION, offset, length)
+            event = self.qps[n].read(REPMEM_REGION, offset, length, share)
             try:
                 data = yield event
             except RdmaError as exc:

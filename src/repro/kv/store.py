@@ -293,7 +293,8 @@ class KvServer:
 
     def _store_run(self, regions, addr: int, data) -> None:
         """Store the bytes *data*, zero-padded to whole blocks, from block-aligned
-        *addr* into every region: one encode (EC) and one write per node."""
+        *addr* into every region: one encode (EC) and one write per node, all
+        in one share scope."""
         if not data:
             return
         amap, block_bytes = self.repmem.amap, self.repmem.config.block_bytes
@@ -301,8 +302,9 @@ class KvServer:
         ec = self.repmem.config.erasure_coding
         offset = amap.chunk_extent(amap.block_index(addr)) if ec else amap.raw_extent(addr)
         shards = self.repmem.rs.encode(data, len(data) // block_bytes) if ec else None
+        share: dict = {}
         for n, region in regions:
-            region.write(offset, shards[n] if ec else data)
+            region.write(offset, shards[n] if ec else data, share)
 
     # ------------------------------------------------------------------
     # RPC handlers
@@ -656,31 +658,14 @@ class KvServer:
         self.index[bucket] = ptr
         addr = self.layout.bucket_addr(bucket)
         if self.repmem.config.erasure_coding:
-            # Write the whole containing EC block from the local cache,
-            # under a structure-block mutex so the snapshot is current.
-            block = self.repmem.amap.block_index(addr)
-            token = yield from self._structure_locks.acquire([block], LockMode.WRITE)
-            try:
-                start, end = self.repmem.amap.block_bounds(block)
-                data = self._index_slice(start, end)
-                yield from self.repmem.write(start, data)
-            finally:
-                self._structure_locks.release(token)
+            yield from self._write_structure_block(addr, self.index, self.layout.index_offset)
         else:
             yield from self.repmem.direct_write(addr, int(ptr).to_bytes(8, "little"))
 
     def _write_bitmap_bit(self, block_number: int):
-        byte_index = block_number // 8
-        addr = self.layout.bitmap_offset + byte_index
+        addr = self.layout.bitmap_offset + block_number // 8
         if self.repmem.config.erasure_coding:
-            block = self.repmem.amap.block_index(addr)
-            token = yield from self._structure_locks.acquire([block], LockMode.WRITE)
-            try:
-                start, end = self.repmem.amap.block_bounds(block)
-                data = self._bitmap_slice(start, end)
-                yield from self.repmem.write(start, data)
-            finally:
-                self._structure_locks.release(token)
+            yield from self._write_structure_block(addr, self.bitmap, self.layout.bitmap_offset)
         else:
             # Serialize per word: concurrent set/clear of bits sharing a
             # word must not land a stale snapshot.
@@ -693,19 +678,19 @@ class KvServer:
             finally:
                 self._structure_locks.release(token)
 
-    def _index_slice(self, start: int, end: int) -> bytes:
-        """The index table's bytes for logical range [start, end), padded."""
-        table = self.index.tobytes()
-        lo = start - self.layout.index_offset
-        hi = end - self.layout.index_offset
-        chunk = table[max(lo, 0) : min(hi, len(table))]
-        return chunk + bytes((end - start) - len(chunk))
-
-    def _bitmap_slice(self, start: int, end: int) -> bytes:
-        lo = start - self.layout.bitmap_offset
-        hi = end - self.layout.bitmap_offset
-        chunk = bytes(self.bitmap[max(lo, 0) : min(hi, len(self.bitmap))])
-        return chunk + bytes((end - start) - len(chunk))
+    def _write_structure_block(self, addr: int, table, table_offset: int):
+        """Process: write the whole EC block holding *addr* from the local
+        *table* (the index or the bitmap, stored from *table_offset*), zero
+        padded, under a structure-block mutex so the snapshot is current."""
+        block = self.repmem.amap.block_index(addr)
+        token = yield from self._structure_locks.acquire([block], LockMode.WRITE)
+        try:
+            start, end = self.repmem.amap.block_bounds(block)
+            lo, hi = max(start - table_offset, 0), end - table_offset
+            data = bytes(memoryview(table).cast("B")[lo:hi]).ljust(end - start, b"\x00")
+            yield from self.repmem.write(start, data)
+        finally:
+            self._structure_locks.release(token)
 
     # ------------------------------------------------------------------
     # Bitmap allocation

@@ -10,24 +10,21 @@ materialise on first write, so experiments can model multi-gigabyte
 replicated memories (1M keys x 1 KiB in the paper's setup) without the
 simulator itself allocating gigabytes.
 
-Pages are immutable ``bytes``, written copy-on-write, and regions that
-apply the same ``bytes`` payload over the same page share the page it
-makes, so a group's 2F+1 replicas hold one copy of what they agree on.
-A page of zeros is always ``_ZERO_PAGE``, and a write of what a
-multi-page read returned (a recovery copy) stores the pages it joined,
-a page the read cut once the write rebuilds it equal.
-The memo behind this keeps its newest 512 entries, each pinning one
-payload and at most two pages: 4 MiB of pages and 512 payloads at most.
-A verb enters one entry per page it touches (a read: per page it spans)
-in one pass and entries leave oldest first, so a run of verbs of k
-entries each pins at most ``512 // k + 1`` payloads: nine 256 KiB reads
-(64 or 65 entries each), 2.25 MiB.
+Pages are immutable ``bytes``, written copy-on-write.  An operation
+that writes one ``bytes`` payload to several regions (a replicated
+fan-out, the applies of one logged write, a preload run, a recovery
+copy) hands each of its verbs the same *share scope*, a dict it owns,
+and every region then stores the same page objects, so a group's 2F+1
+replicas hold one copy of what they agree on.  A read given a scope
+records every page it spans, cut ones included, so a write of what it
+returned stores the pages it joined, a page the read cut once the write
+rebuilds it equal.  A scope lives as long as its verbs: once they
+complete, nothing but the regions holds a page or a payload.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.rdma.errors import RdmaProtectionError
 
@@ -36,33 +33,26 @@ __all__ = ["MemoryRegion"]
 PAGE_BYTES = 4096
 _ZERO_PAGE = bytes(PAGE_BYTES)  # every all-zero page stored, and any page never written
 
-#: ``(id(payload), page start - payload start)`` for a whole page or a page a
-#: read spans, plus ``(page offset, id(old page))`` for a partial write
-#: -> ``(payload, old page or None, page)``;
-#: an entry holds the objects its key's ids name, so no id is reused while it lives.
-_MEMO_ENTRIES = 512
-_memo: "OrderedDict[tuple, Tuple[bytes, Optional[bytes], bytes]]" = OrderedDict()
 
-
-def _new_page(data: bytes, at: int, take: int, page_offset: int, old: bytes) -> bytes:
-    """*old* with ``data[at : at + take]`` at *page_offset*; the memo picks only which object."""
+def _new_page(data: bytes, at: int, take: int, page_offset: int, old: bytes, share: dict) -> bytes:
+    """*old* with ``data[at : at + take]`` at *page_offset*; the scope *share* picks only which
+    object.  ``(id(payload), page start - payload start)``, plus ``(page offset, id(old page))``
+    for a partial write, maps to ``(payload, old page or None, page)``, which pins those ids."""
     whole = take == PAGE_BYTES
     key = (id(data), at) if whole else (id(data), at, page_offset, id(old))
-    entry = _memo.get(key)
+    entry = share.get(key)
     if entry is not None:
         return entry[2]
     if whole:  # one copy (none if data is the page)
         page, old = data[at : at + PAGE_BYTES], None
     else:
         page = b"".join((old[:page_offset], data[at : at + take], old[page_offset + take :]))
-        read = _memo.get((id(data), at - page_offset))  # a page a multi-page read cut
+        read = share.get((id(data), at - page_offset))  # a page a multi-page read cut
         if read is not None and read[2] == page:
             page = read[2]
     if page == _ZERO_PAGE:
         page = _ZERO_PAGE
-    _memo[key] = (data, old, page)
-    if len(_memo) > _MEMO_ENTRIES:
-        _memo.popitem(last=False)
+    share[key] = (data, old, page)
     return page
 
 
@@ -80,8 +70,9 @@ class MemoryRegion:
 
     # -- plain access --------------------------------------------------------
 
-    def read(self, offset: int, length: int) -> bytes:
-        """Copy *length* bytes starting at *offset*."""
+    def read(self, offset: int, length: int, share: Optional[dict] = None) -> bytes:
+        """Copy *length* bytes starting at *offset*; a multi-page read records
+        the pages it spans in *share*, the scope its result is written with."""
         if offset < 0 or length < 0 or offset + length > self.size:
             self._check(offset, length)  # raises
         page_index, page_offset = divmod(offset, PAGE_BYTES)
@@ -96,27 +87,26 @@ class MemoryRegion:
             return bytes(length)
         joined = b"".join([pages.get(i, _ZERO_PAGE) for i in span])
         data = joined[page_offset : page_offset + length]
-        for i in span:  # every page, cut ones too: a write that rebuilds one stores it
-            _memo[id(data), i * PAGE_BYTES - offset] = (data, None, pages.get(i, _ZERO_PAGE))
-        while len(_memo) > _MEMO_ENTRIES:
-            _memo.popitem(last=False)
+        if share is not None:  # every page, cut ones too: a write that rebuilds one stores it
+            for i in span:
+                share[id(data), i * PAGE_BYTES - offset] = (data, None, pages.get(i, _ZERO_PAGE))
         return data
 
-    def write(self, offset: int, data: bytes) -> None:
+    def write(self, offset: int, data: bytes, share: Optional[dict] = None) -> None:
         """Overwrite the bytes at *offset* with *data*, replacing each page it
         touches (an empty write materializes its page).  Only a ``bytes``
-        payload is shared through the memo; any other is copied first."""
+        payload shares pages through its scope *share*; any other is copied
+        first, a new payload."""
         length = len(data)
         if offset < 0 or offset + length > self.size:
             self._check(offset, length)  # raises
-        if type(data) is not bytes:
-            data = bytes(data)
+        data, share = bytes(data), {} if share is None else share
         pages, position = self._pages, 0
         page_index, page_offset = divmod(offset, PAGE_BYTES)
         while True:
             take = min(length - position, PAGE_BYTES - page_offset)
             old = pages.get(page_index, _ZERO_PAGE)
-            pages[page_index] = _new_page(data, position, take, page_offset, old)
+            pages[page_index] = _new_page(data, position, take, page_offset, old, share)
             position += take
             if position >= length:
                 return

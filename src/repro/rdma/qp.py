@@ -102,12 +102,15 @@ class QueuePair:
 
     # -- verbs -------------------------------------------------------------------
 
-    def read(self, region_name: str, offset: int, length: int) -> Event:
-        """One-sided READ of *length* bytes; event value is the payload."""
+    def read(
+        self, region_name: str, offset: int, length: int, share: Optional[dict] = None
+    ) -> Event:
+        """One-sided READ of *length* bytes; event value is the payload,
+        whose pages the read records in the share scope *share*."""
         return self.nic.post(
             self._stage(
                 region_name, ACK_WIRE_BYTES, length, "read", None,
-                MemoryRegion.read, offset, length,
+                MemoryRegion.read, offset, length, share,
             )
         )
 
@@ -117,19 +120,21 @@ class QueuePair:
         offset: int,
         data: bytes,
         timeout_us: Optional[float] = None,
+        share: Optional[dict] = None,
     ) -> Event:
         """One-sided WRITE; completion ack means remote memory is updated.
 
         *timeout_us* overrides the NIC's per-verb retry budget — bulk
         recovery pushes queue many large payloads behind one transmit
         queue, so their legitimate completion times exceed the default
-        budget sized for request/response traffic.
+        budget sized for request/response traffic.  *share* is the share
+        scope (:mod:`repro.rdma.memory`) of the operation writing *data*.
         """
         payload = bytes(data)
         return self.nic.post(
             self._stage(
                 region_name, len(payload), ACK_WIRE_BYTES, "write", timeout_us,
-                MemoryRegion.write, offset, payload,
+                MemoryRegion.write, offset, payload, share,
             )
         )
 

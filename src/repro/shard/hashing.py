@@ -3,11 +3,11 @@
 The ring must be stable across processes and across service restarts:
 two routers built from the same shard names place every key
 identically, and adding a shard moves only ``~1/G`` of the key space.
-Hashing therefore uses :mod:`hashlib` (Python's builtin ``hash`` is
-salted per process) and each shard contributes *virtual_nodes* points
-so the arc lengths even out.  hashlib (OpenSSL) loads with the first
-ring point and numpy with the first batch placement, so a run without
-a ring loads neither.
+Hashing therefore uses SHA-1 (Python's builtin ``hash`` is salted per
+process) and each shard contributes *virtual_nodes* points so the arc
+lengths even out.  The interpreter's builtin ``_sha1`` gives hashlib's
+digests without loading OpenSSL (hashlib is only its fallback), and
+numpy loads with the first batch placement: scalar lookups need neither.
 
 Rings are immutable but *versioned*: :meth:`HashRing.split` and
 :meth:`HashRing.merge` return a new ring (version + 1) plus the exact
@@ -29,14 +29,14 @@ if TYPE_CHECKING:
 __all__ = ["HashRing", "key_point", "ranges_contain"]
 
 
-_sha1 = None  # hashlib's, bound by the first digest
+try:
+    from _sha1 import sha1 as _sha1
+except ImportError:  # pragma: no cover - an interpreter built without the builtin
+    from hashlib import sha1 as _sha1
 
 
 def _digest(token: bytes) -> bytes:
     """The SHA-1 digest of *token*."""
-    global _sha1
-    if _sha1 is None:
-        from hashlib import sha1 as _sha1
     return _sha1(token).digest()
 
 
@@ -186,7 +186,7 @@ class HashRing:
         """Vectorized :meth:`shard_for` over many keys at once.
 
         Returns each key's owner as an index into :attr:`shards`.  The
-        SHA-1 per key is irreducible (hashlib has no batch API), but the
+        SHA-1 per key is irreducible (there is no batch API), but the
         digests are folded into one buffer and the ring walk — the
         ``bisect`` plus two list lookups that dominate the scalar call —
         becomes a single ``np.searchsorted``.  Placement is identical to

@@ -376,7 +376,7 @@ class OpenLoopEngine:
             if not hasattr(sampler, "all_keys"):
                 raise ValueError("elastic mode needs a striped key sampler")
         self._bucket = self.admission.bucket()
-        self._seen = load_numpy().zeros(n_clients, dtype=bool)
+        self._seen = load_numpy().zeros(-(-n_clients // 8), dtype="uint8")  # a bit per client
         self.counts: Dict[str, int] = {
             "offered": 0, "admitted": 0, "completed": 0,
             "errors": 0, "retries": 0,
@@ -471,7 +471,9 @@ class OpenLoopEngine:
     @property
     def clients_active(self) -> int:
         """Distinct simulated clients that issued at least one arrival."""
-        return int(self._seen.sum())
+        np = load_numpy()  # numpy>=1.20 has no bitwise_count: a byte's bits from a table
+        bits = np.array([bin(byte).count("1") for byte in range(256)], dtype="uint8")
+        return int(bits[self._seen].sum())
 
     def achieved_ops_per_sec(self) -> float:
         window_us = self.measure_end_us - self.measure_start_us
@@ -556,7 +558,8 @@ class OpenLoopEngine:
         if n == 0:
             return
         batch = self.generator.batch(n)
-        self._seen[batch.clients] = True
+        np, clients = load_numpy(), batch.clients
+        np.bitwise_or.at(self._seen, clients >> 3, np.left_shift(1, clients & 7).astype("uint8"))
         admitted = n
         if self._bucket is not None:
             self._bucket.refill(self.window_us)
@@ -573,7 +576,7 @@ class OpenLoopEngine:
             shards = self._key_lane[key_indices]
         else:
             shards = batch.shards[:admitted]
-        flatnonzero = load_numpy().flatnonzero
+        flatnonzero = np.flatnonzero
         for lane in self.lanes:
             lane_indices = flatnonzero(shards == lane.index)
             if not len(lane_indices):

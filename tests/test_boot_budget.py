@@ -91,9 +91,9 @@ def test_preload_writes_each_node_once_per_run(monkeypatch):
     writes = collections.Counter()
     real_write = memory.MemoryRegion.write
 
-    def counting_write(self, offset, data):
+    def counting_write(self, offset, data, share=None):
         writes[id(self._pages)] += 1
-        return real_write(self, offset, data)
+        return real_write(self, offset, data, share)
 
     monkeypatch.setattr(memory.MemoryRegion, "write", counting_write)
     server.preload((b"key-%d" % i, b"value-%d" % i) for i in range(PRELOAD_KEYS))
@@ -121,12 +121,12 @@ def test_boot_joins_no_zero_page_for_a_never_written_range(monkeypatch):
         real_init(self, name, size)
         self._pages = _CountingPages()
 
-    def classifying_read(self, offset, length):
+    def classifying_read(self, offset, length, share=None):
         first, last = offset // memory.PAGE_BYTES, (offset + length - 1) // memory.PAGE_BYTES
         if first == last or not self._pages.keys().isdisjoint(range(first, last + 1)):
-            return real_read(self, offset, length)
+            return real_read(self, offset, length, share)
         before = _CountingPages.zero_pages
-        data = real_read(self, offset, length)
+        data = real_read(self, offset, length, share)
         never_written.append(_CountingPages.zero_pages - before)
         return data
 

@@ -39,10 +39,10 @@ GOLDEN_TL_SERIES = [
     (0.09100000000000001, 73840.0),
     (0.191, 73980.0),
     (0.29100000000000004, 73980.0),
-    (0.391, 69120.0),
+    (0.391, 69070.0),
     (0.491, 73980.0),
-    (0.591, 73920.0),
-    (0.6910000000000001, 73910.0),
+    (0.591, 73930.0),
+    (0.6910000000000001, 73900.0),
     # The capture ended in (0.791, 6660.0): the window the run stopped
     # in, scaled as if whole.  Metrics.timeline emits whole windows only.
 ]

@@ -1,18 +1,23 @@
 """Copy-on-write pages: replicas that hold the same bytes share one copy.
 
-``MemoryRegion`` stores immutable pages and remembers, for a bounded
-number of page writes, which page it built from which payload and old
-page, so a second region applying the same ``bytes`` payload over the
-same page stores the very same object.  Sharing must never change what a
+``MemoryRegion`` stores immutable pages.  The operation that writes one
+``bytes`` payload to several regions passes each write the same share
+scope, which remembers which page it built from which payload position
+and old page, so a second region applying that payload over the same
+page stores the very same object.  Sharing must never change what a
 region holds: every region reads back exactly what a plain per-region
 model holds, whatever order the regions apply their writes in and
 whatever happens to a mutable payload after it was written.  The budget
 pins the saving on a live group: after a fixed-seed load the three
 memory nodes hold about one replica's worth of distinct page bytes, and
-a node re-copied after a crash holds its peers' pages, not copies.  The
-memo's retention is bounded in bytes as ``repro.rdma.memory`` states.
+a node re-copied after a crash holds its peers' pages, not copies.  A
+scope lives only as long as its verbs: once they complete, only the
+regions hold pages and payloads, and ``repro.rdma.memory`` keeps no
+mutable state of its own.
 """
 
+import collections
+import gc
 import random
 
 from hypothesis import given, settings
@@ -28,13 +33,6 @@ SIZE = 6 * PAGE_BYTES - 100
 SHIFT = 64  # the most a region may move a write from where the others put it
 
 
-def flood():
-    """Evict every memo entry: as many fresh one-page writes as it holds."""
-    scratch = MemoryRegion("scratch", PAGE_BYTES)
-    for _ in range(memory._MEMO_ENTRIES):
-        scratch.write(0, bytes(PAGE_BYTES // 2) + b"x")
-
-
 write_spec = st.tuples(
     st.integers(0, SIZE - SHIFT),  # offset
     st.integers(0, 3 * PAGE_BYTES),  # length (clipped to the region)
@@ -47,9 +45,8 @@ write_spec = st.tuples(
     writes=st.lists(write_spec, min_size=1, max_size=10),
     regions=st.integers(2, 4),
     schedule_seed=st.integers(0, 2**32),
-    floods=st.lists(st.integers(0, 40), max_size=2),
 )
-def test_every_region_reads_back_its_own_writes(writes, regions, schedule_seed, floods):
+def test_every_region_reads_back_its_own_writes(writes, regions, schedule_seed):
     rng = random.Random(schedule_seed)
     payloads = []
     for offset, length, kind in writes:
@@ -58,7 +55,7 @@ def test_every_region_reads_back_its_own_writes(writes, regions, schedule_seed, 
     # Each region applies its own subsequence of the writes, in its own
     # order (most keep the writes' order, as replicas do), now and then a
     # few bytes from where the others put it; a random schedule
-    # interleaves the regions.
+    # interleaves the regions.  Each payload's writes share one scope.
     orders = []
     for _ in range(regions):
         order = [i for i in range(len(payloads)) if rng.random() < 0.85]
@@ -70,35 +67,60 @@ def test_every_region_reads_back_its_own_writes(writes, regions, schedule_seed, 
     targets = [MemoryRegion(f"r{r}", SIZE) for r in range(regions)]
     models = [bytearray(SIZE) for _ in range(regions)]
     cursors = [0] * regions
-    for step, r in enumerate(steps):
-        if step in floods:
-            flood()
+    scopes = [{} for _ in payloads]
+    for r in steps:
         index, shift = orders[r][cursors[r]]
         offset, data, kind = payloads[index]
         offset += shift
         cursors[r] += 1
-        targets[r].write(offset, memoryview(data) if kind == "memoryview" else data)
+        targets[r].write(offset, memoryview(data) if kind == "memoryview" else data, scopes[index])
         models[r][offset : offset + len(data)] = data
         if kind != "bytes":  # the writer reuses its buffer: no region may see that
             data[:] = rng.randbytes(len(data))
-    assert len(memory._memo) <= memory._MEMO_ENTRIES
     for region, model in zip(targets, models):
         assert region.read(0, SIZE) == bytes(model)
         assert all(type(p) is bytes and len(p) == PAGE_BYTES for p in region._pages.values())
 
 
+@settings(max_examples=80)
+@given(
+    spans=st.lists(st.tuples(st.integers(0, SIZE - 1), st.integers(0, 3 * PAGE_BYTES)), max_size=6),
+    seed=st.integers(0, 2**32),
+)
+def test_a_write_of_what_a_scoped_read_returned_stores_exactly_that(spans, seed):
+    """A recovery copy's shape: a read records the pages it spans in a
+    scope and the write of its result uses it.  The write must store the
+    bytes it was given, never more of a recorded page than it covers, and
+    every whole page it covers is the source's page object."""
+    rng = random.Random(seed)
+    source, target = MemoryRegion("source", SIZE), MemoryRegion("target", SIZE)
+    source.write(0, rng.randbytes(SIZE))
+    target.write(0, rng.randbytes(SIZE))
+    model = bytearray(target.read(0, SIZE))
+    for offset, length in spans:
+        length = min(length, SIZE - offset)
+        share = {}
+        data = source.read(offset, length, share)
+        target.write(offset, data, share)
+        model[offset : offset + length] = data
+        first, last = -(-offset // PAGE_BYTES), (offset + length) // PAGE_BYTES
+        assert all(target._pages[i] is source._pages[i] for i in range(first, last))
+    assert target.read(0, SIZE) == bytes(model)
+
+
 def test_replicas_applying_the_same_payload_share_its_pages():
     payload = random.Random(7).randbytes(3 * PAGE_BYTES)
     regions = [MemoryRegion(f"r{r}", 8 * PAGE_BYTES) for r in range(3)]
+    share = {}
     for region in regions:
-        region.write(PAGE_BYTES + 10, payload)  # two partial pages, two whole ones
+        region.write(PAGE_BYTES + 10, payload, share)  # two partial pages, two whole ones
     first = regions[0]._pages
     assert len(first) == 4
     for region in regions[1:]:
         assert all(region._pages[i] is page for i, page in first.items())
-    mutable = bytearray(payload)
+    mutable, share = bytearray(payload), {}
     for region in regions:
-        region.write(0, mutable)  # a mutable payload is copied, never shared
+        region.write(0, mutable, share)  # a mutable payload is copied, never shared
     assert regions[0]._pages[0] is not regions[1]._pages[0]
     assert regions[0]._pages[0] == regions[1]._pages[0]
 
@@ -200,18 +222,57 @@ def test_a_recovered_replica_holds_no_private_copy_of_a_peer_page():
     assert copies == []
 
 
-def test_a_flood_of_multi_page_reads_pins_the_stated_payload_bytes():
-    """Read-side entries count against the same 512: once a run of 256 KiB
-    reads (64-65 pages each, cut ones included) fills the memo, it pins at
-    most ``512 // 64 + 1`` of them, 2.25 MiB, and nothing else."""
-    size = 256 * 1024
-    region = MemoryRegion("flooded", 2 * size)
-    region.write(0, random.Random(3).randbytes(2 * size))
-    reads = []
-    for shift in [0, 100, 4096, 1, 0, 2048, 0, 0, 7, 0, 0, 0, 4095, 0, 0, 0]:
-        reads.append(region.read(shift, size))
-        assert len(memory._memo) <= memory._MEMO_ENTRIES
-        held = {id(entry[0]): len(entry[0]) for entry in memory._memo.values()}
-        if len(reads) > 9:  # the run fills the memo: only its reads are left
-            assert set(held) <= set(map(id, reads))
-            assert sum(held.values()) <= (memory._MEMO_ENTRIES // 64 + 1) * size == 9 * size
+def test_the_memory_module_holds_no_mutable_state():
+    state = [
+        name
+        for name, value in vars(memory).items()
+        if not name.startswith("__")
+        and isinstance(value, (dict, list, set, bytearray, collections.deque))
+    ]
+    assert state == []
+
+
+def test_no_page_or_payload_outlives_its_verbs_outside_a_region(monkeypatch):
+    """Once the fan-out writes, applies and recovery copy of a run have
+    completed, the regions are the only holders of every page they store
+    and of every payload written with a share scope."""
+    payloads = []
+    write = MemoryRegion.write
+
+    def recording(region, offset, data, share=None):
+        if share is not None and type(data) is bytes:
+            payloads.append(data)
+        write(region, offset, data, share)
+
+    monkeypatch.setattr(MemoryRegion, "write", recording)
+    group, _repmem = recovered_group(seed=0)
+    regions = [
+        region._pages
+        for node in group.memory_nodes
+        for region in (node.admin_region, node.repmem_region, node.meta_region)
+    ]
+    pages = [page for held in regions for page in held.values() if page is not memory._ZERO_PAGE]
+    assert len(payloads) > 1000 and pages
+    gc.collect()
+    wanted = {id(obj) for obj in pages + payloads}
+    allowed = {id(obj) for obj in regions + [regions, pages, payloads]}
+    holders = [
+        type(obj).__name__
+        for obj in gc.get_objects()
+        if id(obj) not in allowed and refers_to(obj, wanted, allowed)
+    ]
+    assert holders == []
+
+
+def refers_to(obj, wanted, allowed, depth=3):
+    """Whether *obj* refers to an object whose id is in *wanted*, directly or
+    through tuples and dicts the collector does not track (those holding
+    only bytes, ints and such untracked containers), *allowed* ones aside."""
+    for referent in gc.get_referents(obj):
+        if id(referent) in wanted:
+            return True
+        if id(referent) in allowed or type(referent) not in (tuple, dict):
+            continue
+        if depth and not gc.is_tracked(referent) and refers_to(referent, wanted, allowed, depth - 1):
+            return True
+    return False

@@ -7,6 +7,7 @@ from repro.core.replicated_memory import NodeState
 from repro.net import Fabric
 from repro.sim import MS, SEC, Simulator
 from repro.storage.wal import WalCodec, WalEntry
+from tests.testing import make_kv_stack, run_scenario
 
 BASE = RESERVED_BYTES
 
@@ -228,6 +229,47 @@ class TestMemoryNodeRecovery:
         a, b = run(sim, scenario(), until=90 * SEC)
         assert a == b"S" * 1024
         assert b == b"T" * 1024
+
+
+def test_a_put_between_a_fragments_read_and_write_survives_the_copy():
+    """§3.4.2's copy read-locks a fragment from its read until its write
+    lands on the recovering node.  A put whose direct writes (bucket head,
+    block, bitmap word) reach that fragment in between must wait for the
+    lock: posted earlier, it would be overwritten on the recovered node by
+    the peer's bytes from before the put."""
+    sim, _fabric, group, client = make_kv_stack(max_keys=256, seed=0)
+    run_scenario(sim, group.wait_until_serving(timeout_us=2 * SEC))
+    coordinator = group.serving_coordinator()
+    app, repmem = coordinator.app, coordinator.repmem
+    app.preload((b"key-%d" % i, b"%d" % i * 90) for i in range(128))
+    key = b"raced-key"
+    head = app.layout.bucket_addr(app.layout.bucket_of(key))
+    raw_read, raced = repmem._raw_read, []
+
+    def copy_read(addr, length, *share):
+        data = yield from raw_read(addr, length, *share)
+        if addr <= head < addr + length and not raced:  # only the copy reads bucket heads
+            raced.append(sim.spawn(client.put(key, b"a value no peer held before")))
+            yield sim.timeout(5 * MS)  # the put commits and applies meanwhile
+        return data
+
+    repmem._raw_read = copy_read
+
+    def load():
+        group.crash_memory_node(2)
+        yield from client.put(b"key-0", b"detects the crash")  # its verb timeout does
+        yield sim.timeout(5 * MS)
+        assert repmem.states[2] == NodeState.DEAD
+        group.restart_memory_node(2)
+        while repmem.states[2] != NodeState.LIVE:
+            yield sim.timeout(10 * MS)
+        yield sim.timeout(50 * MS)  # let the appliers drain
+
+    run_scenario(sim, load(), until=30 * SEC)
+    assert raced and raced[0].ok
+    nodes = group.memory_nodes
+    at, size = repmem.amap.raw_extent(0), repmem.config.data_bytes
+    assert nodes[2].repmem_region.read(at, size) == nodes[0].repmem_region.read(at, size)
 
 
 class TestBootstrapAndMembership:

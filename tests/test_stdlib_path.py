@@ -1,14 +1,18 @@
 """A closed-loop Sift group without erasure coding runs on the standard library.
 
-numpy and OpenSSL's ``hashlib`` are imported only where they do vector
-or hash work: the GF(256) codec, the open-loop arrival batches and the
-sharded ring.  A closed-loop, non-EC run therefore loads neither, which
-is most of its peak RSS.  A fresh interpreter checks that, and the
-vector paths still work next to it.  The scalar code that replaced
+numpy is imported only where it does vector work: the GF(256) codec,
+the open-loop arrival batches and the ring's batch placement.  A
+closed-loop, non-EC run therefore loads neither numpy nor OpenSSL's
+``_hashlib``, which is most of its peak RSS, and a sharded one does not
+load ``_hashlib`` either: the ring hashes with the builtin ``_sha1``, to
+the very digests ``hashlib`` gives.  Fresh interpreters check that, and
+the vector paths still work next to it.  The scalar code that replaced
 numpy must pick exactly what numpy picked, so the Zipf CDF and its
 inversion are checked draw for draw against numpy as the reference.
 """
 
+import bisect
+import hashlib
 import os
 import random
 import subprocess
@@ -19,6 +23,7 @@ import pytest
 
 from repro.api import Cluster
 from repro.bench.calibration import SMOKE_SCALE
+from repro.shard.hashing import HashRing, key_point
 from repro.sim import MS
 from repro.workloads import WORKLOADS, AdmissionControl, OpenLoopEngine, ZipfSampler
 
@@ -50,15 +55,68 @@ print(metrics.completed, metrics.errors, sorted({"numpy", "_hashlib"} & set(sys.
 """
 
 
-def test_a_closed_loop_run_imports_neither_numpy_nor_openssl():
+SHARDED_CLOSED_LOOP = """
+import sys
+
+from repro.api import Cluster
+from repro.bench.metrics import Metrics
+from repro.shard.router import ShardRouter
+from repro.sim import MS
+from repro.workloads import WORKLOADS, ClientPool, UniformSampler
+
+cluster = Cluster.build("sharded", seed=0, shards=2)
+cluster.wait_ready()
+sampler = UniformSampler(256)
+cluster.preload((sampler.key(i), b"v" * 64) for i in range(256))
+metrics = Metrics()
+pool = ClientPool(
+    cluster.fabric, cluster.inner, 4, WORKLOADS["mixed"], sampler, metrics,
+    value_bytes=64, client_factory=ShardRouter,
+)
+pool.start()
+metrics.begin(cluster.sim.now)
+while metrics.completed < 300:
+    cluster.run(until=cluster.sim.now + 1 * MS)
+pool.stop()
+print(metrics.completed, metrics.errors, sorted({"_hashlib"} & set(sys.modules)))
+"""
+
+
+def run_fresh(script):
+    """*script*'s ``completed errors loaded-modules`` line, run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run(
-        [sys.executable, "-c", CLOSED_LOOP], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert result.returncode == 0, result.stderr
     completed, errors, loaded = result.stdout.split(maxsplit=2)
     assert int(completed) >= 300 and int(errors) == 0
-    assert loaded.strip() == "[]"
+    return loaded.strip()
+
+
+def test_a_closed_loop_run_imports_neither_numpy_nor_openssl():
+    assert run_fresh(CLOSED_LOOP) == "[]"
+
+
+def test_a_sharded_closed_loop_run_does_not_load_openssl():
+    assert run_fresh(SHARDED_CLOSED_LOOP) == "[]"
+
+
+def sha1_point(token):
+    return int.from_bytes(hashlib.sha1(token).digest()[:8], "big")
+
+
+@pytest.mark.parametrize("size", [0, 27, 5 * 1024])
+def test_the_ring_hashes_as_hashlib_does(size):
+    """Key points and ring placement, rebuilt from ``hashlib.sha1`` alone."""
+    names = [f"shard-{i}" for i in range(5)]
+    ring = HashRing(names, virtual_nodes=64)
+    points = sorted((sha1_point(f"{n}#{v}".encode()), n) for n in names for v in range(64))
+    rng = random.Random(size)
+    for key in [rng.randbytes(size) for _ in range(64 if size else 1)]:
+        assert key_point(key) == sha1_point(key)
+        index = bisect.bisect_left([point for point, _ in points], sha1_point(key))
+        assert ring.shard_for(key) == points[index % len(points)][1]
 
 
 def test_an_erasure_coded_group_still_round_trips():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.bench.metrics import Metrics
+from repro.bench.metrics import Metrics, percentile
 from repro.workloads import WORKLOADS, UniformSampler, ZipfSampler
 
 
@@ -147,3 +147,23 @@ class TestMetrics:
         metrics.end(1.0)
         assert len(metrics.latencies["read"]) == 100
         assert metrics.completed == 10_000
+
+    def test_the_double_array_reservoir_keeps_what_a_float_list_kept(self):
+        """The reservoir is an ``array('d')``: its replacements and every
+        percentile equal those of the list of floats it replaced."""
+        metrics = Metrics(reservoir=500, seed=3)
+        rng, reference, chooser = random.Random(5), [], random.Random(3)
+        metrics.begin(0.0)
+        for seen in range(1, 20_001):
+            start = rng.uniform(0.0, 1e6)
+            latency = rng.expovariate(1 / 80.0) + rng.random() * 1e-9
+            metrics.record("read", start, start + latency)
+            if len(reference) < 500:
+                reference.append((start + latency) - start)
+            elif (slot := chooser.randrange(seen)) < 500:
+                reference[slot] = (start + latency) - start
+        metrics.end(1e6)
+        assert metrics.latencies["read"].typecode == "d"
+        assert metrics.latencies["read"].tolist() == reference
+        for p in (0, 1, 50, 95, 99, 99.9, 100):
+            assert metrics.latency("read", p) == percentile(reference, p)
