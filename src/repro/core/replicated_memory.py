@@ -284,9 +284,13 @@ class ReplicatedMemory:
             )
         yield self.host.execute(self.costs.rdma_post_us)
         offset = self.amap.raw_extent(addr)
-        # Held while the verbs post, the write lock waits out a recovery copy's
-        # read locks: no copy lands a peer's older bytes over this write (§3.4.2).
-        token = yield from self.locks.acquire(self.amap.blocks_of(addr, len(data)), LockMode.WRITE)
+        # A held block (a recovery copy's read lock) is waited out with a write
+        # lock held while the verbs post: no copy lands a peer's older bytes
+        # over this write (§3.4.2).  Posting is synchronous, so with none held
+        # (none is then awaited either) nothing can come between.
+        blocks, token = self.amap.blocks_of(addr, len(data)), None
+        if any(map(self.locks.held, blocks)):
+            token = yield from self.locks.acquire(blocks, LockMode.WRITE)
         try:
             if obs_state.TRACER is not None:
                 # Milestone: replication fan-out begins (closes "wal_write"
@@ -296,7 +300,8 @@ class ReplicatedMemory:
                 )
             posted = self._fan_out_write(offset, data)
         finally:
-            self.locks.release(token)
+            if token is not None:
+                self.locks.release(token)
         needed = self.config.quorum
         acks = []
         for n, event in posted:
@@ -387,9 +392,7 @@ class ReplicatedMemory:
         index = self.next_index
         self.next_index += 1
         entry = WalEntry(index, addr, data, self.term)
-        pending = _Pending(
-            entry, Event(self.sim), Event(self.sim), self._active_set()
-        )
+        pending = _Pending(entry, Event(self.sim), Event(self.sim), set(self._active_nodes()))
         pending.chunks = chunks
         self._log[index] = pending
         self.stats["entries_logged"] += 1
@@ -621,9 +624,6 @@ class ReplicatedMemory:
             for n, s in self.states.items()
             if s in (NodeState.LIVE, NodeState.RECOVERING) and n in self.qps
         ]
-
-    def _active_set(self) -> Set[int]:
-        return set(self._active_nodes())
 
     def _node_active(self, n: int) -> bool:
         return (

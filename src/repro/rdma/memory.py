@@ -71,8 +71,7 @@ class MemoryRegion:
     # -- plain access --------------------------------------------------------
 
     def read(self, offset: int, length: int, share: Optional[dict] = None) -> bytes:
-        """Copy *length* bytes starting at *offset*; a multi-page read records
-        the pages it spans in *share*, the scope its result is written with."""
+        """Copy *length* bytes at *offset*; a multi-page read records its pages in *share*."""
         if offset < 0 or length < 0 or offset + length > self.size:
             self._check(offset, length)  # raises
         page_index, page_offset = divmod(offset, PAGE_BYTES)

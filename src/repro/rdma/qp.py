@@ -105,8 +105,7 @@ class QueuePair:
     def read(
         self, region_name: str, offset: int, length: int, share: Optional[dict] = None
     ) -> Event:
-        """One-sided READ of *length* bytes; event value is the payload,
-        whose pages the read records in the share scope *share*."""
+        """One-sided READ of *length* bytes; event value is the payload (pages into *share*)."""
         return self.nic.post(
             self._stage(
                 region_name, ACK_WIRE_BYTES, length, "read", None,
