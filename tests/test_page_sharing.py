@@ -271,8 +271,8 @@ def refers_to(obj, wanted, allowed, depth=3):
     for referent in gc.get_referents(obj):
         if id(referent) in wanted:
             return True
-        if id(referent) in allowed or type(referent) not in (tuple, dict):
+        if id(referent) in allowed or type(referent) not in (tuple, dict) or not depth:
             continue
-        if depth and not gc.is_tracked(referent) and refers_to(referent, wanted, allowed, depth - 1):
+        if not gc.is_tracked(referent) and refers_to(referent, wanted, allowed, depth - 1):
             return True
     return False
